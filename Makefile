@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-smoke bench-index repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile snapshot-smoke
+.PHONY: all build test test-race race bench bench-smoke bench-vet bench-index repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile snapshot-smoke
 
 all: build test
 
@@ -42,7 +42,7 @@ fmt-check:
 
 # Mirror of .github/workflows/ci.yml: `ci` is the fast lane, `race` the
 # separate race-detector lane (run both before merging concurrency work).
-ci: build vet lint fmt-check test bench-smoke fuzz-smoke snapshot-smoke
+ci: build vet lint fmt-check test bench-smoke bench-vet fuzz-smoke snapshot-smoke
 
 test:
 	$(GO) test -vet=all ./...
@@ -69,6 +69,12 @@ bench:
 # without paying for steady-state measurements.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The BENCHMARK.json harness is its own module (bench/go.mod), so
+# `go build ./...` and `go test ./...` above never compile it: vet and
+# test it here, or a signature it depends on breaks silently.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Reach-index construction/size/query benchmark: Go benchmarks for the
 # 2-hop build and query hot path, then the JSON artefact BENCH_reach.json

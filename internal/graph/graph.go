@@ -147,6 +147,11 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return i < len(out) && out[i] == v
 }
 
+// SizeBytes returns the measured size of the CSR backing arrays.
+func (g *Graph) SizeBytes() int64 {
+	return int64(cap(g.outOffsets)+cap(g.inOffsets))*8 + int64(cap(g.outTargets)+cap(g.inSources))*4
+}
+
 // Stats summarises the structural numbers Table 5 reports per dataset.
 type Stats struct {
 	Nodes     int

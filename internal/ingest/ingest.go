@@ -18,8 +18,8 @@
 //     pre-linked, run through Linker.LinkTweet; the resulting links feed
 //     Linker.Feedback so the comprehensive KB and influence caches track
 //     the stream (disable with Config.NoFeedback),
-//   - follow edges batch into reach.Streaming.InsertEdges, updating the
-//     live dynamic closure while the frozen query arena stays untouched,
+//   - follow edges batch into reach.Streaming.InsertEdges, joining the
+//     live graph's edge tail while the frozen query arena stays untouched,
 //   - feedback events call Linker.Feedback directly.
 //
 // # Staleness and rebuilds

@@ -206,7 +206,7 @@ func (p *Pipeline) Stats() Stats {
 
 // applier is the single consumer goroutine: it drains the intake
 // channel, coalescing up to MaxBatch already-pending events per round so
-// a burst of follow edges costs one closure lock instead of one each,
+// a burst of follow edges costs one substrate lock instead of one each,
 // and applies the batch. It exits when Close closes the channel, after
 // applying everything buffered before the close.
 func (p *Pipeline) applier() {
@@ -253,6 +253,7 @@ func (p *Pipeline) apply(batch []Event) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
 	var pairs [][2]graph.NodeID
+	var follows int
 	var recs []store.Record
 	if p.journal != nil {
 		recs = make([]store.Record, 0, len(batch))
@@ -278,6 +279,12 @@ func (p *Pipeline) apply(batch []Event) {
 			p.appliedTweets.Add(1)
 			p.met.evTweet.Inc()
 		case KindFollow:
+			follows++
+			// A follow naming a user outside the graph is consumed here:
+			// journaled, it would fail every later replay as corruption.
+			if !p.deps.Stream.HasNode(ev.U) || !p.deps.Stream.HasNode(ev.V) {
+				continue
+			}
 			pairs = append(pairs, [2]graph.NodeID{ev.U, ev.V})
 			if recs != nil {
 				recs = append(recs, store.FollowRecord(ev.U, ev.V))
@@ -299,13 +306,13 @@ func (p *Pipeline) apply(batch []Event) {
 			p.met.journalFails.Inc()
 		}
 	}
-	if len(pairs) == 0 {
+	if follows == 0 {
 		return
 	}
 	n := p.deps.Stream.InsertEdges(pairs)
 	p.insertedEdges.Add(int64(n))
-	p.appliedFollows.Add(int64(len(pairs)))
-	p.met.evFollow.Add(uint64(len(pairs)))
+	p.appliedFollows.Add(int64(follows))
+	p.met.evFollow.Add(uint64(follows))
 	st := p.deps.Stream.Staleness()
 	p.met.staleness.Set(float64(st))
 	if p.cfg.RebuildAfterEdges > 0 && st >= int64(p.cfg.RebuildAfterEdges) {
@@ -383,7 +390,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		rebuildSeconds: reg.Histogram("microlink_ingest_rebuild_seconds",
 			"Duration of copy-on-swap 2-hop arena rebuilds.", nil),
 		staleness: reg.Gauge("microlink_ingest_staleness_events",
-			"Follow edges applied to the live closure but not yet reflected in the frozen arena."),
+			"Follow edges applied to the live graph but not yet reflected in the frozen arena."),
 		journalFails: reg.Counter("microlink_ingest_journal_failures_total",
 			"Applied batches whose WAL tee failed (state mutated, durability lost)."),
 	}

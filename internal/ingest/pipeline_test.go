@@ -16,6 +16,7 @@ import (
 	"microlink/internal/obs"
 	"microlink/internal/reach"
 	"microlink/internal/recency"
+	"microlink/internal/store"
 	"microlink/internal/tweets"
 )
 
@@ -97,7 +98,7 @@ func TestNewRejectsMissingDeps(t *testing.T) {
 
 // TestPipelineAppliesEvents pushes one event of each kind through the
 // pipeline and checks each mutation path fired: the live corpus grew,
-// the live closure absorbed the edge, the feedback landed in the KB, and
+// the live graph absorbed the edge, the feedback landed in the KB, and
 // staleness reflects the unrebuilt edge until a forced swap clears it.
 func TestPipelineAppliesEvents(t *testing.T) {
 	f := newFixture(t)
@@ -272,6 +273,43 @@ func TestMetricsRegistered(t *testing.T) {
 		if !registryHas(f.reg, name) {
 			t.Errorf("metric %s not registered", name)
 		}
+	}
+}
+
+// recordingJournal keeps every record the applier tees.
+type recordingJournal struct{ recs []store.Record }
+
+func (j *recordingJournal) Append(recs []store.Record) error {
+	j.recs = append(j.recs, recs...)
+	return nil
+}
+
+// TestFollowOutsideGraphIsConsumed: a follow naming a user the graph
+// does not have is consumed and counted, but neither inserted (a rebuild
+// would panic on it) nor journaled (replay would reject it, making the
+// directory unopenable); the valid follow beside it lands normally.
+func TestFollowOutsideGraphIsConsumed(t *testing.T) {
+	f := newFixture(t)
+	j := &recordingJournal{}
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: j}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, e := range [][2]kb.UserID{{2, 32}, {-1, 3}, {2, 19}} {
+		if err := p.Submit(ctx, FollowEvent(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closePipeline(t, p)
+	p.ForceRebuild() // must not panic
+
+	st := p.Stats()
+	if st.AppliedFollows != 3 || st.InsertedEdges != 1 || st.Staleness != 0 {
+		t.Fatalf("stats = %+v, want 3 follows consumed, 1 edge inserted, staleness 0", st)
+	}
+	if len(j.recs) != 1 || j.recs[0].U != 2 || j.recs[0].V != 19 {
+		t.Fatalf("journal holds %+v, want the one valid follow", j.recs)
 	}
 }
 

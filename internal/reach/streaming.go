@@ -9,25 +9,27 @@ import (
 
 // Streaming is the reachability substrate of the ingest pipeline: a frozen
 // 2-hop cover (Algorithm 2) serving queries lock-free behind an atomic
-// pointer, paired with a DynamicClosure absorbing follow-edge insertions
-// online as the authoritative live state. The two are reconciled by
-// copy-on-swap: a rebuild snapshots the closure's adjacency, runs the
-// parallel 2-hop builder off the hot path, and Install publishes the new
-// arena with two atomic stores — queries never block on maintenance, and
-// the gap between the live graph and the frozen arena is the bounded,
-// observable staleness the ingest pipeline reports.
+// pointer, paired with the live follow graph kept as what a rebuild reads
+// — an immutable base CSR plus a deduplicated tail of edges inserted
+// since. The two are reconciled by copy-on-swap: a rebuild folds the tail
+// into a new base, runs the parallel 2-hop builder on it off the hot
+// path, and Install publishes the new arena with two atomic stores —
+// queries never block on maintenance, and the gap between the live graph
+// and the frozen arena is the bounded, observable staleness the ingest
+// pipeline reports.
 //
 // Concurrency contract. Query/R/BuildStats read only the frozen arena
-// (atomic load, no lock). The mutable half — the dynamic closure and the
-// applied-edge counter — sits behind mu; InsertEdge/InsertEdges take the
-// write side, SnapshotGraph/Staleness the read side. Install performs no
-// locking at all: callers run it under the linker's write lock (via
-// Linker.UpdateReachability) so the arena swap and the interest-cache
-// flush are atomic with respect to scorers, which read the frozen arena
-// inside the linker's read-locked sections and therefore never observe a
-// torn index.
+// (atomic load, no lock). The mutable half — base, tail and the
+// applied-edge counter — sits behind mu; InsertEdge/InsertEdges and
+// SnapshotGraph take the write side, Staleness/Applied the read side.
+// Install performs no locking at all: callers run it under the linker's
+// write lock (via Linker.UpdateReachability) so the arena swap and the
+// interest-cache flush are atomic with respect to scorers, which read the
+// frozen arena inside the linker's read-locked sections and therefore
+// never observe a torn index.
 type Streaming struct {
 	opts TwoHopOptions
+	n    graph.NodeID // node count, fixed at construction
 
 	// frozen is the immutable 2-hop arena serving queries; frozenAt is the
 	// applied-edge count it was built from; swaps counts installs.
@@ -35,65 +37,45 @@ type Streaming struct {
 	frozenAt atomic.Int64
 	swaps    atomic.Int64
 
-	// mu guards the live (mutable) state. Edge application and
-	// snapshotting acquire it and then the dynamic closure's own lock
-	// (reach-dyn) through dc's methods; the rebuild manager holds its own
-	// mutex (ingest-rebuild) strictly above it.
-	//
-	// microlint:lock-order reach-stream < reach-dyn
-	//
-	// Warm-restored instances (NewStreamingFromFrozen) defer the dynamic
-	// closure: dc stays nil while base holds the restored graph and
-	// pending buffers inserted edges, until the first SnapshotGraph
-	// hydrates the closure off the serving path.
-	mu         sync.RWMutex                 // microlint:lock-order reach-stream
-	dc         *DynamicClosure              // microlint:guarded-by mu — nil until hydrated
-	base       *graph.Graph                 // microlint:guarded-by mu — restored graph, nil once hydrated
-	pending    [][2]graph.NodeID            // microlint:guarded-by mu — edges awaiting hydration
-	pendingSet map[[2]graph.NodeID]struct{} // microlint:guarded-by mu — dedup for pending
-	applied    int64                        // microlint:guarded-by mu
+	// mu guards the live graph. It is a leaf below the rebuild manager's
+	// mutex (ingest-rebuild): nothing is acquired while it is held.
+	mu      sync.RWMutex                 // microlint:lock-order reach-stream
+	base    *graph.Graph                 // microlint:guarded-by mu — every edge up to the last SnapshotGraph
+	tail    map[[2]graph.NodeID]struct{} // microlint:guarded-by mu — edges inserted since, none in base
+	applied int64                        // microlint:guarded-by mu
 }
 
-// NewStreaming builds the initial frozen cover and the live closure over
-// g. opts selects the hop bound and the rebuild parallelism; the same
-// options are reused by every subsequent Rebuild so successive arenas are
-// built identically (and therefore bit-for-bit deterministically for a
-// fixed batch size).
-func NewStreaming(g *graph.Graph, opts TwoHopOptions) *Streaming {
+func newStreaming(g *graph.Graph, opts TwoHopOptions) *Streaming {
 	if opts.MaxHops <= 0 {
 		opts.MaxHops = DefaultMaxHops
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultTwoHopBatch
 	}
-	st := &Streaming{
+	return &Streaming{
 		opts: opts,
-		dc:   NewDynamicClosure(g, opts.MaxHops),
+		n:    graph.NodeID(g.NumNodes()),
+		base: g,
+		tail: make(map[[2]graph.NodeID]struct{}),
 	}
-	st.frozen.Store(BuildTwoHop(g, opts))
+}
+
+// NewStreaming builds the initial frozen cover over g. opts selects the
+// hop bound and the rebuild parallelism; the same options are reused by
+// every subsequent Rebuild so successive arenas are built identically
+// (and therefore bit-for-bit deterministically for a fixed batch size).
+func NewStreaming(g *graph.Graph, opts TwoHopOptions) *Streaming {
+	st := newStreaming(g, opts)
+	st.frozen.Store(BuildTwoHop(g, st.opts))
 	return st
 }
 
 // NewStreamingFromFrozen restores a Streaming substrate from persisted
 // state: g is the live graph the arena was built from (a loaded segment,
-// not a fresh build) and th the deserialized frozen arena. The dynamic
-// closure — the expensive half — is NOT built here: inserted edges are
-// buffered (deduplicated against g and each other) and the closure
-// hydrates lazily on the first SnapshotGraph, which runs on the rebuild
-// path, off serving. A warm restart therefore pays segment load plus WAL
-// replay, never a closure or 2-hop construction.
+// not a fresh build) and th the deserialized frozen arena. Nothing is
+// constructed: a warm restart pays segment load plus WAL replay.
 func NewStreamingFromFrozen(g *graph.Graph, th *TwoHop, opts TwoHopOptions) *Streaming {
-	if opts.MaxHops <= 0 {
-		opts.MaxHops = DefaultMaxHops
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultTwoHopBatch
-	}
-	st := &Streaming{
-		opts:       opts,
-		base:       g,
-		pendingSet: make(map[[2]graph.NodeID]struct{}),
-	}
+	st := newStreaming(g, opts)
 	st.frozen.Store(th)
 	return st
 }
@@ -104,53 +86,34 @@ func (st *Streaming) Frozen() *TwoHop { return st.frozen.Load() }
 // MaxHops returns the hop bound H the substrate builds arenas with.
 func (st *Streaming) MaxHops() int { return st.opts.MaxHops }
 
-// insertPendingLocked buffers one edge in deferred (pre-hydration) mode,
-// reporting whether it was new relative to the restored graph and the
-// buffer.
-func (st *Streaming) insertPendingLocked(u, v graph.NodeID) bool {
+// HasNode reports whether u names a node of the live graph; edges are
+// accepted only between such nodes.
+func (st *Streaming) HasNode(u graph.NodeID) bool { return u >= 0 && u < st.n }
+
+// insertLocked adds u → v to the tail unless it is a self-loop, names a
+// node outside the graph, or is already in base or tail.
+func (st *Streaming) insertLocked(u, v graph.NodeID) bool {
+	if u == v || !st.HasNode(u) || !st.HasNode(v) || st.base.HasEdge(u, v) {
+		return false
+	}
 	key := [2]graph.NodeID{u, v}
-	if st.base.HasEdge(u, v) {
+	if _, dup := st.tail[key]; dup {
 		return false
 	}
-	if _, dup := st.pendingSet[key]; dup {
-		return false
-	}
-	st.pendingSet[key] = struct{}{}
-	st.pending = append(st.pending, key)
+	st.tail[key] = struct{}{}
+	st.applied++
 	return true
 }
 
-// hydrateLocked builds the dynamic closure from the restored graph and
-// replays the buffered edges into it. Called with mu held for writing.
-func (st *Streaming) hydrateLocked() {
-	if st.dc != nil {
-		return
-	}
-	dc := NewDynamicClosure(st.base, st.opts.MaxHops)
-	for _, p := range st.pending {
-		dc.InsertEdge(p[0], p[1])
-	}
-	st.dc = dc
-	st.base = nil
-	st.pending = nil
-	st.pendingSet = nil
-}
-
-// InsertEdge applies one follow edge u → v to the live closure, reporting
-// whether it was new. The frozen arena is untouched: staleness grows by
-// one per inserted edge until the next Install.
+// InsertEdge adds one follow edge u → v to the live graph, reporting
+// whether it was new. Self-loops and endpoints outside the graph are
+// dropped here, synchronously, so they never reach a rebuild. The frozen
+// arena is untouched: staleness grows by one per inserted edge until the
+// next Install.
 func (st *Streaming) InsertEdge(u, v graph.NodeID) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.dc == nil {
-		if !st.insertPendingLocked(u, v) {
-			return false
-		}
-	} else if !st.dc.InsertEdge(u, v) {
-		return false
-	}
-	st.applied++
-	return true
+	return st.insertLocked(u, v)
 }
 
 // InsertEdges applies a batch of follow edges under one lock acquisition —
@@ -161,42 +124,40 @@ func (st *Streaming) InsertEdges(pairs [][2]graph.NodeID) int {
 	defer st.mu.Unlock()
 	n := 0
 	for _, p := range pairs {
-		var fresh bool
-		if st.dc == nil {
-			fresh = st.insertPendingLocked(p[0], p[1])
-		} else {
-			fresh = st.dc.InsertEdge(p[0], p[1])
-		}
-		if fresh {
+		if st.insertLocked(p[0], p[1]) {
 			n++
 		}
 	}
-	st.applied += int64(n)
 	return n
 }
 
-// SnapshotGraph freezes the live adjacency into an immutable Graph and
-// returns it with the applied-edge count it reflects. The pair is what a
-// rebuild needs: build the arena from the graph, install it stamped with
-// the count.
-// A warm-restored substrate hydrates its dynamic closure here, on the
-// first call — the rebuild path, not the serving path.
+// SnapshotGraph returns the live graph as an immutable Graph with the
+// applied-edge count it reflects. The pair is what a rebuild needs: build
+// the arena from the graph, install it stamped with the count. A
+// non-empty tail is folded into a new base (graph.Builder sorts and
+// dedupes, so the CSR is canonical); an empty one returns base as is.
 func (st *Streaming) SnapshotGraph() (*graph.Graph, int64) {
-	st.mu.RLock()
-	if st.dc != nil {
-		defer st.mu.RUnlock()
-		return st.dc.Snapshot(), st.applied
-	}
-	st.mu.RUnlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.hydrateLocked()
-	return st.dc.Snapshot(), st.applied
+	if len(st.tail) > 0 {
+		b := graph.NewBuilder(int(st.n))
+		for u := graph.NodeID(0); u < st.n; u++ {
+			for _, v := range st.base.Out(u) {
+				b.AddEdge(u, v)
+			}
+		}
+		for e := range st.tail { // any order: Build sorts
+			b.AddEdge(e[0], e[1])
+		}
+		st.base = b.Build()
+		clear(st.tail)
+	}
+	return st.base, st.applied
 }
 
 // Rebuild constructs a fresh 2-hop arena from the current live graph,
-// off any lock: the snapshot holds the read side only for the adjacency
-// copy, and the (expensive) parallel build runs on a private graph.
+// off any lock: the snapshot holds mu only to fold the tail, and the
+// (expensive) parallel build runs on the immutable result.
 // The result is not installed — callers publish it via Install under the
 // linker's write lock so the swap excludes concurrent scorers.
 func (st *Streaming) Rebuild() (*TwoHop, int64) {
@@ -227,7 +188,7 @@ func (st *Streaming) Install(th *TwoHop, atEdges int64) {
 }
 
 // Staleness returns the number of follow edges applied to the live
-// closure but not yet reflected in the frozen arena — the pipeline's
+// graph but not yet reflected in the frozen arena — the pipeline's
 // microlink_ingest_staleness_events gauge. Zero means the serving index
 // is exactly the live graph.
 func (st *Streaming) Staleness() int64 {
@@ -256,16 +217,16 @@ func (st *Streaming) R(u, v graph.NodeID) float64 {
 	return st.frozen.Load().R(u, v)
 }
 
-// SizeBytes implements Index: the frozen arena plus the live closure (or
-// the pending-edge buffer while the closure is deferred).
+// SizeBytes implements Index: what the substrate holds — the frozen
+// arena and the base CSR, both measured from their backing slices, plus
+// an estimate of the tail's map (16 B per edge). With no
+// closure behind it the harness's traced reach.index_mb reads roughly
+// arena + graph (it was ≈ 154 MB with one), and reach.closure_build_ms —
+// NewStreaming's time less the 2-hop build's — reads ≈ 0.
 func (st *Streaming) SizeBytes() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	live := int64(len(st.pending)) * 8
-	if st.dc != nil {
-		live = st.dc.SizeBytes()
-	}
-	return st.frozen.Load().SizeBytes() + live
+	return st.frozen.Load().SizeBytes() + st.base.SizeBytes() + int64(len(st.tail))*16
 }
 
 // BuildStats implements Index, reporting the frozen arena's stats.

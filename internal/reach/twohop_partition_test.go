@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"microlink/internal/graph"
@@ -216,10 +218,11 @@ func TestTwoHopMergeUtilizationSane(t *testing.T) {
 
 // TestStreamingBuildConcurrentWithQueriesRace is the -race soak the issue
 // asks for: parallel partitioned builds run through Streaming.Rebuild
-// while query goroutines hammer the frozen arena across three
-// copy-on-swap installs. Any unfenced access between the build's worker
-// goroutines and the lock-free query path is the race detector's to
-// catch.
+// while query goroutines hammer the frozen arena across copy-on-swap
+// installs, and inserter and snapshotter goroutines work the live edge
+// set beside them. Any unfenced access between the build's worker
+// goroutines, the lock-free query path and the base/tail state is the
+// race detector's to catch; the counts at the end must still add up.
 func TestStreamingBuildConcurrentWithQueriesRace(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	g := randomGraph(r, 250, 1500)
@@ -245,23 +248,68 @@ func TestStreamingBuildConcurrentWithQueriesRace(t *testing.T) {
 			}
 		}(int64(q))
 	}
+	var inserted atomic.Int64
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			ir := rand.New(rand.NewSource(seed))
+			// Bounded: a graph driven dense would only slow the builds.
+			for i := 0; i < 200; i++ {
+				runtime.Gosched()
+				// Nodes from [-5, 255): some endpoints are out of range.
+				u, v := graph.NodeID(ir.Intn(260)-5), graph.NodeID(ir.Intn(260)-5)
+				if ir.Intn(2) == 0 {
+					if st.InsertEdge(u, v) {
+						inserted.Add(1)
+					}
+				} else {
+					inserted.Add(int64(st.InsertEdges([][2]graph.NodeID{{u, v}, {v, u}, {u, v}})))
+				}
+			}
+		}(int64(100 + w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sg, at := st.SnapshotGraph()
+			if at < last || int64(sg.NumEdges()) != int64(g.NumEdges())+at {
+				t.Errorf("snapshot at %d (previous %d) has %d edges over a base of %d", at, last, sg.NumEdges(), g.NumEdges())
+				return
+			}
+			last = at
+			st.Staleness()
+		}
+	}()
 
 	for round := 0; round < 3; round++ {
 		pairs := make([][2]graph.NodeID, 40)
 		for i := range pairs {
 			pairs[i] = [2]graph.NodeID{graph.NodeID(r.Intn(250)), graph.NodeID(r.Intn(250))}
 		}
-		st.InsertEdges(pairs)
+		inserted.Add(int64(st.InsertEdges(pairs)))
 		th, at := st.Rebuild()
 		st.Install(th, at)
 	}
 	close(stop)
 	wg.Wait()
+	th, at := st.Rebuild()
+	st.Install(th, at)
 
-	if got := st.Swaps(); got != 3 {
-		t.Fatalf("swaps = %d, want 3", got)
+	if got := st.Swaps(); got != 4 {
+		t.Fatalf("swaps = %d, want 4", got)
 	}
 	if s := st.Staleness(); s != 0 {
 		t.Fatalf("staleness after final install = %d, want 0", s)
+	}
+	if got, want := st.Applied(), inserted.Load(); got != want || at != want {
+		t.Fatalf("Applied() = %d, final arena at %d, inserters counted %d", got, at, want)
 	}
 }

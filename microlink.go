@@ -150,7 +150,7 @@ const (
 	// instead of rebuilding (the paper's "maintenance cost" concern).
 	ReachDynamic
 	// ReachStreaming pairs a frozen 2-hop cover (serving queries
-	// lock-free) with a dynamic closure absorbing follow edges online;
+	// lock-free) with a live edge set absorbing follow edges online;
 	// the ingest pipeline's rebuild manager periodically re-freezes the
 	// cover and copy-on-swaps it in. Required by System.StartIngest.
 	ReachStreaming
@@ -377,23 +377,28 @@ var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not strea
 // attached to this system.
 var ErrIngestRunning = fmt.Errorf("microlink: ingest pipeline already started")
 
-// Follow records a new follow edge u → v and incrementally repairs the
-// weighted reachability index — the social half of the online feedback
-// loop (tweets arrive via Linker.Feedback; follows arrive here).
+// ErrUnknownUser is returned (wrapped, with the offending IDs) by Follow
+// when an endpoint is not a user of the system's follow graph.
+var ErrUnknownUser = fmt.Errorf("microlink: unknown user")
+
+// Follow records a new follow edge u → v — the social half of the online
+// feedback loop (tweets arrive via Linker.Feedback; follows arrive here).
 //
-// With ReachDynamic the repair runs under the linker's write lock — the
-// dynamic closure is not safe for concurrent use, and the scoring paths
-// read it behind the linker's read lock — and the linker's interest
-// cache is invalidated wholesale afterwards: a repaired edge can move
-// any user's weighted reachability, so every cached S_in value is
-// suspect.
+// With ReachDynamic the closure is repaired incrementally under the
+// linker's write lock — the scoring paths read it behind the linker's
+// read lock — and the linker's interest cache is invalidated wholesale
+// afterwards: a repaired edge can move any user's weighted reachability,
+// so every cached S_in value is suspect.
 //
-// With ReachStreaming the edge lands in the live closure under the
+// With ReachStreaming the edge joins the live graph's edge tail under the
 // substrate's own lock, with no linker lock and no cache invalidation:
 // scorers read only the frozen arena, which per-edge inserts never
 // touch, so cached scores stay exactly right until the next
 // copy-on-swap rebuild (which invalidates then).
 func (s *System) Follow(u, v UserID) error {
+	if n := UserID(s.World.Graph.NumNodes()); u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("%w: follow %d → %d in a graph of %d users", ErrUnknownUser, u, v, n)
+	}
 	switch idx := unwrapReach(s.Reach).(type) {
 	case *reach.DynamicClosure:
 		s.Linker.UpdateReachability(func() { idx.InsertEdge(u, v) })
@@ -409,7 +414,7 @@ func (s *System) Follow(u, v UserID) error {
 // StartIngest attaches a streaming firehose pipeline to the system and
 // starts its applier and rebuild-manager goroutines. Requires
 // Options.Reach = ReachStreaming (the pipeline's copy-on-swap rebuilds
-// need the frozen-arena + live-closure pairing); at most one pipeline
+// need the frozen-arena + live-graph pairing); at most one pipeline
 // per system. Stop it with Pipeline.Close.
 func (s *System) StartIngest(cfg IngestConfig) (*IngestPipeline, error) {
 	st, ok := unwrapReach(s.Reach).(*reach.Streaming)
@@ -468,8 +473,8 @@ func SaveReachIndex(path string, idx ReachIndex) error {
 	case *reach.TwoHop:
 		_, err = v.WriteTo(f)
 	case *reach.Streaming:
-		// The frozen arena is the serializable half; the live closure is
-		// rebuilt from the graph on load.
+		// The frozen arena is the serializable half; the live graph is
+		// the caller's to keep.
 		_, err = v.Frozen().WriteTo(f)
 	default:
 		err = fmt.Errorf("microlink: index type %T is not serialisable", idx)

@@ -210,8 +210,8 @@ func (s *System) ClosePersist() error {
 // RebuildReach synchronously re-freezes the 2-hop arena from the live
 // graph and installs it — the explicit variant of the ingest manager's
 // background rebuild, for streaming systems without a pipeline (and for
-// deterministic tests). A warm-restored system pays its deferred
-// dynamic-closure hydration here, on the first call.
+// deterministic tests). The cost is one 2-hop build, on a cold-built and
+// a warm-restored system alike.
 func (s *System) RebuildReach() error {
 	idx, ok := unwrapReach(s.Reach).(*reach.Streaming)
 	if !ok {
@@ -237,10 +237,10 @@ func (s *System) RebuildReach() error {
 //
 // Cold-start cost is segment load plus replay: the offline
 // complementation phase is skipped (postings come from the segment) and
-// no reachability index is built — a restored streaming substrate serves
-// from the loaded arena and defers its dynamic closure until the first
-// rebuild. A torn final WAL record (the kill -9 signature) is truncated
-// away and reported in the RestartReport, never an error.
+// no reachability index is built — a restored streaming substrate is the
+// loaded graph and the loaded arena, nothing more. A torn final WAL
+// record (the kill -9 signature) is truncated away and reported in the
+// RestartReport, never an error.
 func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	st, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
 	if err != nil {
@@ -355,7 +355,7 @@ func (s *System) applyRecord(r *store.Record, rep *RestartReport) error {
 		rep.Tweets++
 	case store.RecFollow:
 		if err := s.Follow(r.U, r.V); err != nil {
-			return fmt.Errorf("%w: follow record against %T substrate", store.ErrWALCorrupt, unwrapReach(s.Reach))
+			return fmt.Errorf("%w: follow record %d → %d: %v", store.ErrWALCorrupt, r.U, r.V, err)
 		}
 		rep.Follows++
 	case store.RecFeedback:

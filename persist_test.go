@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"microlink/internal/graph"
 	"microlink/internal/reach"
 	"microlink/internal/store"
 	"microlink/internal/synth"
@@ -76,6 +77,23 @@ func drainTo(t *testing.T, pipe *IngestPipeline, stream []synth.StreamEvent, lo,
 		if err := pipe.Submit(ctx, e); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// waitApplied blocks until the applier has consumed n tweet and follow
+// events: Submit returns once an event is queued, not once it is applied.
+func waitApplied(t *testing.T, pipe *IngestPipeline, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := pipe.Stats()
+		if st.AppliedTweets+st.AppliedFollows >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applier consumed %d of %d events", st.AppliedTweets+st.AppliedFollows, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -154,6 +172,144 @@ func TestSnapshotOpenRoundTrip(t *testing.T) {
 	}
 	if err := sys2.ClosePersist(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenedRebuildMatchesColdBuild pins what replaced the lazily
+// hydrated closure: a reopened streaming system is base graph + arena +
+// an edge tail like any other, so N follows → Snapshot → Open → M more
+// follows → RebuildReach must freeze the byte-identical arena a cold
+// 2-hop build over base ∪ N ∪ M produces, and serve the same top-k as a
+// system that took the same events without ever restarting.
+func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	opts := Options{Reach: ReachStreaming, TruthComplement: true}
+	cfg := IngestConfig{BlockOnFull: true, RebuildAfterEdges: -1}
+	stream := synth.GenerateStream(w, synth.StreamParams{Seed: 12, Events: 400, FollowFraction: 0.4})
+	const n = 220 // events before the snapshot
+
+	never := Build(w, opts)
+	neverPipe, err := never.StartIngest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both systems re-freeze at the same point of the stream — the tweets
+	// after it are linked against the arena of the first n events.
+	drainTo(t, neverPipe, stream, 0, n)
+	waitApplied(t, neverPipe, n)
+	neverPipe.ForceRebuild()
+	drainTo(t, neverPipe, stream, n, len(stream))
+	if err := neverPipe.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	neverPipe.ForceRebuild()
+
+	sys := Build(w, opts)
+	pipe, err := sys.StartIngest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainTo(t, pipe, stream, 0, n)
+	waitApplied(t, pipe, n)
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe2, err := sys2.StartIngest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainTo(t, pipe2, stream, n, len(stream))
+	if err := pipe2.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.RebuildReach(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	gb := graph.NewBuilder(w.Graph.NumNodes())
+	for u := 0; u < w.Graph.NumNodes(); u++ {
+		for _, v := range w.Graph.Out(UserID(u)) {
+			gb.AddEdge(UserID(u), v)
+		}
+	}
+	follows := 0
+	for _, ev := range stream {
+		if ev.Tweet == nil {
+			gb.AddEdge(ev.U, ev.V)
+			follows++
+		}
+	}
+	if follows == 0 {
+		t.Fatal("stream carries no follows")
+	}
+	cold := reach.BuildTwoHop(gb.Build(), reach.TwoHopOptions{
+		MaxHops: reach.DefaultMaxHops, BatchSize: reach.DefaultTwoHopBatch,
+	})
+	var want, got bytes.Buffer
+	if _, err := cold.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unwrapReach(sys2.Reach).(*reach.Streaming).Frozen().WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("reopened-then-rebuilt arena (%d bytes) differs from a cold build (%d bytes)", got.Len(), want.Len())
+	}
+	if !bytes.Equal(topKDump(t, sys2, w), topKDump(t, never, w)) {
+		t.Fatal("reopened system serves different answers from one that never restarted")
+	}
+}
+
+// TestFollowUnknownUser: an endpoint outside the follow graph is a typed
+// error from System.Follow on both maintained substrates — not a panic at
+// the insert (dynamic) or later in a rebuild (streaming) — and a WAL
+// follow record carrying one fails replay as corruption, naming the IDs.
+func TestFollowUnknownUser(t *testing.T) {
+	w := persistWorld()
+	n := UserID(w.Graph.NumNodes())
+	for _, kind := range []ReachKind{ReachDynamic, ReachStreaming} {
+		sys := Build(w, Options{Reach: kind, MaxHops: 2, TruthComplement: true})
+		for _, e := range [][2]UserID{{-1, 0}, {0, n}, {n + 7, -3}} {
+			err := sys.Follow(e[0], e[1])
+			if !errors.Is(err, ErrUnknownUser) || !strings.Contains(err.Error(), fmt.Sprintf("%d → %d", e[0], e[1])) {
+				t.Fatalf("reach kind %d: Follow(%d, %d) = %v, want ErrUnknownUser naming both", kind, e[0], e[1], err)
+			}
+		}
+		if err := sys.Follow(0, n-1); err != nil {
+			t.Fatalf("reach kind %d: valid Follow: %v", kind, err)
+		}
+		if kind == ReachStreaming {
+			if err := sys.RebuildReach(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		rec := store.FollowRecord(n+7, 3)
+		err := sys.applyRecord(&rec, &RestartReport{})
+		if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
+			t.Fatalf("reach kind %d: replayed bad follow = %v, want ErrWALCorrupt naming the IDs", kind, err)
+		}
+	}
+
+	static := Build(w, Options{Reach: ReachTwoHop, TruthComplement: true})
+	rec := store.FollowRecord(0, 1)
+	if err := static.applyRecord(&rec, &RestartReport{}); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), "not dynamic") {
+		t.Fatalf("follow record on a static substrate = %v, want ErrWALCorrupt saying why", err)
 	}
 }
 
