@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-smoke bench-vet bench-index repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile snapshot-smoke
+.PHONY: all build test test-race race bench bench-smoke bench-vet bench-index repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile
 
 all: build test
 
@@ -42,7 +42,7 @@ fmt-check:
 
 # Mirror of .github/workflows/ci.yml: `ci` is the fast lane, `race` the
 # separate race-detector lane (run both before merging concurrency work).
-ci: build vet lint fmt-check test bench-smoke bench-vet fuzz-smoke snapshot-smoke
+ci: build vet lint fmt-check test bench-smoke bench-vet fuzz-smoke
 
 test:
 	$(GO) test -vet=all ./...
@@ -52,12 +52,13 @@ test-race:
 
 # The CI race lane: every test twice under the race detector. -count=2
 # defeats test caching and gives racy interleavings a second roll. The
-# firehose smoke drives the streaming ingest pipeline end to end (query
-# workers + mid-stream copy-on-swap) under the race detector.
+# bench quick smoke drives all four BENCHMARK.json workloads — links
+# over real HTTP, the ingest firehose across copy-on-swap rebuilds,
+# snapshot + warm restart — under the race detector.
 race:
 	$(GO) test -race -count=2 ./...
 	GOMAXPROCS=4 $(GO) test -race ./internal/reach/...
-	$(GO) run -race ./cmd/linkbench -quick firehose
+	cd bench && $(GO) test -race -run TestQuickSmoke ./...
 
 cover:
 	$(GO) test -cover ./...
@@ -72,7 +73,9 @@ bench-smoke:
 
 # The BENCHMARK.json harness is its own module (bench/go.mod), so
 # `go build ./...` and `go test ./...` above never compile it: vet and
-# test it here, or a signature it depends on breaks silently.
+# test it here, or a signature it depends on breaks silently. Its
+# TestQuickSmoke also runs the restart workload, which byte-compares
+# top-k after every snapshot + reopen — the durability gate.
 bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -87,14 +90,6 @@ bench-vet:
 bench-index:
 	$(GO) test -run=NONE -bench='BuildTwoHop|TwoHopQuery' -benchmem ./internal/reach
 	$(GO) run ./cmd/linkbench -out BENCH_reach.json -workers-sweep auto -max-wait-frac 0.25 index
-
-# Durability smoke: snapshot a streaming system mid-firehose, reopen the
-# data directory, and byte-compare top-k answers against the original
-# (the runner exits non-zero on any divergence). The crash-shaped version
-# of the same check (SIGKILL mid-stream) runs in `make test` as
-# TestCrashRecovery.
-snapshot-smoke:
-	$(GO) run ./cmd/linkbench -quick restart
 
 # A few seconds of coverage-guided fuzzing per target. Targets are named
 # individually: -fuzz accepts only one match per package.
@@ -119,10 +114,10 @@ examples:
 	$(GO) run ./examples/newsburst
 	$(GO) run ./examples/streamfeed
 
-# Profile the linking hot path: runs the per-stage latency experiment with
-# CPU and heap profiling enabled (see EXPERIMENTS.md, "Profiling").
+# Profile the linking hot path: the Fig. 5(a) per-mention link benchmark
+# under CPU and heap profiling (see EXPERIMENTS.md, "Profiling").
 profile:
-	$(GO) run ./cmd/linkbench -quick -cpuprofile cpu.pprof -memprofile mem.pprof stages
+	$(GO) test -run=NONE -bench=BenchmarkFig5aLinkTimeOurs -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo ""
 	@echo "profiles written to ./cpu.pprof and ./mem.pprof — inspect with:"
 	@echo "  go tool pprof -top cpu.pprof"

@@ -1,17 +1,13 @@
 // Command linkbench regenerates the paper's tables and figures over
 // synthetic worlds and prints them in the same rows/series the paper
 // reports. Run `linkbench all` for the full evaluation or a single
-// experiment id (fig4a … fig6d, table4, table5, categories). The extra
-// `stages` experiment prints the live per-stage latency breakdown of the
-// Eq. 1 pipeline from the system's metrics registry; `batch` compares the
-// serial single-mention path against the concurrent LinkBatch pipeline;
-// `firehose` drives a synthetic event stream through the ingest pipeline
-// while query workers run against the copy-on-swap reach arena;
-// `restart` snapshots a streaming system mid-firehose, reopens it from
-// the data directory, and reports the cold-start breakdown (segment load
-// vs WAL replay) with a byte-identity check on the restored answers;
-// -cpuprofile and -memprofile capture pprof profiles of any run (see
-// `make profile`).
+// experiment id (fig4a … fig6d, table4, table5, categories). Two extra
+// ids measure the reachability substrates themselves: `taxonomy` (the §2
+// comparison on one graph) and `index` (serial vs parallel 2-hop
+// construction, checked in as BENCH_reach.json). -cpuprofile and
+// -memprofile capture pprof profiles of any run. End-to-end serving
+// performance — LinkBatch, the ingest firehose, warm restart — is
+// measured by the bench/ harness, not here.
 //
 // Usage:
 //
@@ -19,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,7 +34,7 @@ var (
 	seed         = flag.Int64("seed", 42, "world generator seed")
 	users        = flag.Int("users", 1500, "number of users in the accuracy world")
 	quick        = flag.Bool("quick", false, "smaller scales for the efficiency experiments")
-	out          = flag.String("out", "", "also write the experiment's JSON result to this file (index, firehose)")
+	out          = flag.String("out", "", "also write the experiment's JSON result to this file (index)")
 	workersSweep = flag.String("workers-sweep", "", "index: comma-separated worker counts to sweep (one JSON record each), or 'auto' for 1,2,4 on multi-core machines")
 	maxWaitFrac  = flag.Float64("max-wait-frac", 0, "index: fail if (merge+barrier wait)/parallel build exceeds this fraction on any multi-worker record (0 disables)")
 	cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -50,7 +45,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: linkbench [-seed N] [-users N] [-quick] [-cpuprofile F] [-memprofile F] <experiment|all>")
-		fmt.Fprintln(os.Stderr, "experiments: fig4a fig4b fig4c fig4d table4 fig5a fig5b fig5c fig5d table5 fig6ab fig6c fig6d categories stages batch index firehose restart")
+		fmt.Fprintln(os.Stderr, "experiments: fig4a fig4b fig4c fig4d table4 fig5a fig5b fig5c fig5d table5 fig6ab fig6c fig6d categories taxonomy index")
 		os.Exit(2)
 	}
 	id := flag.Arg(0)
@@ -112,11 +107,7 @@ func main() {
 		"fig6d":      fig6d,
 		"categories": categories,
 		"taxonomy":   taxonomy,
-		"stages":     stages,
-		"batch":      batch,
 		"index":      index,
-		"firehose":   firehose,
-		"restart":    restart,
 	}
 	if id == "all" {
 		ids := make([]string, 0, len(runners))
@@ -317,87 +308,6 @@ func taxonomy() {
 	}
 }
 
-// stages links the whole inactive-user test set and prints the per-stage
-// latency breakdown of the Eq. 1 pipeline from the system's metrics
-// registry — the online view of the offline Fig 5 efficiency study.
-func stages() {
-	banner("per-stage latency breakdown (Eq. 1 pipeline, metrics registry)")
-	sys := microlink.Build(world(), microlink.Options{})
-	start := time.Now()
-	mentions := 0
-	for _, tw := range sys.TestSet.All() {
-		tweet := tw
-		sys.Linker.LinkTweet(&tweet)
-		mentions += len(tw.Mentions)
-	}
-	fmt.Printf("  linked %d tweets / %d mentions in %v\n",
-		sys.TestSet.Len(), mentions, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  %-12s %8s %12s %12s %12s %12s\n", "stage", "count", "mean", "p50", "p95", "p99")
-	snaps := sys.Linker.StageStats()
-	for _, stage := range []string{"candidate", "popularity", "recency", "interest"} {
-		s := snaps[stage]
-		fmt.Printf("  %-12s %8d %12v %12v %12v %12v\n", stage, s.Count,
-			secs(s.Mean()), secs(s.Quantile(0.50)), secs(s.Quantile(0.95)), secs(s.Quantile(0.99)))
-	}
-}
-
-func secs(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second)).Round(10 * time.Nanosecond)
-}
-
-// batch compares the serial single-mention path against the concurrent
-// batch pipeline over the inactive-user test set in serving mode (now =
-// world horizon, the HTTP API default). Each side runs on its own freshly
-// built system so neither inherits the other's warm caches; the batch
-// side reports its interest-cache hit rate.
-func batch() {
-	banner("batch pipeline: serial ScoreCandidates vs concurrent LinkBatch")
-	w := world()
-
-	var queries []microlink.MentionQuery
-	serialSys := microlink.Build(w, microlink.Options{})
-	now := w.Horizon()
-	for _, tw := range serialSys.TestSet.All() {
-		for _, m := range tw.Mentions {
-			queries = append(queries, microlink.MentionQuery{User: tw.User, Now: now, Surface: m.Surface})
-		}
-	}
-
-	start := time.Now()
-	linked := 0
-	for _, q := range queries {
-		if scored := serialSys.Linker.ScoreCandidates(q.User, q.Now, q.Surface); len(scored) > 0 {
-			linked++
-		}
-	}
-	serialDur := time.Since(start)
-
-	batchSys := microlink.Build(w, microlink.Options{})
-	start = time.Now()
-	results := batchSys.Linker.LinkBatch(context.Background(), queries)
-	batchDur := time.Since(start)
-
-	batchLinked := 0
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Printf("  batch error: %v\n", r.Err)
-			return
-		}
-		if len(r.Scored) > 0 {
-			batchLinked++
-		}
-	}
-	if batchLinked != linked {
-		fmt.Printf("  WARNING: serial linked %d, batch linked %d\n", linked, batchLinked)
-	}
-
-	rate := func(d time.Duration) float64 { return float64(len(queries)) / d.Seconds() }
-	hits, misses := batchSys.Linker.CacheStats()
-	fmt.Printf("  %-10s %8d queries %12v %12.0f mentions/sec\n", "serial", len(queries), serialDur.Round(time.Millisecond), rate(serialDur))
-	fmt.Printf("  %-10s %8d queries %12v %12.0f mentions/sec\n", "batch", len(queries), batchDur.Round(time.Millisecond), rate(batchDur))
-	fmt.Printf("  speedup %.2fx   interest cache %d hits / %d misses\n", serialDur.Seconds()/batchDur.Seconds(), hits, misses)
-}
-
 // index measures the reach construction engine: serial vs
 // partitioned-parallel 2-hop build with a per-stage split, the parallel
 // index-size delta, and steady-state query allocations. With -out the
@@ -444,7 +354,7 @@ func index() {
 			if r.Workers <= 1 || r.ParallelMS <= 0 {
 				continue
 			}
-			if frac := float64(r.MergeWaitMS) / float64(r.ParallelMS); frac > *maxWaitFrac {
+			if frac := float64(r.ParallelMergeMS+r.ParallelBarrierMS) / float64(r.ParallelMS); frac > *maxWaitFrac {
 				fmt.Fprintf(os.Stderr,
 					"linkbench: merge+barrier wait is %.0f%% of the workers=%d build, above the %.0f%% gate — the merge barrier is back\n",
 					100*frac, r.Workers, 100**maxWaitFrac)
@@ -498,58 +408,8 @@ func sweepCounts(spec string) ([]int, error) {
 	return counts, nil
 }
 
-// firehose drives the streaming ingest pipeline (DESIGN.md §7): a
-// synthetic tweet+follow stream through System.StartIngest with query
-// workers hammering the frozen reach arena and copy-on-swap rebuilds
-// landing mid-stream. With -out the JSON result is also written to a
-// file.
-func firehose() {
-	banner("streaming ingest firehose: sustained throughput + copy-on-swap rebuilds")
-	opts := experiments.FirehoseOptions{}
-	if *quick {
-		opts.World = microlink.WorldParams{Seed: *seed, Users: 400, Topics: 6, EntitiesPerTopic: 10, Days: 20}
-		opts.Events = 1500
-	}
-	r := experiments.Firehose(opts)
-	fmt.Printf("  world: %d users; stream: %d events (%d tweets, %d follows)\n",
-		r.Users, r.Events, r.TweetEvents, r.FollowEvents)
-	fmt.Printf("  ingested in %v (%.0f events/sec), %d dropped\n",
-		(time.Duration(r.DurationMS) * time.Millisecond).String(), r.EventsPerSec, r.Dropped)
-	fmt.Printf("  %d edges inserted; %d rebuilds, %d swaps; staleness peak %d, final %d; queue peak %d\n",
-		r.InsertedEdges, r.Rebuilds, r.Swaps, r.PeakStaleness, r.FinalStaleness, r.PeakQueueDepth)
-	fmt.Printf("  queries during ingest: %d (%d errors), p50 %dµs, p99 %dµs\n",
-		r.Queries, r.QueryErrors, r.QueryP50US, r.QueryP99US)
-	writeJSON(r)
-}
-
-func restart() {
-	banner("durable snapshot + WAL warm restart: cold-start breakdown")
-	opts := experiments.RestartOptions{}
-	if *quick {
-		opts.World = microlink.WorldParams{Seed: *seed, Users: 400, Topics: 6, EntitiesPerTopic: 10, Days: 20}
-		opts.Events = 1500
-	}
-	r, err := experiments.Restart(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "linkbench: restart: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("  world: %d users; stream: %d events; snapshot seq %d committed in %dms\n",
-		r.Users, r.Events, r.SnapshotSeq, r.SnapshotMS)
-	fmt.Printf("  cold start %dms = generate %dms + segment load %dms + WAL replay %dms (fresh build: %dms)\n",
-		r.ColdStartMS, r.GenerateMS, r.LoadMS, r.ReplayMS, r.FreshBuildMS)
-	fmt.Printf("  replayed %d records / %d bytes (%d tweets, %d follows), torn tail: %v\n",
-		r.WALRecords, r.WALBytes, r.ReplayedTweets, r.ReplayedFollows, r.TornTail)
-	fmt.Printf("  top-k parity over %d probes: identical=%v\n", r.Probes, r.Identical)
-	if !r.Identical {
-		fmt.Fprintln(os.Stderr, "linkbench: restart: restored answers diverge")
-		os.Exit(1)
-	}
-	writeJSON(r)
-}
-
-// writeJSON honours -out for the experiments with machine-readable
-// results (index, firehose, restart).
+// writeJSON honours -out for the experiment with a machine-readable
+// result (index).
 func writeJSON(r any) {
 	if *out == "" {
 		return

@@ -23,8 +23,7 @@
 // directory's snapshot + WAL when one exists (the manifest's world and
 // reach parameters override -seed/-users/-reach) and commits an initial
 // snapshot otherwise; applied firehose events tee into the WAL, and
-// kill -9 loses at most the events not yet applied. -index-file remains
-// as a deprecated alias persisting the reachability index alone.
+// kill -9 loses at most the events not yet applied.
 //
 // Errors use the structured envelope documented in internal/httpapi. The
 // -request-timeout flag bounds each request with a context deadline that
@@ -62,7 +61,6 @@ func main() {
 	rebuildEvery := flag.Duration("rebuild-interval", 0, "additionally rebuild on this interval when stale (0 disables)")
 	dataDir := flag.String("data", "", "data directory for durable snapshots + WAL; warm-restarts from it when it holds a snapshot")
 	fsyncOn := flag.Bool("fsync", false, "fsync the WAL on every append (durable against power loss, slower)")
-	indexFile := flag.String("index-file", "", "persist/reload the reachability index at this path (deprecated: use -data)")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/* (CPU, heap, goroutine profiles)")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "max time to write a response")
@@ -120,23 +118,8 @@ func main() {
 	if sys == nil {
 		log.Printf("linkd: generating world (seed=%d users=%d)…", *seed, *users)
 		world := microlink.Generate(microlink.WorldParams{Seed: *seed, Users: *users})
-		if *indexFile != "" {
-			if idx, err := microlink.LoadReachIndex(*indexFile, world.Graph, opts.Reach); err == nil {
-				opts.PrebuiltReach = idx
-				log.Printf("linkd: loaded reachability index from %s", *indexFile)
-			} else {
-				log.Printf("linkd: no reusable index (%v); building fresh", err)
-			}
-		}
 		log.Printf("linkd: building linking stack…")
 		sys = microlink.Build(world, opts)
-		if *indexFile != "" && opts.PrebuiltReach == nil {
-			if err := microlink.SaveReachIndex(*indexFile, sys.Reach); err != nil {
-				log.Printf("linkd: save index: %v", err)
-			} else {
-				log.Printf("linkd: saved reachability index to %s", *indexFile)
-			}
-		}
 		if *dataDir != "" {
 			info, err := sys.Snapshot(*dataDir)
 			if err != nil {

@@ -177,41 +177,6 @@ func TestFollowUpdatesInterest(t *testing.T) {
 	}
 }
 
-func TestSaveLoadReachIndex(t *testing.T) {
-	w := facadeWorld()
-	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop} {
-		sys := Build(w, Options{Reach: kind, TruthComplement: true})
-		path := t.TempDir() + "/reach.idx"
-		if err := SaveReachIndex(path, sys.Reach); err != nil {
-			t.Fatalf("kind %d: save: %v", kind, err)
-		}
-		idx, err := LoadReachIndex(path, w.Graph, kind)
-		if err != nil {
-			t.Fatalf("kind %d: load: %v", kind, err)
-		}
-		// A system built with the prebuilt index links identically.
-		reloaded := Build(w, Options{PrebuiltReach: idx, TruthComplement: true})
-		test := sys.TestSet.All()
-		for i := 0; i < min(len(test), 40); i++ {
-			a := sys.Linker.LinkTweet(&test[i])
-			b := reloaded.Linker.LinkTweet(&test[i])
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("kind %d: tweet %d mention %d: %d != %d", kind, i, j, a[j], b[j])
-				}
-			}
-		}
-	}
-	// Naive has nothing to save; dynamic kind has no loader.
-	sysN := Build(w, Options{Reach: ReachNaive, TruthComplement: true})
-	if err := SaveReachIndex(t.TempDir()+"/x", sysN.Reach); err == nil {
-		t.Fatal("naive index must not serialise")
-	}
-	if _, err := LoadReachIndex("/does/not/exist", w.Graph, ReachClosure); err == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
 // TestFig6cShape asserts the Appendix C tweet-length finding: the
 // baselines' accuracy climbs with more mentions per tweet (more coherence
 // signal) while our lead is largest on single-mention tweets.

@@ -3,7 +3,9 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +247,94 @@ func TestOfferShedsWhenSaturated(t *testing.T) {
 	if st.AppliedFollows != int64(accepted) {
 		t.Errorf("applied follows = %d, want %d accepted", st.AppliedFollows, accepted)
 	}
+}
+
+// sliceSource replays a fixed event list as a Source, then io.EOF.
+type sliceSource struct{ evs []Event }
+
+func (s *sliceSource) Next(context.Context) (Event, error) {
+	if len(s.evs) == 0 {
+		return Event{}, io.EOF
+	}
+	ev := s.evs[0]
+	s.evs = s.evs[1:]
+	return ev, nil
+}
+
+func chordFollows(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = FollowEvent(kb.UserID(i%32), kb.UserID((i+13)%32))
+	}
+	return evs
+}
+
+// holdApplier parks batch application behind the snapshot barrier until
+// the returned release runs. With MaxBatch 1 and Queue 1 the pipeline
+// then holds at most two events — one in the applier, one queued — so
+// the intake queue fills deterministically.
+func holdApplier(p *Pipeline) (release func()) {
+	held, rel, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Barrier(func(func(Journal)) { close(held); <-rel })
+	}()
+	<-held
+	return func() { close(rel); <-done }
+}
+
+// TestRun drives Pipeline.Run from a slice Source under both backpressure
+// policies: io.EOF ends it with nil, BlockOnFull delivers every event,
+// shedding counts every event a full queue refused, and a cancelled ctx
+// surfaces as ctx.Err().
+func TestRun(t *testing.T) {
+	const n = 40
+	ctx := context.Background()
+
+	t.Run("BlockOnFull", func(t *testing.T) {
+		f := newFixture(t)
+		p := f.pipeline(t, Config{Queue: 1, MaxBatch: 1, BlockOnFull: true})
+		if err := p.Run(ctx, &sliceSource{evs: chordFollows(n)}); err != nil {
+			t.Fatalf("Run = %v, want nil at io.EOF", err)
+		}
+		closePipeline(t, p)
+		if st := p.Stats(); st.AppliedFollows != n || st.Dropped != 0 {
+			t.Fatalf("applied %d, dropped %d; want %d, 0", st.AppliedFollows, st.Dropped, n)
+		}
+	})
+
+	t.Run("Shed", func(t *testing.T) {
+		f := newFixture(t)
+		p := f.pipeline(t, Config{Queue: 1, MaxBatch: 1})
+		release := holdApplier(p)
+		err := p.Run(ctx, &sliceSource{evs: chordFollows(n)})
+		release()
+		if err != nil {
+			t.Fatalf("Run = %v, want nil at io.EOF", err)
+		}
+		closePipeline(t, p)
+		st := p.Stats()
+		if st.Dropped < n-2 || st.AppliedFollows+st.Dropped != n {
+			t.Fatalf("applied %d, dropped %d of %d; want ≥ %d dropped, every event accounted for",
+				st.AppliedFollows, st.Dropped, n, n-2)
+		}
+	})
+
+	t.Run("Cancelled", func(t *testing.T) {
+		f := newFixture(t)
+		p := f.pipeline(t, Config{Queue: 1, MaxBatch: 1, BlockOnFull: true})
+		release := holdApplier(p)
+		for p.Offer(FollowEvent(0, 13)) {
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		err := p.Run(cctx, &sliceSource{evs: chordFollows(n)})
+		release()
+		closePipeline(t, p)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run on a cancelled ctx = %v, want context.Canceled", err)
+		}
+	})
 }
 
 // TestMetricsRegistered checks the satellite metric names all exist in

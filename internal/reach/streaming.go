@@ -49,9 +49,6 @@ func newStreaming(g *graph.Graph, opts TwoHopOptions) *Streaming {
 	if opts.MaxHops <= 0 {
 		opts.MaxHops = DefaultMaxHops
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultTwoHopBatch
-	}
 	return &Streaming{
 		opts: opts,
 		n:    graph.NodeID(g.NumNodes()),

@@ -76,16 +76,16 @@ type TwoHopOptions struct {
 	// MaxHops is the hop bound H; ≤ 0 selects DefaultMaxHops.
 	MaxHops int
 	// Workers bounds construction parallelism; ≤ 0 selects GOMAXPROCS.
-	// Workers == 1 runs the exact serial Algorithm 2 (hub batches of one),
-	// which the oracle tests pin; Workers > 1 processes hubs in rank-
-	// ordered batches (see BatchSize) with identical distances and a
-	// slightly larger label set.
+	// It changes only how fast the cover is built, never which cover:
+	// the output depends on BatchSize alone.
 	Workers int
 	// BatchSize is the number of hubs whose pruned BFS runs against the
-	// same frozen label snapshot per round; ≤ 0 selects 1 when the
-	// effective worker count is 1 (exact serial semantics) and
-	// DefaultTwoHopBatch otherwise. Output is bit-for-bit deterministic
-	// for a fixed batch size regardless of worker count or scheduling.
+	// same frozen label snapshot per round; ≤ 0 selects
+	// DefaultTwoHopBatch. BatchSize 1 is the exact serial Algorithm 2,
+	// which the oracle tests pin; larger batches keep distances identical
+	// with a slightly larger label set. Output is bit-for-bit
+	// deterministic for a fixed batch size regardless of worker count or
+	// scheduling.
 	BatchSize int
 	// RandomOrder replaces the degree-descending landmark order of
 	// Algorithm 2 line 1 with node-id order. Exists only for the ablation

@@ -20,7 +20,7 @@ func BenchmarkBuildTwoHop(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1})
+			th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1, BatchSize: 1})
 			b.ReportMetric(float64(th.SizeBytes()), "index-bytes")
 		}
 	})

@@ -37,7 +37,7 @@ import (
 // size, independent of worker count, partition count, and scheduling.
 
 // DefaultTwoHopBatch is the hub batch size used when TwoHopOptions.BatchSize
-// is unset and more than one worker is in play.
+// is unset, whatever the worker count.
 const DefaultTwoHopBatch = 32
 
 // Node-range partitioning of the label arena. Spans are powers of two so
@@ -131,11 +131,7 @@ func BuildTwoHop(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 	}
 	batch := opts.BatchSize
 	if batch <= 0 {
-		if workers > 1 {
-			batch = DefaultTwoHopBatch
-		} else {
-			batch = 1 // exact serial Algorithm 2
-		}
+		batch = DefaultTwoHopBatch
 	}
 	start := time.Now()
 	w := newThWork(g, h, opts.RandomOrder)

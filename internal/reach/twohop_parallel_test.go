@@ -89,7 +89,7 @@ func TestTwoHopParallelExactnessRate(t *testing.T) {
 		return float64(exact) / float64(reachable)
 	}
 
-	serial := exactRate(BuildTwoHop(g, TwoHopOptions{MaxHops: h, Workers: 1}))
+	serial := exactRate(BuildTwoHop(g, TwoHopOptions{MaxHops: h, Workers: 1, BatchSize: 1}))
 	parallel := exactRate(BuildTwoHop(g, TwoHopOptions{MaxHops: h, Workers: 4, BatchSize: 32}))
 	if parallel < serial {
 		t.Fatalf("parallel exactness %.4f below serial %.4f", parallel, serial)
@@ -125,6 +125,21 @@ func TestTwoHopParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestTwoHopDefaultsIgnoreWorkers pins that default options build one
+// cover whatever the worker count resolves to, so a static 2-hop system
+// answers the same on a 1-CPU host as on a many-core one: the default
+// batch size must not follow GOMAXPROCS.
+func TestTwoHopDefaultsIgnoreWorkers(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	g := randomGraph(r, 300, 2000)
+	ref := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1}))
+	for _, workers := range []int{2, 4} {
+		if !bytes.Equal(ref, serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: workers}))) {
+			t.Fatalf("default-options build at Workers=%d differs from Workers=1", workers)
+		}
+	}
+}
+
 // TestTwoHopSizeBytesMatchesHeap asserts the SizeBytes contract: the
 // reported figure must be within 10% of the measured heap growth of an
 // actual build, not a magic-constant estimate.
@@ -139,7 +154,7 @@ func TestTwoHopSizeBytesMatchesHeap(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1})
+		th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1, BatchSize: 1})
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		live = int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -237,7 +252,7 @@ func TestTwoHopFolSetsSorted(t *testing.T) {
 func TestTwoHopParallelSizeWithinBound(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	g := randomGraph(r, 400, 2800)
-	serial := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1})
+	serial := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 1, BatchSize: 1})
 	par := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, Workers: 4, BatchSize: DefaultTwoHopBatch})
 	if s, p := serial.SizeBytes(), par.SizeBytes(); float64(p) > 1.25*float64(s) {
 		t.Fatalf("parallel index %d bytes exceeds 125%% of serial %d bytes", p, s)

@@ -20,7 +20,6 @@ package microlink
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -28,7 +27,6 @@ import (
 	"microlink/internal/candidate"
 	"microlink/internal/core"
 	"microlink/internal/eval"
-	"microlink/internal/graph"
 	"microlink/internal/influence"
 	"microlink/internal/ingest"
 	"microlink/internal/kb"
@@ -195,11 +193,6 @@ type Options struct {
 	// are flushed to the OS per batch — durable against process death
 	// (kill -9) but not against power loss.
 	Fsync bool
-	// DisableMetrics builds the stack without hot-path instrumentation:
-	// System.Metrics stays an empty registry, the linker records no stage
-	// timings, and reachability queries go to the raw index. For
-	// micro-benchmarks that begrudge the instrumentation's clock reads.
-	DisableMetrics bool
 }
 
 // System is a fully wired linking stack over one world.
@@ -215,9 +208,9 @@ type System struct {
 
 	// Metrics is the system's observability registry: the linker's
 	// per-stage timings, reachability query histograms, and anything the
-	// serving layer adds (HTTP traffic, runtime gauges). Always non-nil;
-	// empty when Options.DisableMetrics is set. Expose it over HTTP with
-	// Metrics.Handler() or print it with Metrics.WritePrometheus.
+	// serving layer adds (HTTP traffic, runtime gauges). Always non-nil.
+	// Expose it over HTTP with Metrics.Handler() or print it with
+	// Metrics.WritePrometheus.
 	Metrics *MetricsRegistry
 
 	// TestSet holds the inactive-user tweets (≤9 postings) reserved for
@@ -295,15 +288,13 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 	}
 
 	reg := obs.NewRegistry()
-	if !opts.DisableMetrics {
-		switch v := unwrapReach(rx).(type) {
-		case *reach.TwoHop:
-			reach.PublishTwoHopBuild(v, reg)
-		case *reach.Streaming:
-			reach.PublishTwoHopBuild(v.Frozen(), reg)
-		}
-		rx = reach.Instrument(rx, reg)
+	switch v := unwrapReach(rx).(type) {
+	case *reach.TwoHop:
+		reach.PublishTwoHopBuild(v, reg)
+	case *reach.Streaming:
+		reach.PublishTwoHopBuild(v.Frozen(), reg)
 	}
+	rx = reach.Instrument(rx, reg)
 
 	inf := influence.New(ckb, opts.InfluenceMethod)
 	var net *recency.PropNet
@@ -320,9 +311,7 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 		opts.Linker.Batch = opts.Batch
 	}
 	linker := core.New(ckb, cand, rx, inf, rec, opts.Linker)
-	if !opts.DisableMetrics {
-		linker.Instrument(reg)
-	}
+	linker.Instrument(reg)
 
 	return &System{
 		World:      w,
@@ -453,58 +442,6 @@ func (s *System) Ingest() *IngestPipeline {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	return s.pipe
-}
-
-// SaveReachIndex serialises a transitive-closure or 2-hop index to path.
-// The naive oracle holds no index and returns an error.
-//
-// Deprecated: SaveReachIndex persists the reachability index alone. Use
-// System.Snapshot, which captures the whole system state — KB postings,
-// live tweets, graph, arena and WAL position — into a data directory.
-func SaveReachIndex(path string, idx ReachIndex) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch v := unwrapReach(idx).(type) {
-	case *reach.TransitiveClosure:
-		_, err = v.WriteTo(f)
-	case *reach.TwoHop:
-		_, err = v.WriteTo(f)
-	case *reach.Streaming:
-		// The frozen arena is the serializable half; the live graph is
-		// the caller's to keep.
-		_, err = v.Frozen().WriteTo(f)
-	default:
-		err = fmt.Errorf("microlink: index type %T is not serialisable", idx)
-	}
-	if err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadReachIndex reloads an index saved with SaveReachIndex, validating it
-// against g. kind must match the saved index's kind.
-//
-// Deprecated: LoadReachIndex restores the reachability index alone. Use
-// Open, which rebuilds a whole System from a data directory and replays
-// the write-ahead log on top.
-func LoadReachIndex(path string, g *graph.Graph, kind ReachKind) (ReachIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch kind {
-	case ReachTwoHop:
-		return reach.ReadTwoHop(f, g)
-	case ReachClosure:
-		return reach.ReadTransitiveClosure(f, g)
-	default:
-		return nil, fmt.Errorf("microlink: reach kind %d is not serialisable", kind)
-	}
 }
 
 // OnTheFly returns the TagMe-style baseline over this system's KB.

@@ -38,8 +38,8 @@ type SnapshotInfo struct {
 	Elapsed time.Duration // capture + segment write + commit time
 }
 
-// RestartReport breaks a warm restart into its phases — the numbers the
-// linkbench restart runner reports. Load and replay are separate on
+// RestartReport breaks a warm restart into its phases — the numbers
+// linkd logs at boot. Load and replay are separate on
 // purpose: the acceptance story is cold-start dominated by segment load,
 // with replay proportional to the WAL suffix, and no arena rebuild.
 type RestartReport struct {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -314,27 +315,36 @@ func TestFollowUnknownUser(t *testing.T) {
 }
 
 // TestSnapshotOpenClosure covers the pipeline-less substrates: a
-// transitive-closure system snapshots and reopens with identical
-// answers and no WAL traffic.
+// transitive-closure or static 2-hop system snapshots and reopens with
+// the same substrate kind, no WAL traffic, and identical answers — top-k
+// and per-tweet links alike.
 func TestSnapshotOpenClosure(t *testing.T) {
-	dir := t.TempDir()
 	w := persistWorld()
-	sys := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
-	if _, err := sys.Snapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	sys2, rep, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WALRecords != 0 {
-		t.Fatalf("closure snapshot replayed %d records", rep.WALRecords)
-	}
-	if _, ok := unwrapReach(sys2.Reach).(*reach.TransitiveClosure); !ok {
-		t.Fatalf("restored substrate %T, want *reach.TransitiveClosure", unwrapReach(sys2.Reach))
-	}
-	if got, want := topKDump(t, sys2, w), topKDump(t, sys, w); !bytes.Equal(got, want) {
-		t.Fatal("restored closure system serves different answers")
+	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop} {
+		dir := t.TempDir()
+		sys := Build(w, Options{Reach: kind, TruthComplement: true})
+		if _, err := sys.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		sys2, rep, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WALRecords != 0 {
+			t.Fatalf("reach kind %d: snapshot replayed %d records", kind, rep.WALRecords)
+		}
+		if got, want := fmt.Sprintf("%T", unwrapReach(sys2.Reach)), fmt.Sprintf("%T", unwrapReach(sys.Reach)); got != want {
+			t.Fatalf("reach kind %d: restored substrate %s, want %s", kind, got, want)
+		}
+		if got, want := topKDump(t, sys2, w), topKDump(t, sys, w); !bytes.Equal(got, want) {
+			t.Fatalf("reach kind %d: restored system serves different top-k", kind)
+		}
+		test := sys.TestSet.All()
+		for i := 0; i < min(len(test), 40); i++ {
+			if a, b := sys.Linker.LinkTweet(&test[i]), sys2.Linker.LinkTweet(&test[i]); !slices.Equal(a, b) {
+				t.Fatalf("reach kind %d: tweet %d links %v, restored %v", kind, i, a, b)
+			}
+		}
 	}
 }
 
