@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeLinkRequest -fuzztime=5s ./internal/httpapi
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
+	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

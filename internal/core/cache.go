@@ -27,10 +27,10 @@ import (
 //     computed from pre-invalidation state after the bump: the generation
 //     read, the computation, and the store all sit inside one read-locked
 //     critical section.
-//   - Invalidation follows the influence cache's per-entity scope: new
-//     postings on e invalidate (·, e) entries. A reachability change (new
-//     follow edge) can move any user's interest in any entity, so it bumps
-//     the global generation and empties the cache logically.
+//   - Invalidation follows the influence cache: a posting on e invalidates
+//     (·, e′) for each e′ whose set Invalidate(e) dropped. A reachability
+//     change (new follow edge) can move any user's interest in any entity,
+//     so it bumps the global generation and empties the cache logically.
 type interestCache struct {
 	global atomic.Uint64   // bumped when reachability changes
 	entGen []atomic.Uint64 // per-entity generation, bumped by Feedback

@@ -119,7 +119,6 @@ type Linker struct {
 	// microlint:lock-order linker < interest-shard
 	// microlint:lock-order linker < ckb
 	// microlint:lock-order linker < influence
-	// microlint:lock-order linker < recency-memo
 	mu sync.RWMutex // microlint:lock-order linker
 
 	// met is the instrumentation set, published atomically by Instrument
@@ -515,9 +514,10 @@ func (l *Linker) LinkTweet(tw *tweets.Tweet) []kb.EntityID {
 
 // Feedback implements the interactive update path of §3.2.2: once the
 // linking of tw is confirmed, the tweet is appended to the complemented
-// knowledgebase under each linked entity, and the cached influential-user
-// sets and interest values of those entities are invalidated. links must
-// be parallel to tw.Mentions; kb.NoEntity entries are skipped.
+// knowledgebase under each linked entity e, and the cached influential-user
+// sets and interest values of e and of every entity ranked against a
+// candidate set holding e are invalidated (Eqs. 6–7 span the whole set).
+// links must be parallel to tw.Mentions; kb.NoEntity entries are skipped.
 func (l *Linker) Feedback(tw *tweets.Tweet, links []kb.EntityID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -526,8 +526,9 @@ func (l *Linker) Feedback(tw *tweets.Tweet, links []kb.EntityID) {
 			continue
 		}
 		l.ckb.Link(e, kb.Posting{Tweet: tw.ID, User: tw.User, Time: tw.Time})
-		l.inf.Invalidate(e)
-		l.cache.invalidateEntity(e)
+		for _, x := range l.inf.Invalidate(e) {
+			l.cache.invalidateEntity(x)
+		}
 		l.metrics().feedback.Inc()
 	}
 }

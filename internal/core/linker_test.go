@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"microlink/internal/candidate"
@@ -239,5 +240,31 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if l.Name() != "social-temporal" {
 		t.Fatal("name")
+	}
+}
+
+// TestFeedbackRefreshesSiblingCandidates: a confirmed posting on MJ (bb)
+// by the ML expert spreads the expert's postings over {MJ bb, MJ ml}, so
+// MJ (ml)'s influential user changes too. After Feedback the live linker
+// must score "jordan" exactly as a linker built fresh over the same
+// knowledgebase.
+func TestFeedbackRefreshesSiblingCandidates(t *testing.T) {
+	f := newFixture(50, 5)
+	for i := 0; i < 3; i++ { // a second, unfollowed MJ (ml) fan
+		f.ckb.Link(1, kb.Posting{Tweet: int64(500 + i), User: 4, Time: 100})
+	}
+	cfg := Config{TopInfluential: 1}
+	l := f.linker(cfg)
+	before := l.ScoreCandidates(0, 100, "jordan") // fills both caches
+	l.Feedback(&tweets.Tweet{ID: 900, User: 2, Time: 100}, []kb.EntityID{0})
+
+	got := l.ScoreCandidates(0, 100, "jordan")
+	fresh := New(f.ckb, f.cand, f.rx, influence.New(f.ckb, influence.Entropy), f.rec, cfg)
+	want := fresh.ScoreCandidates(0, 100, "jordan")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Feedback: live %+v, fresh linker %+v", got, want)
+	}
+	if reflect.DeepEqual(before, want) {
+		t.Fatal("the feedback posting should have changed the ranking inputs")
 	}
 }

@@ -15,7 +15,9 @@ package influence
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -171,27 +173,36 @@ func (est *Estimator) TopInfluential(e kb.EntityID, cands []kb.EntityID, k int) 
 	return out
 }
 
-// Invalidate drops cached influential-user sets for entity e, called by the
-// online feedback path after new postings are linked to e.
-func (est *Estimator) Invalidate(e kb.EntityID) {
+// Invalidate drops the cached influential-user sets that a new posting on
+// e can change; the feedback path calls it. Both estimators score a user
+// over the whole candidate set, so these are e's own sets and every set
+// ranked against a candidate set containing e. It returns e and the
+// entities of the dropped sets, ascending and without duplicates.
+func (est *Estimator) Invalidate(e kb.EntityID) []kb.EntityID {
+	member := encodeSet([]kb.EntityID{e})
 	est.mu.Lock()
 	defer est.mu.Unlock()
+	hit := []kb.EntityID{e}
 	for key := range est.cache {
-		if key.e == e {
+		if key.e == e || strings.Contains(key.set, member) {
 			delete(est.cache, key)
+			if !slices.Contains(hit, key.e) {
+				hit = append(hit, key.e)
+			}
 		}
 	}
+	slices.Sort(hit)
+	return hit
 }
 
+// encodeSet renders a candidate set canonically as ",3,17,": e is in the
+// set exactly when the string contains encodeSet({e}).
 func encodeSet(cands []kb.EntityID) string {
 	sorted := append([]kb.EntityID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
+	slices.Sort(sorted)
+	b := []byte{','}
 	for _, c := range sorted {
-		b.WriteByte(byte(c))
-		b.WriteByte(byte(c >> 8))
-		b.WriteByte(byte(c >> 16))
-		b.WriteByte(byte(c >> 24))
+		b = append(strconv.AppendInt(b, int64(c), 10), ',')
 	}
-	return b.String()
+	return string(b)
 }

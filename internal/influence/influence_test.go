@@ -172,3 +172,44 @@ func TestInfluenceEmptyCandidateSet(t *testing.T) {
 		t.Errorf("influence with empty candidate set = %f", inf)
 	}
 }
+
+// TestInvalidateDropsSetsRankedAgainstEntity: a posting on A moves its
+// author's entropy over every candidate set containing A, so
+// Invalidate(A) must also drop B's set ranked against {A, B}. The cached
+// answer afterwards must be what a fresh Estimator computes.
+func TestInvalidateDropsSetsRankedAgainstEntity(t *testing.T) {
+	kbb := kb.NewBuilder()
+	for i := 0; i < 3; i++ {
+		kbb.AddEntity(kb.Entity{Name: "e"})
+	}
+	c := kb.Complement(kbb.Build())
+	id := int64(0)
+	add := func(e kb.EntityID, u kb.UserID, n int) {
+		for i := 0; i < n; i++ {
+			id++
+			c.Link(e, kb.Posting{Tweet: id, User: u, Time: id})
+		}
+	}
+	const a, b, other = 0, 1, 2
+	add(b, 1, 4) // u1: B only, top of B
+	add(b, 2, 3) // u2: B only, fewer postings
+	add(other, 3, 2)
+	pair := []kb.EntityID{a, b}
+	est := New(c, Entropy)
+	if top := est.TopInfluential(b, pair, 1); top[0] != 1 {
+		t.Fatalf("before: top of B = %v, want u1", top)
+	}
+	est.TopInfluential(a, pair, 1)
+	est.TopInfluential(other, []kb.EntityID{other}, 1)
+
+	add(a, 1, 4) // u1 now splits between A and B: its entropy over {A,B} rises
+	dropped := est.Invalidate(a)
+	got := est.TopInfluential(b, pair, 1)
+	want := New(c, Entropy).TopInfluential(b, pair, 1)
+	if len(got) != 1 || got[0] != want[0] || want[0] != 2 {
+		t.Fatalf("after Invalidate(A): top of B = %v, fresh estimator %v (want u2)", got, want)
+	}
+	if len(dropped) != 2 || dropped[0] != a || dropped[1] != b {
+		t.Fatalf("Invalidate(A) = %v, want [A B] without the unrelated entity", dropped)
+	}
+}

@@ -21,6 +21,7 @@ package recency
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"microlink/internal/kb"
 )
@@ -41,15 +42,9 @@ type Options struct {
 	Lambda float64
 	// Iterations bounds the propagation fixpoint loop (default 10).
 	Iterations int
-	// Propagate disables the propagation model when false — the ablation
-	// of Fig. 4(d). Note the zero value *enables* propagation.
+	// NoPropagation disables the propagation model when true — the
+	// ablation of Fig. 4(d). The zero value enables propagation.
 	NoPropagation bool
-	// CacheQuantum enables memoisation of propagated cluster vectors: all
-	// queries whose `now` falls into the same quantum (in seconds) share
-	// one propagation run per cluster. 0 disables caching (every query
-	// propagates afresh, the paper's literal behaviour); a quantum around
-	// τ/10 trades bounded staleness for a large speedup on hot clusters.
-	CacheQuantum int64
 }
 
 func (o *Options) fill() {
@@ -75,14 +70,23 @@ func (o *Options) fill() {
 // "Graph-Cut" of §4.2). Immutable after construction.
 type PropNet struct {
 	// adjacency per member entity; only entities with ≥1 edge appear.
+	// Kept for Edges; the propagation loop reads the frozen clusters.
 	adj map[kb.EntityID][]PropEdge
-	// cluster id per member entity.
-	cluster map[kb.EntityID]int32
-	// members per cluster, ascending entity id.
-	clusters [][]kb.EntityID
-	// memberIdx is each member's position within its cluster slice,
-	// precomputed so the propagation loop avoids a per-query index map.
-	memberIdx map[kb.EntityID]int32
+	// clusterOf and localIdx are dense per-entity: the entity's cluster id
+	// (−1 when unclustered) and its position in that cluster's members.
+	clusterOf []int32
+	localIdx  []int32
+	clusters  []propCluster
+}
+
+// propCluster is one cluster frozen into CSR form. Row i holds member i's
+// edges in adj order, so the pull sums of Eq. 11 associate exactly as a
+// walk over adj would.
+type propCluster struct {
+	members []kb.EntityID // ascending entity id
+	off     []int32       // row i is nbr/rp[off[i]:off[i+1]]
+	nbr     []int32       // cluster-local index of the edge's far end
+	rp      []float64     // the edge's reverse probability
 }
 
 // PropEdge is one edge of the propagation network. P is the normalised
@@ -113,10 +117,7 @@ func BuildPropNet(k *kb.KB, theta2 float64) *PropNet {
 		}
 	})
 
-	net := &PropNet{
-		adj:     make(map[kb.EntityID][]PropEdge),
-		cluster: make(map[kb.EntityID]int32),
-	}
+	net := &PropNet{adj: make(map[kb.EntityID][]PropEdge)}
 	for _, p := range k.RelatedPairs(theta2) {
 		a, b := p.A, p.B
 		if a > b {
@@ -128,67 +129,66 @@ func BuildPropNet(k *kb.KB, theta2 float64) *PropNet {
 		net.adj[p.A] = append(net.adj[p.A], PropEdge{To: p.B, W: p.Rel})
 		net.adj[p.B] = append(net.adj[p.B], PropEdge{To: p.A, W: p.Rel})
 	}
-	// Row-normalise outgoing weights into probabilities, then fill in the
-	// reverse probabilities.
+	// Row-normalise outgoing weights into probabilities. Both directions of
+	// an edge carry the same W, so P(To, from) is W over To's row sum.
+	sums := make(map[kb.EntityID]float64, len(net.adj))
 	for e, edges := range net.adj {
-		var sum float64
 		for _, ed := range edges {
-			sum += ed.W
+			sums[e] += ed.W
 		}
-		for i := range edges {
-			edges[i].P = edges[i].W / sum
-		}
-		net.adj[e] = edges
 	}
 	for e, edges := range net.adj {
 		for i := range edges {
-			edges[i].RP = reverseP(net, edges[i].To, e)
+			edges[i].P = edges[i].W / sums[e]
+			edges[i].RP = edges[i].W / sums[edges[i].To]
 		}
-		net.adj[e] = edges
 	}
-	net.findClusters()
+	net.findClusters(k.NumEntities())
 	return net
 }
 
-// findClusters labels connected components. Seeds are visited in
-// ascending entity order so that cluster IDs — and the order of the
-// clusters slice — are the same on every run, not map-iteration order.
-func (n *PropNet) findClusters() {
-	seeds := make([]kb.EntityID, 0, len(n.adj))
-	for e := range n.adj {
-		seeds = append(seeds, e)
+// findClusters labels connected components and freezes each into CSR
+// form. Seeds are visited in ascending entity order so that cluster IDs —
+// and the order of the clusters slice — are the same on every run.
+func (n *PropNet) findClusters(numEntities int) {
+	n.clusterOf = make([]int32, numEntities)
+	n.localIdx = make([]int32, numEntities)
+	for i := range n.clusterOf {
+		n.clusterOf[i] = -1
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	next := int32(0)
-	for _, e := range seeds {
-		if _, done := n.cluster[e]; done {
+	for e := kb.EntityID(0); int(e) < numEntities; e++ {
+		if n.clusterOf[e] >= 0 || len(n.adj[e]) == 0 {
 			continue
 		}
 		// BFS flood fill.
-		id := next
-		next++
+		id := int32(len(n.clusters))
 		queue := []kb.EntityID{e}
-		n.cluster[e] = id
+		n.clusterOf[e] = id
 		var members []kb.EntityID
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
 			members = append(members, cur)
 			for _, ed := range n.adj[cur] {
-				if _, done := n.cluster[ed.To]; !done {
-					n.cluster[ed.To] = id
+				if n.clusterOf[ed.To] < 0 {
+					n.clusterOf[ed.To] = id
 					queue = append(queue, ed.To)
 				}
 			}
 		}
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		n.clusters = append(n.clusters, members)
-	}
-	n.memberIdx = make(map[kb.EntityID]int32, len(n.cluster))
-	for _, members := range n.clusters {
 		for i, m := range members {
-			n.memberIdx[m] = int32(i)
+			n.localIdx[m] = int32(i)
 		}
+		c := propCluster{members: members, off: make([]int32, 1, len(members)+1)}
+		for _, m := range members {
+			for _, ed := range n.adj[m] {
+				c.nbr = append(c.nbr, n.localIdx[ed.To])
+				c.rp = append(c.rp, ed.RP)
+			}
+			c.off = append(c.off, int32(len(c.nbr)))
+		}
+		n.clusters = append(n.clusters, c)
 	}
 }
 
@@ -198,11 +198,10 @@ func (n *PropNet) NumClusters() int { return len(n.clusters) }
 // ClusterOf returns the cluster members of entity e (including e), or nil
 // when e participates in no propagation edge.
 func (n *PropNet) ClusterOf(e kb.EntityID) []kb.EntityID {
-	id, ok := n.cluster[e]
-	if !ok {
+	if e < 0 || int(e) >= len(n.clusterOf) || n.clusterOf[e] < 0 {
 		return nil
 	}
-	return n.clusters[id]
+	return n.clusters[n.clusterOf[e]].members
 }
 
 // Edges returns e's propagation edges (shared slice; do not modify).
@@ -218,20 +217,14 @@ func (n *PropNet) NumEdges() int {
 }
 
 // Scorer computes recency scores S_r(e) (Eq. 9 + Eq. 11) over a
-// complemented knowledgebase. Safe for concurrent use.
+// complemented knowledgebase, propagating afresh on every call, once per
+// distinct cluster among the candidates. Safe for concurrent use.
 type Scorer struct {
 	ckb  *kb.Complemented
 	net  *PropNet
 	opts Options
 
-	mu    sync.RWMutex          // microlint:lock-order recency-memo
-	memo  map[memoKey][]float64 // microlint:guarded-by mu
-	memoN int64                 // microlint:guarded-by mu — hits, for introspection in benches
-}
-
-type memoKey struct {
-	cluster int32
-	bucket  int64
+	memoHits atomic.Int64 // reported by MemoHits; nothing increments it without a memo
 }
 
 // NewScorer returns a Scorer. net may be nil only when opts.NoPropagation
@@ -241,7 +234,7 @@ func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options) *Scorer {
 	if net == nil && !opts.NoPropagation {
 		panic("recency: propagation enabled but no propagation network given")
 	}
-	return &Scorer{ckb: ckb, net: net, opts: opts, memo: make(map[memoKey][]float64)}
+	return &Scorer{ckb: ckb, net: net, opts: opts}
 }
 
 // Options returns the effective (defaults-filled) options.
@@ -256,6 +249,10 @@ func (s *Scorer) Clusters(e kb.EntityID) []kb.EntityID {
 	return s.net.ClusterOf(e)
 }
 
+// MemoHits reports how many propagation runs a memo saved: 0, as the
+// Scorer keeps no memo.
+func (s *Scorer) MemoHits() int64 { return s.memoHits.Load() }
+
 // raw returns the gated burst signal of Eq. 9's numerator: |D_e^τ| when it
 // reaches θ₁, else 0.
 func (s *Scorer) raw(e kb.EntityID, now int64) float64 {
@@ -268,78 +265,95 @@ func (s *Scorer) raw(e kb.EntityID, now int64) float64 {
 
 // Propagated returns entity e's recency signal after propagation at time
 // now (before candidate-set normalisation): the e-th component of the
-// fixpoint of Eq. 11 computed over e's cluster only. With CacheQuantum
-// set, queries within the same time bucket reuse one propagation run per
-// cluster.
+// fixpoint of Eq. 11 computed over e's cluster only.
 func (s *Scorer) Propagated(e kb.EntityID, now int64) float64 {
-	if s.opts.NoPropagation {
-		return s.raw(e, now)
-	}
-	members := s.net.ClusterOf(e)
-	if members == nil {
-		return s.raw(e, now)
-	}
-	var vec []float64
-	if q := s.opts.CacheQuantum; q > 0 {
-		qnow := now - now%q
-		key := memoKey{cluster: s.net.cluster[e], bucket: qnow / q}
-		s.mu.RLock()
-		vec = s.memo[key]
-		s.mu.RUnlock()
-		if vec == nil {
-			vec = s.propagateCluster(members, qnow)
-			s.mu.Lock()
-			s.memo[key] = vec
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.memoN++
-			s.mu.Unlock()
-		}
-	} else {
-		vec = s.propagateCluster(members, now)
-	}
-	for i, m := range members {
-		if m == e {
-			return vec[i]
-		}
-	}
-	return 0
+	var v [1]float64
+	s.propagated(now, []kb.EntityID{e}, v[:])
+	return v[0]
 }
 
-// MemoHits reports how many propagation runs the memo cache saved.
-func (s *Scorer) MemoHits() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.memoN
+// Scores computes S_r(e) for every candidate: the propagated burst signals
+// normalised over the candidate set (Eq. 9's normalisation). The result
+// sums to 1 when any candidate has a burst, else is all zeros.
+func (s *Scorer) Scores(now int64, cands []kb.EntityID) []float64 {
+	out := make([]float64, len(cands))
+	s.propagated(now, cands, out)
+	var sum float64
+	for _, v := range out {
+		sum += v
+	}
+	if sum > 0 {
+		for i := range out {
+			out[i] /= sum
+		}
+	}
+	return out
 }
 
-// propagateCluster runs the Eq. 11 iteration over one cluster, returning
-// the recency vector aligned with members.
-func (s *Scorer) propagateCluster(members []kb.EntityID, now int64) []float64 {
-	idx := s.net.memberIdx
-	s0 := make([]float64, len(members))
-	any := false
-	for i, m := range members {
+// propScratch holds the vectors of one propagation run, pooled so that
+// Scores allocates only its result.
+type propScratch struct{ s0, cur, nxt []float64 }
+
+var propPool = sync.Pool{New: func() any { return new(propScratch) }}
+
+// propagated writes each candidate's propagated signal into out. A
+// cluster is propagated once, at its first candidate, for all of them.
+func (s *Scorer) propagated(now int64, cands []kb.EntityID, out []float64) {
+	sc := propPool.Get().(*propScratch)
+	defer propPool.Put(sc)
+next:
+	for i, e := range cands {
+		if s.opts.NoPropagation || s.net.clusterOf[e] < 0 {
+			out[i] = s.raw(e, now)
+			continue
+		}
+		id := s.net.clusterOf[e]
+		for _, x := range cands[:i] {
+			if s.net.clusterOf[x] == id {
+				continue next
+			}
+		}
+		vec := s.propagateCluster(&s.net.clusters[id], now, sc)
+		for j := i; j < len(cands); j++ {
+			if s.net.clusterOf[cands[j]] == id {
+				out[j] = vec[s.net.localIdx[cands[j]]]
+			}
+		}
+	}
+}
+
+// propagateCluster runs Eq. 11 over one cluster and returns the recency
+// vector aligned with its members; the vector lives in sc.
+func (s *Scorer) propagateCluster(c *propCluster, now int64, sc *propScratch) []float64 {
+	n := len(c.members)
+	if cap(sc.s0) < n {
+		sc.s0, sc.cur, sc.nxt = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	s0, burst := sc.s0[:n], false
+	for i, m := range c.members {
 		s0[i] = s.raw(m, now)
-		if s0[i] > 0 {
-			any = true
-		}
+		burst = burst || s0[i] > 0
 	}
-	if !any {
+	if !burst {
 		return s0 // all zeros
 	}
-	cur := append([]float64(nil), s0...)
-	nxt := make([]float64, len(members))
-	lam := s.opts.Lambda
-	for it := 0; it < s.opts.Iterations; it++ {
+	return c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
+}
+
+// iterate is the Eq. 11 fixpoint loop in pull form,
+// S_r^i[m] = λ·S0[m] + (1−λ)·Σ_j P(j,m)·S_r^{i−1}[j], with P(j,m) the
+// edge's precomputed reverse probability. It returns whichever of cur and
+// nxt holds the last iterate.
+//
+// microlint:noalloc
+func (c *propCluster) iterate(s0, cur, nxt []float64, lam float64, iters int) []float64 {
+	copy(cur, s0)
+	for it := 0; it < iters; it++ {
 		maxDelta := 0.0
-		for i, m := range members {
+		for i := range s0 {
 			acc := 0.0
-			// Pull formulation: S_r^i[m] = λ·S0[m] + (1−λ)·Σ_j P(j,m)·S_r^{i−1}[j],
-			// with P(j,m) precomputed as the edge's reverse probability.
-			for _, ed := range s.net.adj[m] {
-				acc += ed.RP * cur[idx[ed.To]]
+			for k := c.off[i]; k < c.off[i+1]; k++ {
+				acc += c.rp[k] * cur[c.nbr[k]]
 			}
 			nxt[i] = lam*s0[i] + (1-lam)*acc
 			if d := abs(nxt[i] - cur[i]); d > maxDelta {
@@ -354,36 +368,10 @@ func (s *Scorer) propagateCluster(members []kb.EntityID, now int64) []float64 {
 	return cur
 }
 
-func reverseP(n *PropNet, from, to kb.EntityID) float64 {
-	for _, ed := range n.adj[from] {
-		if ed.To == to {
-			return ed.P
-		}
-	}
-	return 0
-}
-
+// microlint:noalloc
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-// Scores computes S_r(e) for every candidate: the propagated burst signals
-// normalised over the candidate set (Eq. 9's normalisation). The result
-// sums to 1 when any candidate has a burst, else is all zeros.
-func (s *Scorer) Scores(now int64, cands []kb.EntityID) []float64 {
-	out := make([]float64, len(cands))
-	var sum float64
-	for i, e := range cands {
-		out[i] = s.Propagated(e, now)
-		sum += out[i]
-	}
-	if sum > 0 {
-		for i := range out {
-			out[i] /= sum
-		}
-	}
-	return out
 }
