@@ -1,6 +1,8 @@
 package microlink
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +23,7 @@ func facadeWorld() *World {
 
 func TestBuildReachVariants(t *testing.T) {
 	w := facadeWorld()
-	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop, ReachNaive, ReachDynamic} {
+	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop, ReachNaive, ReachStreaming} {
 		sys := Build(w, Options{Reach: kind, TruthComplement: true})
 		if sys.Reach == nil {
 			t.Fatalf("kind %d: nil reach index", kind)
@@ -131,7 +133,7 @@ func TestDescribeMentionsComponents(t *testing.T) {
 
 func TestFollowUpdatesInterest(t *testing.T) {
 	w := facadeWorld()
-	sys := Build(w, Options{Reach: ReachDynamic, TruthComplement: true})
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
 	// Find an ambiguous surface and a user whose top pick can flip by
 	// following the influential user of a losing candidate.
 	var surface string
@@ -154,6 +156,14 @@ func TestFollowUpdatesInterest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The follows sit in the live graph; answers move only once a rebuild
+	// installs them.
+	if mid := sys.Linker.ScoreCandidates(user, now, surface); !reflect.DeepEqual(mid, before) {
+		t.Fatalf("scores moved before the rebuild: %+v → %+v", before, mid)
+	}
+	if err := sys.RebuildReach(); err != nil {
+		t.Fatal(err)
+	}
 	after := sys.Linker.ScoreCandidates(user, now, surface)
 	var bi, ai float64
 	for _, s := range before {
@@ -170,10 +180,10 @@ func TestFollowUpdatesInterest(t *testing.T) {
 		t.Fatalf("interest in the loser did not rise after following its community: %f → %f", bi, ai)
 	}
 
-	// A non-dynamic system refuses Follow.
+	// A static system refuses Follow.
 	static := Build(w, Options{TruthComplement: true})
-	if err := static.Follow(user, 0); err == nil {
-		t.Fatal("static reach must reject Follow")
+	if err := static.Follow(user, 0); !errors.Is(err, ErrNotStreaming) {
+		t.Fatalf("static reach: Follow = %v, want ErrNotStreaming", err)
 	}
 }
 

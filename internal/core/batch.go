@@ -69,8 +69,8 @@ type BatchResult struct {
 // not-yet-scored items with ctx.Err() and returns promptly without
 // discarding completed ones, and a panic while scoring one item is
 // captured into that item's Err. LinkBatch only reads linker state, so it
-// is safe to run concurrently with Feedback and with dynamic reachability
-// maintenance; each group observes a consistent snapshot (it scores
+// is safe to run concurrently with Feedback and with reachability arena
+// installs; each group observes a consistent snapshot (it scores
 // entirely inside one read-locked critical section).
 func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchResult {
 	res := make([]BatchResult, len(queries))

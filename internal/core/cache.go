@@ -12,8 +12,8 @@ import (
 // entities skip the reachability averaging entirely. It is sharded to keep
 // lock contention off the concurrent batch pipeline and generation-stamped
 // so invalidation is O(1): instead of walking the shards, Feedback bumps the
-// per-entity generation and Follow/InvalidateReachability bumps the global
-// one, and stale entries simply stop matching on lookup.
+// per-entity generation and UpdateReachability (an arena install) bumps the
+// global one, and stale entries simply stop matching on lookup.
 //
 // Correctness contract (see DESIGN.md "Interest cache"):
 //
@@ -29,8 +29,9 @@ import (
 //     critical section.
 //   - Invalidation follows the influence cache: a posting on e invalidates
 //     (·, e′) for each e′ whose set Invalidate(e) dropped. A reachability
-//     change (new follow edge) can move any user's interest in any entity,
-//     so it bumps the global generation and empties the cache logically.
+//     change (a rebuilt arena carrying new follow edges) can move any
+//     user's interest in any entity, so it bumps the global generation and
+//     empties the cache logically.
 type interestCache struct {
 	global atomic.Uint64   // bumped when reachability changes
 	entGen []atomic.Uint64 // per-entity generation, bumped by Feedback

@@ -534,12 +534,11 @@ func (l *Linker) Feedback(tw *tweets.Tweet, links []kb.EntityID) {
 }
 
 // UpdateReachability runs fn — a mutation of the reachability substrate,
-// e.g. a dynamic-closure edge insertion — under the linker's write lock,
-// excluding every concurrent scorer, then drops all cached interest
-// values (a repaired edge can move any user's weighted reachability, so
-// every cached S_in is suspect). The facade's Follow path uses it; the
-// dynamic closure itself is not concurrency-safe, so routing mutations
-// through here is what makes reach.R safe to read behind the RWMutex.
+// e.g. installing a rebuilt streaming arena — under the linker's write
+// lock, excluding every concurrent scorer, then drops all cached interest
+// values (a new arena can move any user's weighted reachability, so every
+// cached S_in is suspect). The arena swap and the cache flush are thereby
+// one atomic event to scorers.
 func (l *Linker) UpdateReachability(fn func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -17,14 +17,15 @@ import (
 )
 
 // raceFixture is a denser world than the running example: 64 users on a
-// ring-with-chords graph over a dynamic closure, 12 entities behind 6
-// ambiguous surfaces, and enough seed postings that every entity has a
-// community. It exercises the full dynamic configuration: LinkBatch racing
-// Feedback (KB + cache writes) and edge insertions (reachability writes).
+// ring-with-chords graph behind a streaming reach substrate, 12 entities
+// behind 6 ambiguous surfaces, and enough seed postings that every entity
+// has a community. It exercises the full live configuration: LinkBatch
+// racing Feedback (KB + cache writes), follow edges entering the live
+// graph, and rebuilt arenas swapping in (reachability writes).
 type raceFixture struct {
 	ckb  *kb.Complemented
 	cand *candidate.Index
-	dc   *reach.DynamicClosure
+	st   *reach.Streaming
 	inf  *influence.Estimator
 	rec  *recency.Scorer
 }
@@ -65,25 +66,26 @@ func newRaceFixture() *raceFixture {
 	return &raceFixture{
 		ckb:  ckb,
 		cand: candidate.NewIndex(k, candidate.Options{MaxEdit: 1}),
-		dc:   reach.NewDynamicClosure(g, 3),
+		st:   reach.NewStreaming(g, reach.TwoHopOptions{MaxHops: 3}),
 		inf:  influence.New(ckb, influence.Entropy),
 		rec:  recency.NewScorer(ckb, recency.BuildPropNet(k, 0.3), recency.Options{Tau: 100, Theta1: 3}),
 	}
 }
 
 func (f *raceFixture) linker(cfg Config) *Linker {
-	return New(f.ckb, f.cand, f.dc, f.inf, f.rec, cfg)
+	return New(f.ckb, f.cand, f.st, f.inf, f.rec, cfg)
 }
 
 // TestLinkBatchRaceWithFeedbackAndFollow is the -race stress test for the
 // batch pipeline: batch scorers hammer LinkBatch while one writer streams
 // Feedback (complemented-KB appends + influence/interest cache
-// invalidation) and another inserts follow edges through
-// UpdateReachability (dynamic-closure repair + global cache flush). After
-// the dust settles, a rescore through the cached linker must agree
-// exactly with a cache-disabled linker over the same mutated substrates —
-// any surviving stale entry (a missed invalidation, or a torn read cached
-// mid-update) would show up as a divergence.
+// invalidation) and another inserts follow edges into the live graph,
+// rebuilding the arena every few edges and installing it through
+// UpdateReachability (arena swap + global cache flush). After the dust
+// settles, a rescore through the cached linker must agree exactly with a
+// cache-disabled linker over the same mutated substrates — any surviving
+// stale entry (a missed invalidation, or a torn read cached mid-update)
+// would show up as a divergence.
 func TestLinkBatchRaceWithFeedbackAndFollow(t *testing.T) {
 	f := newRaceFixture()
 	l := f.linker(Config{Batch: BatchOptions{Workers: 4}})
@@ -132,14 +134,17 @@ func TestLinkBatchRaceWithFeedbackAndFollow(t *testing.T) {
 	go func() { // follow writer: new chords, never duplicating seed edges
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			u := kb.UserID((r * 13) % 64)
-			v := kb.UserID((r*13 + 17 + r%3) % 64)
-			if u != v {
-				l.UpdateReachability(func() { f.dc.InsertEdge(u, v) })
+			f.st.InsertEdge(kb.UserID((r*13)%64), kb.UserID((r*13+17+r%3)%64))
+			if r%5 == 4 {
+				th, at := f.st.Rebuild()
+				l.UpdateReachability(func() { f.st.Install(th, at) })
 			}
 		}
 	}()
 	wg.Wait()
+	if s := f.st.Staleness(); s != 0 {
+		t.Fatalf("%d follow edges never reached the serving arena", s)
+	}
 
 	// Invalidation must have been observed: the cached linker now agrees
 	// with a fresh cache-free linker over the same mutated substrates.

@@ -222,7 +222,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 }
 
 // TestOfferShedsWhenSaturated hammers a one-slot queue; the producer far
-// outruns the applier (which repairs the dynamic closure per batch), so
+// outruns the applier (one follow per batch at MaxBatch 1), so
 // some offers must shed — and every shed must be counted.
 func TestOfferShedsWhenSaturated(t *testing.T) {
 	f := newFixture(t)

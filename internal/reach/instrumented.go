@@ -13,10 +13,10 @@ import (
 //	microlink_reach_queries_total{kind=…}
 //	microlink_reach_query_seconds{kind=…}
 //
-// where kind names the substrate (closure, twohop, naive, dynamic). The
+// where kind names the substrate (closure, twohop, naive, streaming). The
 // wrapper adds two clock reads per query on top of the atomic updates;
-// callers that need the raw substrate (serialisation, incremental
-// maintenance) can recover it via Unwrap.
+// callers that need the raw substrate (serialisation, follow-edge
+// inserts) can recover it via Unwrap.
 type Instrumented struct {
 	inner   Index
 	queries *obs.Counter
@@ -44,8 +44,6 @@ func KindName(idx Index) string {
 		return "twohop"
 	case *Naive:
 		return "naive"
-	case *DynamicClosure:
-		return "dynamic"
 	case *Streaming:
 		return "streaming"
 	case *Instrumented:

@@ -1,9 +1,12 @@
 package reach
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"microlink/internal/graph"
 )
@@ -169,5 +172,110 @@ func TestStreamingSizeBytesCountsWhatIsHeld(t *testing.T) {
 	}
 	if st.Applied() == 0 || st.SizeBytes() <= rest {
 		t.Fatalf("SizeBytes with %d tail edges = %d, at rest %d", st.Applied(), st.SizeBytes(), rest)
+	}
+}
+
+// naiveMismatch compares every pair the serving arena answers with a
+// naive BFS over the live graph: reachability and distance exactly,
+// followees as a subset of the oracle's that is non-empty when d ≥ 1.
+func naiveMismatch(st *Streaming, h int) error {
+	g, _ := st.SnapshotGraph()
+	oracle := NewNaive(g, h)
+	for u := 0; u < g.NumNodes(); u++ {
+		for v := 0; v < g.NumNodes(); v++ {
+			nu, nv := graph.NodeID(u), graph.NodeID(v)
+			want, wok := oracle.Query(nu, nv)
+			got, gok := st.Query(nu, nv)
+			if gok != wok || got.Dist != want.Dist || !subset(got.Followees, want.Followees) ||
+				(got.Dist > 0 && len(got.Followees) == 0) {
+				return fmt.Errorf("(%d,%d): arena %+v ok=%v, naive %+v ok=%v", u, v, got, gok, want, wok)
+			}
+		}
+	}
+	return nil
+}
+
+// TestStreamingRebuildAbsorbsFollows walks the follow cases through the
+// live path — insert into the tail, Rebuild, Install — and checks each
+// against a hand-derived answer and a naive BFS over the final edge set.
+// Until the install, the serving arena answers exactly as before.
+func TestStreamingRebuildAbsorbsFollows(t *testing.T) {
+	type edges = [][2]graph.NodeID
+	for _, c := range []struct {
+		name         string
+		n, h         int
+		base, insert edges
+		applied      int
+		u, v         graph.NodeID
+		ok           bool
+		dist         int
+		fol          []graph.NodeID
+		r            float64
+	}{
+		// 0→1, 2→3: inserting 1→2 connects the chains.
+		{"bridge", 4, 4, edges{{0, 1}, {2, 3}}, edges{{1, 2}}, 1, 0, 3, true, 3, []graph.NodeID{1}, 1.0 / 3},
+		// 0→1→2→3: inserting 1→3 cuts d(0,3) from 3 to 2.
+		{"shorter-path", 4, 4, edges{{0, 1}, {1, 2}, {2, 3}}, edges{{1, 3}}, 1, 0, 3, true, 2, []graph.NodeID{1}, 0.5},
+		// 0→1→3: 0→2→3 is a second 2-hop path, so F_{0,3} = {1, 2}.
+		{"equal-path-merge", 4, 4, edges{{0, 1}, {1, 3}}, edges{{0, 2}, {2, 3}}, 2, 0, 3, true, 2, []graph.NodeID{1, 2}, 0.5},
+		// R(0,2) = (1/2)·(|F_02|/|F_0|): following a stranger halves it.
+		{"rescale", 4, 4, edges{{0, 1}, {1, 2}}, edges{{0, 3}}, 1, 0, 2, true, 2, []graph.NodeID{1}, 0.25},
+		// At H = 2 a bridge that only makes a 3-hop path changes nothing.
+		{"hop-bound", 4, 2, edges{{0, 1}, {2, 3}}, edges{{1, 2}}, 1, 0, 3, false, 0, nil, 0},
+		// A duplicate and a self-loop are not new follows.
+		{"duplicate-and-self-loop", 3, 4, edges{{0, 1}, {1, 2}}, edges{{0, 1}, {1, 1}}, 0, 0, 2, true, 2, []graph.NodeID{1}, 0.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := graph.NewBuilder(c.n)
+			for _, e := range c.base {
+				b.AddEdge(e[0], e[1])
+			}
+			st := NewStreaming(b.Build(), TwoHopOptions{MaxHops: c.h})
+			before := st.R(c.u, c.v)
+			if n := st.InsertEdges(c.insert); n != c.applied {
+				t.Fatalf("InsertEdges(%v) = %d new edges, want %d", c.insert, n, c.applied)
+			}
+			if r := st.R(c.u, c.v); r != before {
+				t.Fatalf("R(%d,%d) moved %v → %v before the install", c.u, c.v, before, r)
+			}
+			th, at := st.Rebuild()
+			st.Install(th, at)
+
+			res, ok := st.Query(c.u, c.v)
+			if ok != c.ok || res.Dist != c.dist || !sameSet(res.Followees, c.fol) {
+				t.Fatalf("Query(%d,%d) = %+v ok=%v, want dist %d F %v ok=%v", c.u, c.v, res, ok, c.dist, c.fol, c.ok)
+			}
+			if r := st.R(c.u, c.v); math.Abs(r-c.r) > 1e-12 {
+				t.Fatalf("R(%d,%d) = %v, want %v", c.u, c.v, r, c.r)
+			}
+			if err := naiveMismatch(st, c.h); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestQuickStreamingMatchesRebuild: after any random run of follow
+// inserts and one rebuild, the serving arena answers like a naive BFS
+// over the final edge set — the maintenance invariant of the live path.
+func TestQuickStreamingMatchesRebuild(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(12)
+		h := 1 + r.Intn(4)
+		st := NewStreaming(randomGraph(r, n, n), TwoHopOptions{MaxHops: h})
+		for k := 0; k < 12; k++ {
+			st.InsertEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)))
+		}
+		th, at := st.Rebuild()
+		st.Install(th, at)
+		if err := naiveMismatch(st, h); err != nil {
+			t.Logf("seed %d (n=%d, H=%d): %v", seed, n, h, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 package reach
 
 import (
-	"bytes"
-	"encoding/binary"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,109 +13,43 @@ import (
 	"microlink/internal/graph"
 )
 
-// Tests for the partitioned barrier-free merge: the rewritten builder must
-// reproduce, byte for byte, what the PR 5 barrier build produced — same
-// per-node label lists, same frozen arenas, same interned pool layout —
-// for every worker count and batch size. The reference below re-creates
-// the PR 5 pipeline verbatim (serial rank-order delta merge, fully serial
-// freeze with a map[string]-keyed interner) on top of the unchanged BFS,
-// so any behavioural drift in the partitioned merge or the two-stage
-// freeze shows up as an arena diff, not just a serialization diff.
+// Tests for the partitioned barrier-free merge: the builder must
+// reproduce, byte for byte, what the barrier build it replaced produced
+// (a single goroutine merging deltas in rank order, then a fully serial
+// freeze with a content-keyed interner) for every worker count and batch
+// size. That reference pipeline is pinned by the SHA-256 of its WriteTo
+// image, recorded while it still ran beside the partitioned builder, so
+// any behavioural drift in the partitioned merge or the two-stage freeze
+// shows up as a digest mismatch. WriteTo does not cover the interned
+// pool's layout, so the raw arenas must also agree across worker counts.
 
-// buildTwoHopBarrierReference is the PR 5 build: same pruned hub BFS
-// (runHub is shared), but deltas merged by a single goroutine in batch
-// order and the arenas frozen by the old fully serial path.
-func buildTwoHopBarrierReference(g *graph.Graph, h, batchSize int) *TwoHop {
-	w := newThWork(g, h, false)
-	n := len(w.order)
-	deltas := make([]thDelta, batchSize)
-	for i := range deltas {
-		deltas[i].init(w.nparts)
-	}
-	b := newThBuilder(w)
-	for lo := 0; lo < n; lo += batchSize {
-		m := min(batchSize, n-lo)
-		ds := deltas[:m]
-		for i := range ds {
-			ds[i].reset()
-			b.runHub(w.order[lo+i], int32(lo+i), &ds[i])
-		}
-		// The PR 5 barrier merge: one goroutine, deltas in rank order.
-		// Iterating a delta's partition buckets in partition order visits
-		// each node's (single) entry exactly once, so per-node append
-		// order matches the old flat-delta merge.
-		for i := range ds {
-			for p := 0; p < w.nparts; p++ {
-				r := &ds[i].out[p]
-				for j, s := range r.nodes {
-					w.out[s] = append(w.out[s], r.labs[j])
-				}
-				r = &ds[i].in[p]
-				for j, t := range r.nodes {
-					w.in[t] = append(w.in[t], r.labs[j])
-				}
-			}
-		}
-	}
-	return referenceFreeze(w)
+// barrierDigests maps batch size to the WriteTo digest of the barrier
+// build over randomGraph(rand.NewSource(1510), 150, 900) at H = 4.
+var barrierDigests = map[int]string{
+	1:  "7d5a7f46805c6aa931e85f180e7e7811fe813c939343bde6bef07d731f19cb9f",
+	8:  "f7fd07a2e1330ae541650348957b10033f8dc91d2185cd7f375fa546f903f2ea",
+	32: "d7472aa3437af1dabdb135454acb843009432f9b6934f518fa22bcbcc949d85c",
+	64: "48436403b11bb5908f22aaf7bdc505d1b7173732f962f8c2014e2003f8dc55c9",
 }
 
-// referenceFreeze is the PR 5 serial freeze, kept verbatim as the oracle
-// for arena layout: append-built label arrays, one pass out then in with
-// nodes ascending, and a content-keyed map interner.
-func referenceFreeze(w *thWork) *TwoHop {
-	n := w.g.NumNodes()
-	th := &TwoHop{
-		g:      w.g,
-		h:      w.h,
-		rank:   w.rank,
-		order:  w.order,
-		outOff: make([]int32, n+1),
-		inOff:  make([]int32, n+1),
+// tinyBarrierDigests maps node count to the WriteTo digest of the
+// barrier build (H = 3, batch 4) over the graphs that
+// TestTwoHopPartitionSchemeTinyGraphs draws from rand.NewSource(9).
+var tinyBarrierDigests = map[int]string{
+	3:   "87523a0c241a59ebf3f16f16484d29359ff098df20809474131695b44554155b",
+	63:  "b13f3fb061db9d6c9ff1094cd2067b3bf38408fc9169fa66aac324d0acd06524",
+	64:  "7564280ec3b0a360c075b8056ad5635043a01ab17ed913abf79ccae5a4cf3659",
+	65:  "59dfb13e78d12a2fa246a5ce5ffb50542df0ddacc047a3585f81a257356ffa8e",
+	129: "d39929003cc6f851781733aefcc211a34fdcc8f0affa38c759d520f0be704d49",
+}
+
+// requireDigest asserts th's WriteTo image hashes to want.
+func requireDigest(t *testing.T, th *TwoHop, want string) {
+	t.Helper()
+	sum := sha256.Sum256(serialize(t, th))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("WriteTo digest %s, barrier build %s", got, want)
 	}
-	intern := make(map[string]int32)
-	var key []byte
-	addSet := func(fol []graph.NodeID) (int32, uint16) {
-		if len(fol) == 0 {
-			return 0, 0
-		}
-		if len(fol) > maxFolLen {
-			fol = fol[:maxFolLen]
-		}
-		sortNodeIDs(fol)
-		if len(fol) <= maxInternedFol {
-			key = key[:0]
-			for _, v := range fol {
-				key = binary.LittleEndian.AppendUint32(key, uint32(v))
-			}
-			if off, ok := intern[string(key)]; ok {
-				return off, uint16(len(fol))
-			}
-			off := int32(len(th.folPool))
-			th.folPool = append(th.folPool, fol...)
-			intern[string(key)] = off
-			return off, uint16(len(fol))
-		}
-		off := int32(len(th.folPool))
-		th.folPool = append(th.folPool, fol...)
-		return off, uint16(len(fol))
-	}
-	freezeDir := func(src [][]thLabel, off []int32, dst []thLabelFlat) []thLabelFlat {
-		for u := 0; u < n; u++ {
-			off[u] = int32(len(dst))
-			labs := src[u]
-			for i := range labs {
-				l := &labs[i]
-				folOff, folLen := addSet(l.fol)
-				dst = append(dst, thLabelFlat{hub: l.hub, folOff: folOff, folLen: folLen, dist: l.dist})
-			}
-		}
-		off[n] = int32(len(dst))
-		return dst
-	}
-	th.outLab = freezeDir(w.out, th.outOff, th.outLab)
-	th.inLab = freezeDir(w.in, th.inOff, th.inLab)
-	return th
 }
 
 // requireSameArenas asserts every frozen arena of got equals want —
@@ -149,25 +83,22 @@ func slicesEq[T comparable](a, b []T) bool {
 }
 
 // TestTwoHopPartitionedMatchesBarrierBuild pins the tentpole guarantee:
-// for every (workers, batch) cell the partitioned barrier-free build is
-// byte-identical — serialization and raw arenas, pool offsets included —
-// to the PR 5 barrier build at the same batch size. The batch=1 column
-// doubles as the serial-equivalence check (at batch size 1 the reference
-// IS the serial algorithm).
+// for every (workers, batch) cell the partitioned barrier-free build
+// serializes to the barrier build's bytes at the same batch size, and its
+// raw arenas, pool offsets included, equal the one-worker build's. The
+// batch=1 column doubles as the serial-equivalence check (at batch size 1
+// the barrier build IS the serial algorithm).
 func TestTwoHopPartitionedMatchesBarrierBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(1510))
 	g := randomGraph(r, 150, 900)
 	const h = 4
 	for _, batch := range []int{1, 8, 32, 64} {
-		ref := buildTwoHopBarrierReference(g, h, batch)
-		refBytes := serialize(t, ref)
+		ref := BuildTwoHop(g, TwoHopOptions{MaxHops: h, Workers: 1, BatchSize: batch})
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(t *testing.T) {
 				th := BuildTwoHop(g, TwoHopOptions{MaxHops: h, Workers: workers, BatchSize: batch})
+				requireDigest(t, th, barrierDigests[batch])
 				requireSameArenas(t, ref, th)
-				if !bytes.Equal(refBytes, serialize(t, th)) {
-					t.Fatalf("serialization differs from the barrier reference")
-				}
 			})
 		}
 	}
@@ -181,9 +112,9 @@ func TestTwoHopPartitionSchemeTinyGraphs(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, n := range []int{3, 63, 64, 65, 129} {
 		g := randomGraph(r, n, 4*n)
-		ref := buildTwoHopBarrierReference(g, 3, 4)
 		th := BuildTwoHop(g, TwoHopOptions{MaxHops: 3, Workers: 4, BatchSize: 4})
-		requireSameArenas(t, ref, th)
+		requireDigest(t, th, tinyBarrierDigests[n])
+		requireSameArenas(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 3, Workers: 1, BatchSize: 4}), th)
 
 		shift, parts := partitionScheme(n)
 		if parts != th.BuildInfo().Partitions {

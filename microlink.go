@@ -143,14 +143,11 @@ const (
 	// ReachNaive answers queries by BFS with no index; only sensible for
 	// tiny graphs and tests.
 	ReachNaive
-	// ReachDynamic is the transitive closure with incremental maintenance:
-	// System.Follow repairs the index in place as new follow edges arrive,
-	// instead of rebuilding (the paper's "maintenance cost" concern).
-	ReachDynamic
 	// ReachStreaming pairs a frozen 2-hop cover (serving queries
 	// lock-free) with a live edge set absorbing follow edges online;
 	// the ingest pipeline's rebuild manager periodically re-freezes the
-	// cover and copy-on-swaps it in. Required by System.StartIngest.
+	// cover and copy-on-swaps it in. Required by System.Follow and
+	// System.StartIngest.
 	ReachStreaming
 )
 
@@ -330,8 +327,8 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 }
 
 // unwrapReach peels the metrics wrapper off an index, returning the raw
-// substrate for type-dependent operations (serialisation, incremental
-// maintenance).
+// substrate for type-dependent operations (serialisation, follow-edge
+// inserts).
 func unwrapReach(idx reach.Index) reach.Index {
 	if x, ok := idx.(*reach.Instrumented); ok {
 		return x.Unwrap()
@@ -345,8 +342,6 @@ func buildReach(w *World, opts Options) reach.Index {
 		return reach.BuildTwoHop(w.Graph, reach.TwoHopOptions{MaxHops: opts.MaxHops})
 	case ReachNaive:
 		return reach.NewNaive(w.Graph, opts.MaxHops)
-	case ReachDynamic:
-		return reach.NewDynamicClosure(w.Graph, opts.MaxHops)
 	case ReachStreaming:
 		return reach.NewStreaming(w.Graph, reach.TwoHopOptions{MaxHops: opts.MaxHops})
 	default:
@@ -354,12 +349,8 @@ func buildReach(w *World, opts Options) reach.Index {
 	}
 }
 
-// ErrNotDynamic is returned by Follow when the system was not built with
-// ReachDynamic or ReachStreaming.
-var ErrNotDynamic = fmt.Errorf("microlink: reachability substrate is not dynamic (build with Options{Reach: ReachDynamic} or ReachStreaming)")
-
-// ErrNotStreaming is returned by StartIngest when the system was not
-// built with ReachStreaming.
+// ErrNotStreaming is returned by Follow and StartIngest when the system
+// was not built with ReachStreaming.
 var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not streaming (build with Options{Reach: ReachStreaming})")
 
 // ErrIngestRunning is returned by StartIngest when a pipeline is already
@@ -372,32 +363,23 @@ var ErrUnknownUser = fmt.Errorf("microlink: unknown user")
 
 // Follow records a new follow edge u → v — the social half of the online
 // feedback loop (tweets arrive via Linker.Feedback; follows arrive here).
-//
-// With ReachDynamic the closure is repaired incrementally under the
-// linker's write lock — the scoring paths read it behind the linker's
-// read lock — and the linker's interest cache is invalidated wholesale
-// afterwards: a repaired edge can move any user's weighted reachability,
-// so every cached S_in value is suspect.
-//
-// With ReachStreaming the edge joins the live graph's edge tail under the
-// substrate's own lock, with no linker lock and no cache invalidation:
-// scorers read only the frozen arena, which per-edge inserts never
-// touch, so cached scores stay exactly right until the next
-// copy-on-swap rebuild (which invalidates then).
+// It requires ReachStreaming: the edge joins the live graph's edge tail
+// under the substrate's own lock, with no linker lock and no cache
+// invalidation. Scorers read only the frozen arena, which per-edge
+// inserts never touch, so answers and cached scores stay exactly right
+// until the next copy-on-swap rebuild (RebuildReach or the ingest
+// pipeline's rebuild manager), which installs the edge and invalidates
+// then.
 func (s *System) Follow(u, v UserID) error {
 	if n := UserID(s.World.Graph.NumNodes()); u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("%w: follow %d → %d in a graph of %d users", ErrUnknownUser, u, v, n)
 	}
-	switch idx := unwrapReach(s.Reach).(type) {
-	case *reach.DynamicClosure:
-		s.Linker.UpdateReachability(func() { idx.InsertEdge(u, v) })
-		return nil
-	case *reach.Streaming:
-		idx.InsertEdge(u, v)
-		return nil
-	default:
-		return ErrNotDynamic
+	st, ok := unwrapReach(s.Reach).(*reach.Streaming)
+	if !ok {
+		return ErrNotStreaming
 	}
+	st.InsertEdge(u, v)
+	return nil
 }
 
 // StartIngest attaches a streaming firehose pipeline to the system and

@@ -28,7 +28,7 @@ var ErrNoStore = errors.New("microlink: no data directory attached (use Open or 
 var ErrNoSnapshot = store.ErrNoSnapshot
 
 // ErrNotSnapshottable is returned by Snapshot for reach substrates with
-// no serialised form (naive BFS, plain dynamic closure).
+// no serialised form (naive BFS).
 var ErrNotSnapshottable = fmt.Errorf("microlink: reach substrate is not snapshottable (use ReachClosure, ReachTwoHop or ReachStreaming)")
 
 // SnapshotInfo summarises one committed snapshot.

@@ -277,39 +277,34 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 }
 
 // TestFollowUnknownUser: an endpoint outside the follow graph is a typed
-// error from System.Follow on both maintained substrates — not a panic at
-// the insert (dynamic) or later in a rebuild (streaming) — and a WAL
+// error from System.Follow — not a panic later in a rebuild — and a WAL
 // follow record carrying one fails replay as corruption, naming the IDs.
 func TestFollowUnknownUser(t *testing.T) {
 	w := persistWorld()
 	n := UserID(w.Graph.NumNodes())
-	for _, kind := range []ReachKind{ReachDynamic, ReachStreaming} {
-		sys := Build(w, Options{Reach: kind, MaxHops: 2, TruthComplement: true})
-		for _, e := range [][2]UserID{{-1, 0}, {0, n}, {n + 7, -3}} {
-			err := sys.Follow(e[0], e[1])
-			if !errors.Is(err, ErrUnknownUser) || !strings.Contains(err.Error(), fmt.Sprintf("%d → %d", e[0], e[1])) {
-				t.Fatalf("reach kind %d: Follow(%d, %d) = %v, want ErrUnknownUser naming both", kind, e[0], e[1], err)
-			}
+	sys := Build(w, Options{Reach: ReachStreaming, MaxHops: 2, TruthComplement: true})
+	for _, e := range [][2]UserID{{-1, 0}, {0, n}, {n + 7, -3}} {
+		err := sys.Follow(e[0], e[1])
+		if !errors.Is(err, ErrUnknownUser) || !strings.Contains(err.Error(), fmt.Sprintf("%d → %d", e[0], e[1])) {
+			t.Fatalf("Follow(%d, %d) = %v, want ErrUnknownUser naming both", e[0], e[1], err)
 		}
-		if err := sys.Follow(0, n-1); err != nil {
-			t.Fatalf("reach kind %d: valid Follow: %v", kind, err)
-		}
-		if kind == ReachStreaming {
-			if err := sys.RebuildReach(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
+	if err := sys.Follow(0, n-1); err != nil {
+		t.Fatalf("valid Follow: %v", err)
+	}
+	if err := sys.RebuildReach(); err != nil {
+		t.Fatal(err)
+	}
 
-		rec := store.FollowRecord(n+7, 3)
-		err := sys.applyRecord(&rec, &RestartReport{})
-		if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
-			t.Fatalf("reach kind %d: replayed bad follow = %v, want ErrWALCorrupt naming the IDs", kind, err)
-		}
+	rec := store.FollowRecord(n+7, 3)
+	err := sys.applyRecord(&rec, &RestartReport{})
+	if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
+		t.Fatalf("replayed bad follow = %v, want ErrWALCorrupt naming the IDs", err)
 	}
 
 	static := Build(w, Options{Reach: ReachTwoHop, TruthComplement: true})
-	rec := store.FollowRecord(0, 1)
-	if err := static.applyRecord(&rec, &RestartReport{}); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), "not dynamic") {
+	rec = store.FollowRecord(0, 1)
+	if err := static.applyRecord(&rec, &RestartReport{}); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), ErrNotStreaming.Error()) {
 		t.Fatalf("follow record on a static substrate = %v, want ErrWALCorrupt saying why", err)
 	}
 }
