@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
+	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

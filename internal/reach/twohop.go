@@ -121,7 +121,8 @@ type TwoHopBuildInfo struct {
 }
 
 // BuildInfo returns construction metadata for the last build. A cover
-// loaded with ReadTwoHop reports zero Workers/BatchSize.
+// loaded with ReadTwoHop reports zero Workers, BatchSize and timings, and
+// the FolRefs, FolPool and Partitions of the build that wrote it.
 func (th *TwoHop) BuildInfo() TwoHopBuildInfo { return th.info }
 
 // MaxHops returns the hop bound H the cover was built with.
