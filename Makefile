@@ -102,6 +102,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
 	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=5s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

@@ -8,7 +8,6 @@ import (
 
 	"microlink/internal/graph"
 	"microlink/internal/obs"
-	"microlink/internal/reach"
 	"microlink/internal/store"
 	"microlink/internal/tweets"
 )
@@ -97,6 +96,12 @@ func New(deps Deps, cfg Config) (*Pipeline, error) {
 		rebuildDone: make(chan struct{}),
 		met:         newMetrics(deps.Metrics),
 	}
+	// A restored substrate can inherit staleness from its snapshot's
+	// pending edges; past the threshold it catches up now, not at the
+	// next follow.
+	st := deps.Stream.Staleness()
+	p.met.staleness.Set(float64(st))
+	p.kickIfStale(st)
 	go p.applier()
 	go p.rebuildLoop()
 	return p, nil
@@ -315,7 +320,13 @@ func (p *Pipeline) apply(batch []Event) {
 	p.met.evFollow.Add(uint64(follows))
 	st := p.deps.Stream.Staleness()
 	p.met.staleness.Set(float64(st))
-	if p.cfg.RebuildAfterEdges > 0 && st >= int64(p.cfg.RebuildAfterEdges) {
+	p.kickIfStale(st)
+}
+
+// kickIfStale wakes the rebuild manager when staleness has reached the
+// RebuildAfterEdges threshold.
+func (p *Pipeline) kickIfStale(staleness int64) {
+	if p.cfg.RebuildAfterEdges > 0 && staleness >= int64(p.cfg.RebuildAfterEdges) {
 		select {
 		case p.kick <- struct{}{}:
 		default: // a rebuild is already pending
@@ -332,27 +343,6 @@ func (p *Pipeline) Barrier(fn func(setJournal func(Journal))) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
 	fn(func(j Journal) { p.journal = j })
-}
-
-// RebuildForSnapshot synchronously rebuilds and installs a fresh arena —
-// ForceRebuild keeping the (graph, arena, edge-count) triple so the
-// persistence path can write the graph the arena was built from.
-func (p *Pipeline) RebuildForSnapshot() (*graph.Graph, *reach.TwoHop, int64) {
-	p.rebuildMu.Lock()
-	defer p.rebuildMu.Unlock()
-	sp := obs.StartSpan(p.met.rebuildSeconds)
-	g, th, at := p.deps.Stream.RebuildSnapshot()
-	p.deps.Linker.UpdateReachability(func() {
-		p.deps.Stream.Install(th, at)
-	})
-	sp.Stop()
-	p.rebuilds.Add(1)
-	p.met.rebuilds.Inc()
-	p.met.staleness.Set(float64(p.deps.Stream.Staleness()))
-	if p.deps.Metrics != nil {
-		reach.PublishTwoHopBuild(th, p.deps.Metrics)
-	}
-	return g, th, at
 }
 
 // metrics are the pipeline's instruments (satellite of DESIGN.md §7).

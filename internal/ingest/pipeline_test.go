@@ -171,6 +171,39 @@ func TestRebuildThreshold(t *testing.T) {
 	closePipeline(t, p)
 }
 
+// TestInheritedStalenessTriggersRebuild: a substrate that arrives stale
+// — a reopened snapshot's pending edges — at or past the threshold is
+// rebuilt without waiting for a follow. The stream holds tweets only, so
+// only New can have kicked the rebuild manager.
+func TestInheritedStalenessTriggersRebuild(t *testing.T) {
+	f := newFixture(t)
+	pending := make([][2]graph.NodeID, 8)
+	for i := range pending {
+		pending[i] = [2]graph.NodeID{graph.NodeID(i), graph.NodeID((i + 13) % 32)}
+	}
+	if n := f.stream.InsertEdges(pending); n != len(pending) {
+		t.Fatalf("inserted %d of %d pending edges", n, len(pending))
+	}
+	p := f.pipeline(t, Config{RebuildAfterEdges: 4})
+	ctx := context.Background()
+	for i := int64(1); i <= 3; i++ {
+		if err := p.Submit(ctx, TweetEvent(streamTweet(i, kb.UserID(i)), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Swaps == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("inherited staleness never triggered a rebuild: %+v", p.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	closePipeline(t, p)
+	if st := p.Stats(); st.Staleness != 0 || st.AppliedFollows != 0 {
+		t.Fatalf("after the inherited rebuild: %+v, want staleness 0 and no follows", st)
+	}
+}
+
 // TestRebuildInterval checks the timer path: staleness left behind by a
 // too-high edge threshold is cleared by the periodic rebuild.
 func TestRebuildInterval(t *testing.T) {

@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +23,8 @@ import (
 // Concurrency contract. Query/R/BuildStats read only the frozen arena
 // (atomic load, no lock). The mutable half — base, tail and the
 // applied-edge counter — sits behind mu; InsertEdge/InsertEdges and
-// SnapshotGraph take the write side, Staleness/Applied the read side.
+// SnapshotGraph take the write side, Staleness/Applied/Capture the read
+// side.
 // Install performs no locking at all: callers run it under the linker's
 // write lock (via Linker.UpdateReachability) so the arena swap and the
 // interest-cache flush are atomic with respect to scorers, which read the
@@ -68,9 +71,10 @@ func NewStreaming(g *graph.Graph, opts TwoHopOptions) *Streaming {
 }
 
 // NewStreamingFromFrozen restores a Streaming substrate from persisted
-// state: g is the live graph the arena was built from (a loaded segment,
-// not a fresh build) and th the deserialized frozen arena. Nothing is
-// constructed: a warm restart pays segment load plus WAL replay.
+// state: g is the graph the arena was built from (a loaded segment, not
+// a fresh build) and th the deserialized frozen arena. Nothing is
+// constructed: a warm restart pays segment load, InsertEdges of the
+// snapshot's pending edges (see Capture), and WAL replay.
 func NewStreamingFromFrozen(g *graph.Graph, th *TwoHop, opts TwoHopOptions) *Streaming {
 	st := newStreaming(g, opts)
 	st.frozen.Store(th)
@@ -158,16 +162,50 @@ func (st *Streaming) SnapshotGraph() (*graph.Graph, int64) {
 // The result is not installed — callers publish it via Install under the
 // linker's write lock so the swap excludes concurrent scorers.
 func (st *Streaming) Rebuild() (*TwoHop, int64) {
-	_, th, at := st.RebuildSnapshot()
-	return th, at
+	g, at := st.SnapshotGraph()
+	return BuildTwoHop(g, st.opts), at
 }
 
-// RebuildSnapshot is Rebuild keeping the graph the arena was built from —
-// the persistence path needs the (graph, arena) pair so the snapshot's
-// graph segment matches the reach segment's fingerprint exactly.
-func (st *Streaming) RebuildSnapshot() (*graph.Graph, *TwoHop, int64) {
-	g, at := st.SnapshotGraph()
-	return g, BuildTwoHop(g, st.opts), at
+// Capture reads the serving state as it stands, for persistence: the
+// installed arena, the graph that arena was built from, and the pending
+// edges — every live edge that graph lacks, sorted by (u, v). Nothing is
+// built or folded. Restoring NewStreamingFromFrozen(g, th) followed by
+// InsertEdges(pending) reproduces the live edge set and Staleness.
+//
+// When a rebuild has folded the tail into a new base it has not yet
+// installed, base differs from the arena's graph and the pending edges
+// are base \ g (a per-node merge walk over the two sorted CSRs) plus the
+// tail.
+func (st *Streaming) Capture() (th *TwoHop, g *graph.Graph, pending [][2]graph.NodeID) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	th = st.frozen.Load()
+	g = th.g
+	pending = make([][2]graph.NodeID, 0, len(st.tail))
+	if st.base != g {
+		for u := graph.NodeID(0); u < st.n; u++ {
+			old := g.Out(u)
+			for _, v := range st.base.Out(u) {
+				for len(old) > 0 && old[0] < v {
+					old = old[1:]
+				}
+				if len(old) > 0 && old[0] == v {
+					continue
+				}
+				pending = append(pending, [2]graph.NodeID{u, v})
+			}
+		}
+	}
+	for e := range st.tail {
+		pending = append(pending, e)
+	}
+	slices.SortFunc(pending, func(a, b [2]graph.NodeID) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	return th, g, pending
 }
 
 // Install publishes a rebuilt arena as the serving index. It performs

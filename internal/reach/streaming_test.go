@@ -62,6 +62,73 @@ func (o *edgeOracle) check(t *testing.T, g *graph.Graph) {
 	}
 }
 
+// checkCapture requires Capture's triple to be the installed arena, its
+// own graph, and exactly the oracle's edges that graph lacks, sorted —
+// as many as Staleness reports.
+func (o *edgeOracle) checkCapture(t *testing.T, st *Streaming) {
+	t.Helper()
+	th, g, pending := st.Capture()
+	if th != st.Frozen() || g != th.g {
+		t.Fatal("Capture returned a pair other than the installed arena and its graph")
+	}
+	var want [][2]graph.NodeID
+	for e := range o.edges {
+		if !g.HasEdge(e[0], e[1]) {
+			want = append(want, e)
+		}
+	}
+	slices.SortFunc(want, func(a, b [2]graph.NodeID) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	if !slices.Equal(pending, want) {
+		t.Fatalf("Capture pending = %v, oracle %v", pending, want)
+	}
+	if got := st.Staleness(); got != int64(len(pending)) {
+		t.Fatalf("Staleness() = %d, Capture found %d pending edges", got, len(pending))
+	}
+}
+
+// TestCaptureAcrossUninstalledFold pins the pending set when a rebuild
+// has folded the tail into a new base but not installed its arena
+// (SnapshotGraph without Install, then more inserts): it is the live
+// edge set minus the installed arena's graph, and restoring the triple
+// reproduces both the live edges and the staleness.
+func TestCaptureAcrossUninstalledFold(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const n = 30
+	g := randomGraph(r, n, 70)
+	st := NewStreaming(g, TwoHopOptions{MaxHops: 3, Workers: 1})
+	o := newEdgeOracle(g)
+	insert := func(k int) {
+		for i := 0; i < k; i++ {
+			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+			if want := o.insert(u, v); st.InsertEdge(u, v) != want {
+				t.Fatalf("InsertEdge(%d,%d) disagrees with the oracle", u, v)
+			}
+		}
+	}
+	insert(25)
+	if base, _ := st.SnapshotGraph(); base == st.Frozen().g {
+		t.Fatal("fold kept the arena's graph: no edge was new")
+	}
+	insert(25)
+	o.checkCapture(t, st)
+
+	th, g0, pending := st.Capture()
+	re := NewStreamingFromFrozen(g0, th, TwoHopOptions{MaxHops: 3})
+	if got := re.InsertEdges(pending); got != len(pending) {
+		t.Fatalf("restore inserted %d of %d pending edges", got, len(pending))
+	}
+	if re.Staleness() != st.Staleness() {
+		t.Fatalf("restored staleness %d, live %d", re.Staleness(), st.Staleness())
+	}
+	live, _ := re.SnapshotGraph()
+	o.check(t, live)
+}
+
 // TestStreamingMatchesEdgeOracle drives seeded random interleavings of
 // every mutating entry point against the oracle. Inserts draw from a
 // small node range (with a margin either side) so duplicates against the
@@ -126,6 +193,7 @@ func TestStreamingMatchesEdgeOracle(t *testing.T) {
 			if got := st.Applied(); got != applied {
 				t.Fatalf("seed %d step %d: Applied() = %d, want %d", seed, step, got, applied)
 			}
+			o.checkCapture(t, st)
 			if got := st.Staleness(); got != applied-frozenAt {
 				t.Fatalf("seed %d step %d: Staleness() = %d, want %d", seed, step, got, applied-frozenAt)
 			}

@@ -222,6 +222,14 @@ func TestStreamingBuildConcurrentWithQueriesRace(t *testing.T) {
 			}
 			last = at
 			st.Staleness()
+			// Capture races the installs below: whichever arena it sees,
+			// arena graph + pending is the live graph, at least sg.
+			th, ag, pending := st.Capture()
+			if ag != th.g || ag.NumEdges()+len(pending) < sg.NumEdges() {
+				t.Errorf("capture: arena graph %d + %d pending edges, snapshot before it had %d",
+					ag.NumEdges(), len(pending), sg.NumEdges())
+				return
+			}
 		}
 	}()
 

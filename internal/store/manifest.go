@@ -35,8 +35,9 @@ type Manifest struct {
 	// MaxHops is the bounded-reachability horizon the index was built
 	// with (0 for unbounded closure).
 	MaxHops int `json:"max_hops,omitempty"`
-	// Segments maps segment base names (graph, ckb, tweets, reach) to
-	// file names inside the data directory.
+	// Segments maps segment base names (graph, pending, ckb, tweets,
+	// reach) to file names inside the data directory. The pending entry
+	// is optional: manifests written before it existed have none.
 	Segments map[string]string `json:"segments"`
 	// WALSeq is the first WAL file extending this snapshot: replay
 	// starts there and pruning deletes everything below it.

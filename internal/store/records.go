@@ -104,19 +104,67 @@ func appendTweet(b []byte, tw *tweets.Tweet) ([]byte, error) {
 	return b, nil
 }
 
+// minTweetSize is the smallest encoded tweet body (id, user, time, text
+// length, mention count; no text, no mentions), and minMentionSize the
+// smallest encoded mention (surface length, start, end, truth, kind):
+// the per-element floors that bound decoded counts by the bytes left.
+const (
+	minTweetSize   = 8 + 4 + 8 + 4 + 2
+	minMentionSize = 2 + 4 + 4 + 4 + 1
+)
+
 // decoder walks a byte slice with bounds checking; every overrun is a
-// typed error, never a panic.
+// typed error of the decoder's class (ErrWALCorrupt for WAL records,
+// ErrSegment for segment payloads), never a panic.
 type decoder struct {
-	b []byte
+	b     []byte
+	class error
 }
 
 func (d *decoder) need(n int) ([]byte, error) {
 	if len(d.b) < n {
-		return nil, fmt.Errorf("%w: record truncated (%d bytes short)", ErrWALCorrupt, n-len(d.b))
+		return nil, fmt.Errorf("%w: truncated (%d bytes short)", d.class, n-len(d.b))
 	}
 	out := d.b[:n]
 	d.b = d.b[n:]
 	return out, nil
+}
+
+// bound rejects a decoded element count that cannot fit in the bytes
+// left at elemSize bytes (at least) each: a corrupt count is an error
+// before it sizes any allocation.
+func (d *decoder) bound(n uint64, elemSize int, what string) (int, error) {
+	if n > uint64(len(d.b)/elemSize) {
+		return 0, fmt.Errorf("%w: %d %s cannot fit in the %d bytes left", d.class, n, what, len(d.b))
+	}
+	return int(n), nil
+}
+
+// count reads a u64 element count and bounds it by the bytes left.
+func (d *decoder) count(elemSize int, what string) (int, error) {
+	n, err := d.u64()
+	if err != nil {
+		return 0, err
+	}
+	return d.bound(n, elemSize, what)
+}
+
+// count32 reads a u32 element count and bounds it by the bytes left.
+func (d *decoder) count32(elemSize int, what string) (int, error) {
+	n, err := d.u32()
+	if err != nil {
+		return 0, err
+	}
+	return d.bound(uint64(n), elemSize, what)
+}
+
+// pair reads one (u i32, v i32) edge. The caller has bounded the edge
+// count by the bytes left, so the read cannot overrun.
+func (d *decoder) pair() (int32, int32) {
+	u := int32(binary.LittleEndian.Uint32(d.b[:4]))
+	v := int32(binary.LittleEndian.Uint32(d.b[4:8]))
+	d.b = d.b[8:]
+	return u, v
 }
 
 func (d *decoder) u8() (uint8, error) {
@@ -170,13 +218,17 @@ func decodeTweet(d *decoder) (tweets.Tweet, error) {
 		return tw, err
 	}
 	if textLen > maxTextLen {
-		return tw, fmt.Errorf("%w: tweet text length %d", ErrWALCorrupt, textLen)
+		return tw, fmt.Errorf("%w: tweet text length %d", d.class, textLen)
 	}
 	text, err := d.need(int(textLen))
 	if err != nil {
 		return tw, err
 	}
-	nm, err := d.u16()
+	rawMentions, err := d.u16()
+	if err != nil {
+		return tw, err
+	}
+	nm, err := d.bound(uint64(rawMentions), minMentionSize, "mentions")
 	if err != nil {
 		return tw, err
 	}
@@ -187,7 +239,7 @@ func decodeTweet(d *decoder) (tweets.Tweet, error) {
 	if nm > 0 {
 		tw.Mentions = make([]tweets.Mention, nm)
 	}
-	for i := 0; i < int(nm); i++ {
+	for i := 0; i < nm; i++ {
 		sl, err := d.u16()
 		if err != nil {
 			return tw, err
@@ -259,7 +311,7 @@ func appendRecord(b []byte, r *Record) ([]byte, error) {
 
 // decodeRecord parses one checksum-verified payload back into a Record.
 func decodeRecord(kind Kind, payload []byte) (Record, error) {
-	d := &decoder{b: payload}
+	d := &decoder{b: payload, class: ErrWALCorrupt}
 	r := Record{Kind: kind}
 	switch kind {
 	case RecTweet, RecFeedback:
@@ -273,7 +325,11 @@ func decodeRecord(kind Kind, payload []byte) (Record, error) {
 		}
 		r.Tweet = &tw
 		if nl > 0 {
-			r.Links = make([]kb.EntityID, nl-1)
+			n, err := d.bound(uint64(nl-1), 4, "links")
+			if err != nil {
+				return r, err
+			}
+			r.Links = make([]kb.EntityID, n)
 			for i := range r.Links {
 				e, err := d.u32()
 				if err != nil {

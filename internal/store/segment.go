@@ -22,7 +22,9 @@ import (
 //
 // Segments are immutable: written once under a fresh sequence-numbered
 // name, made visible by the manifest commit, deleted when a newer
-// generation supersedes them. The reach segment is the exception — it
+// generation supersedes them. Readers load the whole file, check the
+// checksum, and only then decode the payload from memory, bounding every
+// count by the bytes left. The reach segment is the exception — it
 // uses the reach package's own (equally versioned and checksummed) MLRI
 // format verbatim, so the arena bytes on disk are exactly what
 // reach.WriteTo produces.
@@ -31,26 +33,30 @@ const (
 	segMagic   = "MLSG"
 	segVersion = 1
 
-	segKindGraph  = 1
-	segKindCKB    = 2
-	segKindTweets = 3
+	segKindGraph   = 1
+	segKindCKB     = 2
+	segKindTweets  = 3
+	segKindPending = 4
 
-	// Decode-time sanity bounds: a corrupt count field must produce a
-	// typed error, not an absurd allocation.
-	maxNodes      = 1 << 28
-	maxEdges      = 1 << 33
-	maxEntities   = 1 << 24
-	maxPostings   = 1 << 31
-	maxTweets     = 1 << 28
-	maxTweetBytes = 1 << 36
+	segHeaderSize  = 7 // magic + version + kind
+	segTrailerSize = 8 // crc64
+
+	// maxNodes bounds the graph segment's node count, the one count no
+	// byte length bounds (isolated nodes take no payload): the CSR a
+	// loaded graph allocates is O(nodes), ≈ 32 MB at this bound — 20× the
+	// largest world the experiments generate (48 000 users). Every other
+	// count is bounded by the payload bytes that remain, so a corrupt
+	// count field produces a typed error, not an absurd allocation.
+	maxNodes = 1 << 20
 )
 
 // Segment base names, used as manifest keys and in file names.
 const (
-	segGraphName  = "graph"
-	segCKBName    = "ckb"
-	segTweetsName = "tweets"
-	segReachName  = "reach"
+	segGraphName   = "graph"
+	segCKBName     = "ckb"
+	segTweetsName  = "tweets"
+	segReachName   = "reach"
+	segPendingName = "pending"
 )
 
 // segName formats the file name of a segment at generation seq.
@@ -123,40 +129,46 @@ func writeRawSegment(path string, wt io.WriterTo) (err error) {
 	return f.Sync()
 }
 
-// readSegment validates the header, streams the payload through fn with
-// checksum accounting, and verifies the trailer.
-func readSegment(path string, kind uint8, payload func(r io.Reader) error) error {
-	f, err := os.Open(path)
+// readSegment reads the file whole and decodes it with decodeSegment.
+func readSegment(path string, kind uint8, decode func(d *decoder) error) error {
+	b, err := os.ReadFile(path) // presized from Stat
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	if err := decodeSegment(b, kind, decode); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
 
-	hdr := make([]byte, 7)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return fmt.Errorf("%w: %s: short header", ErrSegment, path)
+// decodeSegment validates a segment image's header, checks the trailer's
+// checksum over the payload, and only then runs decode over the verified
+// payload, which it must consume exactly. Every failure is ErrSegment
+// (or ErrSegmentVersion), never a panic or an allocation sized by an
+// unverified field.
+func decodeSegment(b []byte, kind uint8, decode func(d *decoder) error) error {
+	if len(b) < segHeaderSize+segTrailerSize {
+		return fmt.Errorf("%w: %d bytes, shorter than header and trailer", ErrSegment, len(b))
 	}
-	if string(hdr[:4]) != segMagic {
-		return fmt.Errorf("%w: %s: bad magic %q", ErrSegment, path, hdr[:4])
+	if string(b[:4]) != segMagic {
+		return fmt.Errorf("%w: bad magic %q", ErrSegment, b[:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != segVersion {
-		return fmt.Errorf("%w: %s: version %d, want %d", ErrSegmentVersion, path, v, segVersion)
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersion {
+		return fmt.Errorf("%w: version %d, want %d", ErrSegmentVersion, v, segVersion)
 	}
-	if hdr[6] != kind {
-		return fmt.Errorf("%w: %s: kind %d, want %d", ErrSegment, path, hdr[6], kind)
+	if b[6] != kind {
+		return fmt.Errorf("%w: kind %d, want %d", ErrSegment, b[6], kind)
 	}
-
-	cr := &crcReader{r: br}
-	if err := payload(cr); err != nil {
+	payload := b[segHeaderSize : len(b)-segTrailerSize]
+	if crc64.Checksum(payload, walCRCTable) != binary.LittleEndian.Uint64(b[len(b)-segTrailerSize:]) {
+		return fmt.Errorf("%w: checksum mismatch", ErrSegment)
+	}
+	d := &decoder{b: payload, class: ErrSegment}
+	if err := decode(d); err != nil {
 		return err
 	}
-	var tr [8]byte
-	if _, err := io.ReadFull(br, tr[:]); err != nil {
-		return fmt.Errorf("%w: %s: missing checksum trailer", ErrSegment, path)
-	}
-	if want := binary.LittleEndian.Uint64(tr[:]); cr.crc != want {
-		return fmt.Errorf("%w: %s: checksum mismatch", ErrSegment, path)
+	if len(d.b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrSegment, len(d.b))
 	}
 	return nil
 }
@@ -169,17 +181,6 @@ type crcWriter struct {
 func (cw *crcWriter) Write(p []byte) (int, error) {
 	cw.crc = crc64.Update(cw.crc, walCRCTable, p)
 	return cw.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint64
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc64.Update(cr.crc, walCRCTable, p[:n])
-	return n, err
 }
 
 // Graph payload: n u32 | m u64 | m × (u i32, v i32) in CSR order.
@@ -204,32 +205,63 @@ func writeGraphPayload(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
-func readGraphPayload(r io.Reader) (*graph.Graph, error) {
-	var buf [12]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: graph header: %v", ErrSegment, err)
+func readGraphPayload(d *decoder) (*graph.Graph, error) {
+	n, err := d.u32()
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	m := binary.LittleEndian.Uint64(buf[4:12])
-	if n > maxNodes || m > maxEdges {
-		return nil, fmt.Errorf("%w: graph claims %d nodes / %d edges", ErrSegment, n, m)
+	if n > maxNodes {
+		return nil, fmt.Errorf("%w: graph claims %d nodes, limit %d", ErrSegment, n, maxNodes)
+	}
+	m, err := d.count(8, "graph edges")
+	if err != nil {
+		return nil, err
 	}
 	b := graph.NewBuilder(int(n))
-	var edge [8]byte
-	for i := uint64(0); i < m; i++ {
-		if _, err := io.ReadFull(r, edge[:]); err != nil {
-			return nil, fmt.Errorf("%w: graph edge %d: %v", ErrSegment, i, err)
-		}
-		u := int32(binary.LittleEndian.Uint32(edge[:4]))
-		v := int32(binary.LittleEndian.Uint32(edge[4:]))
+	for i := 0; i < m; i++ {
+		u, v := d.pair()
 		// Builder.AddEdge panics on out-of-range nodes; corruption must
 		// surface as a typed error instead.
 		if u < 0 || v < 0 || u >= int32(n) || v >= int32(n) {
-			return nil, fmt.Errorf("%w: graph edge %d→%d out of range [0,%d)", ErrSegment, u, v, n)
+			return nil, fmt.Errorf("%w: graph edge %d: %d→%d out of range [0,%d)", ErrSegment, i, u, v, n)
 		}
 		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
 	}
 	return b.Build(), nil
+}
+
+// Pending payload: count u64 | count × (u i32, v i32), strictly
+// ascending by (u, v) — the follow edges the reach segment's arena does
+// not reflect yet.
+
+func writePendingPayload(w io.Writer, pending [][2]graph.NodeID) error {
+	buf := make([]byte, 0, 8+8*len(pending))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(pending)))
+	for _, e := range pending {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e[0]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e[1]))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+func readPendingPayload(d *decoder) ([][2]graph.NodeID, error) {
+	m, err := d.count(8, "pending edges")
+	if err != nil {
+		return nil, err
+	}
+	out := make([][2]graph.NodeID, m)
+	for i := range out {
+		u, v := d.pair()
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("%w: pending edge %d: %d→%d names a negative node", ErrSegment, i, u, v)
+		}
+		out[i] = [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)}
+		if i > 0 && (out[i-1][0] > u || out[i-1][0] == u && out[i-1][1] >= v) {
+			return nil, fmt.Errorf("%w: pending edge %d: %d→%d out of order", ErrSegment, i, u, v)
+		}
+	}
+	return out, nil
 }
 
 // Complemented-KB payload: nEntities u32 | per entity: count u32 +
@@ -259,38 +291,34 @@ func writePostingsPayload(w io.Writer, postings [][]kb.Posting) error {
 	return nil
 }
 
-func readPostingsPayload(r io.Reader) ([][]kb.Posting, error) {
-	var buf [20]byte
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, fmt.Errorf("%w: ckb header: %v", ErrSegment, err)
-	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	if n > maxEntities {
-		return nil, fmt.Errorf("%w: ckb claims %d entities", ErrSegment, n)
+// postingSize is one encoded posting: tweet i64, user i32, time i64.
+const postingSize = 20
+
+func readPostingsPayload(d *decoder) ([][]kb.Posting, error) {
+	n, err := d.count32(4, "ckb entities") // each entity carries at least its count
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]kb.Posting, n)
-	var total uint64
 	for e := range out {
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return nil, fmt.Errorf("%w: ckb entity %d: %v", ErrSegment, e, err)
-		}
-		cnt := binary.LittleEndian.Uint32(buf[:4])
-		total += uint64(cnt)
-		if total > maxPostings {
-			return nil, fmt.Errorf("%w: ckb claims over %d postings", ErrSegment, maxPostings)
+		cnt, err := d.count32(postingSize, "ckb postings")
+		if err != nil {
+			return nil, fmt.Errorf("entity %d: %w", e, err)
 		}
 		if cnt == 0 {
 			continue
 		}
+		raw, err := d.need(cnt * postingSize)
+		if err != nil {
+			return nil, err
+		}
 		ps := make([]kb.Posting, cnt)
 		for i := range ps {
-			if _, err := io.ReadFull(r, buf[:20]); err != nil {
-				return nil, fmt.Errorf("%w: ckb entity %d posting %d: %v", ErrSegment, e, i, err)
-			}
+			p := raw[i*postingSize:]
 			ps[i] = kb.Posting{
-				Tweet: int64(binary.LittleEndian.Uint64(buf[:8])),
-				User:  kb.UserID(int32(binary.LittleEndian.Uint32(buf[8:12]))),
-				Time:  int64(binary.LittleEndian.Uint64(buf[12:20])),
+				Tweet: int64(binary.LittleEndian.Uint64(p[:8])),
+				User:  kb.UserID(int32(binary.LittleEndian.Uint32(p[8:12]))),
+				Time:  int64(binary.LittleEndian.Uint64(p[12:20])),
 			}
 		}
 		out[e] = ps
@@ -299,9 +327,7 @@ func readPostingsPayload(r io.Reader) ([][]kb.Posting, error) {
 }
 
 // Live-tweet payload: count u32 | byteLen u64 | byteLen bytes of packed
-// tweet bodies (the WAL tweet encoding), in arrival order. The byte
-// length makes the payload self-delimiting, leaving the checksum trailer
-// to readSegment.
+// tweet bodies (the WAL tweet encoding), in arrival order.
 
 func writeTweetsPayload(w io.Writer, ts []tweets.Tweet) error {
 	body := make([]byte, 0, 64*len(ts))
@@ -321,31 +347,33 @@ func writeTweetsPayload(w io.Writer, ts []tweets.Tweet) error {
 	return err
 }
 
-func readTweetsPayload(r io.Reader) ([]tweets.Tweet, error) {
-	var buf [12]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: tweets header: %v", ErrSegment, err)
+func readTweetsPayload(d *decoder) ([]tweets.Tweet, error) {
+	n, err := d.u32()
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	byteLen := binary.LittleEndian.Uint64(buf[4:12])
-	if n > maxTweets || byteLen > maxTweetBytes {
-		return nil, fmt.Errorf("%w: tweets segment claims %d tweets in %d bytes", ErrSegment, n, byteLen)
+	byteLen, err := d.count(1, "tweet body bytes")
+	if err != nil {
+		return nil, err
 	}
-	body := make([]byte, byteLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: tweets payload: %v", ErrSegment, err)
+	if uint64(n) > uint64(byteLen/minTweetSize) {
+		return nil, fmt.Errorf("%w: %d tweets cannot fit in %d bytes", ErrSegment, n, byteLen)
 	}
-	d := &decoder{b: body}
-	out := make([]tweets.Tweet, 0, min(int(n), 1<<20))
+	body, err := d.need(byteLen)
+	if err != nil {
+		return nil, err
+	}
+	bd := &decoder{b: body, class: ErrSegment}
+	out := make([]tweets.Tweet, 0, n)
 	for i := uint32(0); i < n; i++ {
-		tw, err := decodeTweet(d)
+		tw, err := decodeTweet(bd)
 		if err != nil {
-			return nil, fmt.Errorf("%w: tweet %d: %v", ErrSegment, i, err)
+			return nil, fmt.Errorf("tweet %d: %w", i, err)
 		}
 		out = append(out, tw)
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in tweets segment", ErrSegment, len(d.b))
+	if len(bd.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d tweets", ErrSegment, len(bd.b), n)
 	}
 	return out, nil
 }

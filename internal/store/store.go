@@ -11,7 +11,8 @@
 //
 //	MANIFEST                 JSON: version, seq, world params, reach
 //	                         kind, segment names, first WAL seq
-//	seg-<seq>-graph.bin      follow-graph edge list at the barrier
+//	seg-<seq>-graph.bin      the follow graph the arena was built from
+//	seg-<seq>-pending.bin    follow edges applied since, not in the arena
 //	seg-<seq>-ckb.bin        complemented-KB posting lists (Definition 5)
 //	seg-<seq>-tweets.bin     live (streamed) tweet corpus
 //	seg-<seq>-reach.bin      frozen reachability arena (reach MLRI format)
@@ -23,7 +24,9 @@
 // from the manifest's synth.Params, and the segments carry exactly the
 // state that regeneration cannot reproduce — streamed follow edges,
 // feedback postings, live tweets, and the (expensive to rebuild) frozen
-// arena.
+// arena. A manifest without a pending entry (written before the segment
+// existed, when every snapshot rebuilt its arena first) has no pending
+// edges.
 //
 // # Durability contract
 //
@@ -246,13 +249,14 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Snapshot is the captured system state Commit persists: the follow
-// graph and index at the rebuild point, the posting lists and live
-// tweets at the WAL rotation barrier, and the world parameters that
-// regenerate everything else.
+// Snapshot is the captured system state Commit persists, all read at
+// the WAL rotation barrier: the frozen arena, the graph it was built
+// from, the follow edges applied since (Pending), the posting lists and
+// live tweets, and the world parameters that regenerate everything else.
 type Snapshot struct {
 	World    synth.Params
 	Graph    *graph.Graph
+	Pending  [][2]graph.NodeID // sorted by (u, v); none of them in Graph
 	Postings [][]kb.Posting
 	Tweets   []tweets.Tweet
 	// Reach is the index kind (ReachClosure, ReachTwoHop,
@@ -263,7 +267,7 @@ type Snapshot struct {
 	Index   io.WriterTo
 }
 
-// Commit writes snap as the next snapshot generation: four segment
+// Commit writes snap as the next snapshot generation: five segment
 // files, then the manifest (atomically, via rename), then prunes
 // obsolete segments and WAL files older than the rotation barrier. The
 // caller must have rotated the WAL while capturing snap, so the
@@ -281,6 +285,16 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 		return 0, ErrNoWAL
 	}
 
+	segs := []struct {
+		name    string
+		kind    uint8
+		payload func(io.Writer) error
+	}{
+		{segGraphName, segKindGraph, func(w io.Writer) error { return writeGraphPayload(w, snap.Graph) }},
+		{segPendingName, segKindPending, func(w io.Writer) error { return writePendingPayload(w, snap.Pending) }},
+		{segCKBName, segKindCKB, func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) }},
+		{segTweetsName, segKindTweets, func(w io.Writer) error { return writeTweetsPayload(w, snap.Tweets) }},
+	}
 	man := &Manifest{
 		Version:     manifestVersion,
 		Seq:         seq,
@@ -289,27 +303,15 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 		Reach:       snap.Reach,
 		MaxHops:     snap.MaxHops,
 		WALSeq:      walSeq,
-		Segments: map[string]string{
-			segGraphName:  segName(seq, segGraphName),
-			segCKBName:    segName(seq, segCKBName),
-			segTweetsName: segName(seq, segTweetsName),
-			segReachName:  segName(seq, segReachName),
-		},
+		Segments:    map[string]string{segReachName: segName(seq, segReachName)},
 	}
-
 	// Segment writes run off the store lock: they are pure file IO on
 	// fresh names no reader can see until the manifest commits.
-	if err := writeSegment(filepath.Join(s.dir, man.Segments[segGraphName]), segKindGraph,
-		func(w io.Writer) error { return writeGraphPayload(w, snap.Graph) }); err != nil {
-		return 0, err
-	}
-	if err := writeSegment(filepath.Join(s.dir, man.Segments[segCKBName]), segKindCKB,
-		func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) }); err != nil {
-		return 0, err
-	}
-	if err := writeSegment(filepath.Join(s.dir, man.Segments[segTweetsName]), segKindTweets,
-		func(w io.Writer) error { return writeTweetsPayload(w, snap.Tweets) }); err != nil {
-		return 0, err
+	for _, sg := range segs {
+		man.Segments[sg.name] = segName(seq, sg.name)
+		if err := writeSegment(filepath.Join(s.dir, man.Segments[sg.name]), sg.kind, sg.payload); err != nil {
+			return 0, err
+		}
 	}
 	if err := writeRawSegment(filepath.Join(s.dir, man.Segments[segReachName]), snap.Index); err != nil {
 		return 0, err
@@ -354,50 +356,46 @@ func (s *Store) prune(man *Manifest) error {
 	return errors.Join(errs...)
 }
 
-// LoadGraph reads the committed graph segment.
+// LoadGraph reads the committed graph segment: the graph the reach
+// segment's arena was built from.
 func (s *Store) LoadGraph() (*graph.Graph, error) {
-	path, err := s.segPath(segGraphName)
-	if err != nil {
-		return nil, err
+	return loadSegment(s, segGraphName, segKindGraph, readGraphPayload)
+}
+
+// LoadPending reads the committed pending segment: the follow edges
+// applied after the arena's graph, sorted by (u, v). A manifest without
+// a pending entry loads as no pending edges.
+func (s *Store) LoadPending() ([][2]graph.NodeID, error) {
+	if man := s.Manifest(); man != nil && man.Segments[segPendingName] == "" {
+		return nil, nil
 	}
-	var g *graph.Graph
-	err = readSegment(path, segKindGraph, func(r io.Reader) error {
-		var err error
-		g, err = readGraphPayload(r)
-		return err
-	})
-	return g, err
+	return loadSegment(s, segPendingName, segKindPending, readPendingPayload)
 }
 
 // LoadPostings reads the committed complemented-KB segment: one posting
 // list per entity, time-sorted as captured.
 func (s *Store) LoadPostings() ([][]kb.Posting, error) {
-	path, err := s.segPath(segCKBName)
-	if err != nil {
-		return nil, err
-	}
-	var ps [][]kb.Posting
-	err = readSegment(path, segKindCKB, func(r io.Reader) error {
-		var err error
-		ps, err = readPostingsPayload(r)
-		return err
-	})
-	return ps, err
+	return loadSegment(s, segCKBName, segKindCKB, readPostingsPayload)
 }
 
 // LoadTweets reads the committed live-tweet segment in arrival order.
 func (s *Store) LoadTweets() ([]tweets.Tweet, error) {
-	path, err := s.segPath(segTweetsName)
+	return loadSegment(s, segTweetsName, segKindTweets, readTweetsPayload)
+}
+
+// loadSegment reads the committed segment name through decode.
+func loadSegment[T any](s *Store, name string, kind uint8, decode func(*decoder) (T, error)) (T, error) {
+	var v T
+	path, err := s.segPath(name)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	var ts []tweets.Tweet
-	err = readSegment(path, segKindTweets, func(r io.Reader) error {
+	err = readSegment(path, kind, func(d *decoder) error {
 		var err error
-		ts, err = readTweetsPayload(r)
+		v, err = decode(d)
 		return err
 	})
-	return ts, err
+	return v, err
 }
 
 // OpenReach opens the committed reachability segment for reading. The

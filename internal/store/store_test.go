@@ -60,8 +60,9 @@ func (f fakeIndex) WriteTo(w io.Writer) (int64, error) {
 
 func sampleSnapshot() Snapshot {
 	return Snapshot{
-		World: synth.Params{Seed: 42, Users: 50, Topics: 3},
-		Graph: sampleGraph(),
+		World:   synth.Params{Seed: 42, Users: 50, Topics: 3},
+		Graph:   sampleGraph(),
+		Pending: [][2]graph.NodeID{{0, 2}, {3, 4}, {3, 5}},
 		Postings: [][]kb.Posting{
 			{{Tweet: 1, User: 7, Time: 1001}, {Tweet: 2, User: 8, Time: 1002}},
 			nil,
@@ -350,6 +351,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(g.Out(graph.NodeID(u)), snap.Graph.Out(graph.NodeID(u))) {
 			t.Fatalf("out-edges of %d differ", u)
 		}
+	}
+
+	pending, err := s2.LoadPending()
+	if err != nil {
+		t.Fatalf("LoadPending: %v", err)
+	}
+	if !reflect.DeepEqual(pending, snap.Pending) {
+		t.Fatalf("pending edges %v, want %v", pending, snap.Pending)
 	}
 
 	ps, err := s2.LoadPostings()

@@ -223,19 +223,16 @@ type System struct {
 
 	// persistMu serialises snapshot commits and store attachment. It is
 	// acquired before every other lock a snapshot touches: the barrier
-	// (ingest-apply), the rebuild manager, the store, and the state locks
-	// captured under the barrier. StartIngest reads persist before
-	// taking ingestMu, so sys-ingest never nests inside sys-persist's
-	// subordinates.
+	// (ingest-apply), the store, and the state locks captured under the
+	// barrier. StartIngest reads persist before taking ingestMu, so
+	// sys-ingest never nests inside sys-persist's subordinates.
 	//
 	// microlint:lock-order sys-persist < sys-ingest
 	// microlint:lock-order sys-persist < ingest-apply
-	// microlint:lock-order sys-persist < ingest-rebuild
 	// microlint:lock-order sys-persist < store
 	// microlint:lock-order sys-persist < ckb
 	// microlint:lock-order sys-persist < reach-stream
 	// microlint:lock-order sys-persist < tweets-live
-	// microlint:lock-order sys-persist < linker
 	persistMu sync.Mutex   // microlint:lock-order sys-persist
 	persist   *store.Store // microlint:guarded-by persistMu — nil until Open/Snapshot binds a directory
 	fsync     bool

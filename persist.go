@@ -3,8 +3,10 @@ package microlink
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
+	"microlink/internal/graph"
 	"microlink/internal/ingest"
 	"microlink/internal/kb"
 	"microlink/internal/reach"
@@ -56,24 +58,43 @@ type RestartReport struct {
 	TornTail   bool          // the last WAL record was torn by a crash (truncated)
 }
 
-// Snapshot commits the system's full state — complemented-KB postings,
-// live tweets, the follow graph, the frozen reachability arena and the
-// world parameters — as the next snapshot generation in dir, and leaves
-// the system bound to the directory: a running ingest pipeline's WAL tee
-// is attached (or re-pointed) to it atomically with the capture.
+// Snapshot commits the system's serving state as it stands — the
+// installed reachability arena, the follow graph that arena was built
+// from, the follow edges applied since (pending), the complemented-KB
+// postings, the live tweets and the world parameters — as the next
+// snapshot generation in dir, and leaves the system bound to the
+// directory: a running ingest pipeline's WAL tee is attached (or
+// re-pointed) to it atomically with the capture.
 //
-// With an ingest pipeline running, the capture happens inside the
-// pipeline's apply barrier, so the segment/WAL split is exact: every
-// record at or past the rotation point replays onto state that does not
-// include it. The expensive arena rebuild runs after the barrier
-// releases — the graph may then include a few post-barrier edges, which
-// is safe because follow replay deduplicates.
+// Snapshot builds nothing. It persists the arena that is serving, stale
+// or not, and records the gap as pending edges, so a reopened system
+// serves the same answers and reports the same Staleness. A caller who
+// wants a fresh arena in the snapshot calls RebuildReach first.
+//
+// With an ingest pipeline running, the whole capture happens inside the
+// pipeline's apply barrier, so the segment/WAL split is exact for every
+// kind of record: each one at or past the rotation point replays onto
+// state that does not include it. Static substrates (closure, 2-hop)
+// take the same path with no barrier and no pending edges.
 //
 // dir may be empty when the system is already bound (SnapshotNow).
 func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	start := time.Now()
+
+	snap := store.Snapshot{World: s.World.Params}
+	var stream *reach.Streaming
+	switch idx := unwrapReach(s.Reach).(type) {
+	case *reach.Streaming:
+		snap.Reach, snap.MaxHops, stream = store.ReachStreaming, idx.MaxHops(), idx
+	case *reach.TwoHop:
+		snap.Reach, snap.MaxHops, snap.Graph, snap.Index = store.ReachTwoHop, idx.MaxHops(), s.World.Graph, idx
+	case *reach.TransitiveClosure:
+		snap.Reach, snap.MaxHops, snap.Graph, snap.Index = store.ReachClosure, idx.MaxHops(), s.World.Graph, idx
+	default:
+		return SnapshotInfo{}, ErrNotSnapshottable
+	}
 
 	st := s.persist
 	switch {
@@ -90,61 +111,27 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 		return SnapshotInfo{}, fmt.Errorf("microlink: system already bound to data directory %s", st.Dir())
 	}
 
-	snap := store.Snapshot{World: s.World.Params}
-	pipe := s.Ingest()
-
-	switch idx := unwrapReach(s.Reach).(type) {
-	case *reach.Streaming:
-		snap.Reach = store.ReachStreaming
-		snap.MaxHops = idx.MaxHops()
-		capture := func() error {
-			snap.Postings = s.CKB.SnapshotPostings()
-			snap.Tweets = s.Live.All()
-			return st.Rotate()
+	capture := func() error {
+		if stream != nil {
+			th, g, pending := stream.Capture()
+			snap.Index, snap.Graph, snap.Pending = th, g, pending
 		}
-		var rotateErr error
-		if pipe != nil {
-			pipe.Barrier(func(setJournal func(ingest.Journal)) {
-				if rotateErr = capture(); rotateErr == nil {
-					setJournal(st)
-				}
-			})
-		} else {
-			rotateErr = capture()
-		}
-		if rotateErr != nil {
-			return SnapshotInfo{}, rotateErr
-		}
-		// The heavy rebuild runs off the barrier; the installed arena and
-		// the graph it was built from go into the segments together.
-		if pipe != nil {
-			g, th, _ := pipe.RebuildForSnapshot()
-			snap.Graph, snap.Index = g, th
-		} else {
-			g, th, at := idx.RebuildSnapshot()
-			s.Linker.UpdateReachability(func() { idx.Install(th, at) })
-			snap.Graph, snap.Index = g, th
-		}
-	case *reach.TwoHop:
-		snap.Reach = store.ReachTwoHop
-		snap.MaxHops = idx.MaxHops()
 		snap.Postings = s.CKB.SnapshotPostings()
 		snap.Tweets = s.Live.All()
-		snap.Graph, snap.Index = s.World.Graph, idx
-		if err := st.Rotate(); err != nil {
-			return SnapshotInfo{}, err
-		}
-	case *reach.TransitiveClosure:
-		snap.Reach = store.ReachClosure
-		snap.MaxHops = idx.MaxHops()
-		snap.Postings = s.CKB.SnapshotPostings()
-		snap.Tweets = s.Live.All()
-		snap.Graph, snap.Index = s.World.Graph, idx
-		if err := st.Rotate(); err != nil {
-			return SnapshotInfo{}, err
-		}
-	default:
-		return SnapshotInfo{}, ErrNotSnapshottable
+		return st.Rotate()
+	}
+	var err error
+	if pipe := s.Ingest(); pipe != nil {
+		pipe.Barrier(func(setJournal func(ingest.Journal)) {
+			if err = capture(); err == nil {
+				setJournal(st)
+			}
+		})
+	} else {
+		err = capture()
+	}
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
 
 	seq, err := st.Commit(snap)
@@ -221,7 +208,7 @@ func (s *System) RebuildReach() error {
 		pipe.ForceRebuild()
 		return nil
 	}
-	_, th, at := idx.RebuildSnapshot()
+	th, at := idx.Rebuild()
 	s.Linker.UpdateReachability(func() { idx.Install(th, at) })
 	return nil
 }
@@ -229,18 +216,22 @@ func (s *System) RebuildReach() error {
 // Open warm-restarts a System from a data directory written by
 // System.Snapshot: the deterministic base world regenerates from the
 // manifest's parameters, the segments bulk-load the state regeneration
-// cannot reproduce (streamed graph, postings, live tweets, frozen
-// arena), and the WAL suffix replays on top. The manifest's reach kind,
-// hop bound and world parameters override the corresponding opts fields;
-// everything else (linker weights, batch options, candidate generation)
-// applies as in Build.
+// cannot reproduce (the arena's graph, pending follows, postings, live
+// tweets, frozen arena), and the WAL suffix replays on top. The
+// manifest's reach kind, hop bound and world parameters override the
+// corresponding opts fields; everything else (linker weights, batch
+// options, candidate generation) applies as in Build.
 //
 // Cold-start cost is segment load plus replay: the offline
 // complementation phase is skipped (postings come from the segment) and
-// no reachability index is built — a restored streaming substrate is the
-// loaded graph and the loaded arena, nothing more. A torn final WAL
-// record (the kill -9 signature) is truncated away and reported in the
-// RestartReport, never an error.
+// no reachability index is built. A restored streaming substrate is the
+// loaded arena over the graph it was built from, with the pending edges
+// re-inserted on top — the reopened system serves the arena the
+// snapshotted one served and reports the same Staleness; the next
+// rebuild (RebuildReach, or an ingest pipeline's threshold) catches up.
+// A directory written before pending edges were persisted has none. A
+// torn final WAL record (the kill -9 signature) is truncated away and
+// reported in the RestartReport, never an error.
 func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	st, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
 	if err != nil {
@@ -294,10 +285,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 		pre, err = reach.ReadTransitiveClosure(rc, g)
 		opts.Reach = ReachClosure
 	case store.ReachStreaming:
-		var th *reach.TwoHop
-		if th, err = reach.ReadTwoHop(rc, g); err == nil {
-			pre = reach.NewStreamingFromFrozen(g, th, reach.TwoHopOptions{MaxHops: man.MaxHops})
-		}
+		pre, err = openStreaming(st, rc, g, man.MaxHops)
 		opts.Reach = ReachStreaming
 	default:
 		err = fmt.Errorf("%w: unknown reach kind %q", store.ErrManifest, man.Reach)
@@ -338,6 +326,27 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	sys.persist = st
 	sys.persistMu.Unlock()
 	return sys, rep, nil
+}
+
+// openStreaming restores a streaming substrate: the arena read from rc
+// over g, the graph it was built from, plus the snapshot's pending
+// edges. Each pending edge must be new to g; one that is not is a
+// damaged segment, not a no-op.
+func openStreaming(st *store.Store, rc io.Reader, g *graph.Graph, maxHops int) (*reach.Streaming, error) {
+	th, err := reach.ReadTwoHop(rc, g)
+	if err != nil {
+		return nil, err
+	}
+	pending, err := st.LoadPending()
+	if err != nil {
+		return nil, err
+	}
+	idx := reach.NewStreamingFromFrozen(g, th, reach.TwoHopOptions{MaxHops: maxHops})
+	if n := idx.InsertEdges(pending); n != len(pending) {
+		return nil, fmt.Errorf("%w: %d of %d pending edges are self-loops, out of range or already in the graph",
+			store.ErrSegment, len(pending)-n, len(pending))
+	}
+	return idx, nil
 }
 
 // applyRecord re-applies one WAL record exactly as the pipeline applied

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -176,13 +178,21 @@ func TestSnapshotOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReopenedRebuildMatchesColdBuild pins what replaced the lazily
-// hydrated closure: a reopened streaming system is base graph + arena +
-// an edge tail like any other, so N follows → Snapshot → Open → M more
-// follows → RebuildReach must freeze the byte-identical arena a cold
-// 2-hop build over base ∪ N ∪ M produces, and serve the same top-k as a
-// system that took the same events without ever restarting.
+// TestReopenedRebuildMatchesColdBuild pins what a reopened streaming
+// system is: base graph + arena + an edge tail like any other, so N
+// follows → Snapshot → Open → M more follows → RebuildReach must freeze
+// the byte-identical arena a cold 2-hop build over base ∪ N ∪ M
+// produces, and serve the same top-k as a system that took the same
+// events without ever restarting. Snapshot itself builds nothing, so the
+// two subtests place the re-freeze explicitly: at the snapshot point on
+// both sides, or nowhere before the end, with the snapshot taken stale
+// and its pending edges carried across the restart.
 func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
+	t.Run("refreeze_at_snapshot", func(t *testing.T) { testReopenedRebuild(t, true) })
+	t.Run("stale_snapshot", func(t *testing.T) { testReopenedRebuild(t, false) })
+}
+
+func testReopenedRebuild(t *testing.T, refreeze bool) {
 	dir := t.TempDir()
 	w := persistWorld()
 	opts := Options{Reach: ReachStreaming, TruthComplement: true}
@@ -195,11 +205,14 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both systems re-freeze at the same point of the stream — the tweets
-	// after it are linked against the arena of the first n events.
+	// Both systems serve the same arena at every point of the stream: with
+	// refreeze, the tweets after n are linked against the arena of the
+	// first n events; without, against the cold-built one throughout.
 	drainTo(t, neverPipe, stream, 0, n)
 	waitApplied(t, neverPipe, n)
-	neverPipe.ForceRebuild()
+	if refreeze {
+		neverPipe.ForceRebuild()
+	}
 	drainTo(t, neverPipe, stream, n, len(stream))
 	if err := neverPipe.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -213,6 +226,13 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 	}
 	drainTo(t, pipe, stream, 0, n)
 	waitApplied(t, pipe, n)
+	if refreeze {
+		pipe.ForceRebuild()
+	}
+	stale := pipe.Stats().Staleness
+	if (stale == 0) != refreeze {
+		t.Fatalf("staleness %d at the snapshot (refreeze %v)", stale, refreeze)
+	}
 	if _, err := sys.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +246,10 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 	sys2, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	st2 := unwrapReach(sys2.Reach).(*reach.Streaming)
+	if got := st2.Staleness(); got != stale {
+		t.Fatalf("reopened staleness %d, snapshot was taken at %d", got, stale)
 	}
 	pipe2, err := sys2.StartIngest(cfg)
 	if err != nil {
@@ -265,7 +289,7 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 	if _, err := cold.WriteTo(&want); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unwrapReach(sys2.Reach).(*reach.Streaming).Frozen().WriteTo(&got); err != nil {
+	if _, err := st2.Frozen().WriteTo(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -273,6 +297,126 @@ func TestReopenedRebuildMatchesColdBuild(t *testing.T) {
 	}
 	if !bytes.Equal(topKDump(t, sys2, w), topKDump(t, never, w)) {
 		t.Fatal("reopened system serves different answers from one that never restarted")
+	}
+}
+
+// TestSnapshotKeepsInstalledArena pins the snapshot contract: Snapshot
+// persists the arena that is serving, builds and installs nothing, and
+// records the follows it does not reflect as pending edges, so the
+// reopened arena is byte-identical to the live one and the reopened
+// staleness equals the live staleness. A manifest without the pending
+// entry (as written before the segment existed) opens with none.
+func TestSnapshotKeepsInstalledArena(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	pipe, err := sys.StartIngest(IngestConfig{BlockOnFull: true, RebuildAfterEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := synth.GenerateStream(w, synth.StreamParams{Seed: 13, Events: 300, FollowFraction: 0.4})
+	drainTo(t, pipe, stream, 0, len(stream))
+	waitApplied(t, pipe, int64(len(stream)))
+
+	live := unwrapReach(sys.Reach).(*reach.Streaming)
+	frozen, swaps, stale := live.Frozen(), live.Swaps(), live.Staleness()
+	if stale == 0 {
+		t.Fatal("stream left the arena current; the test needs pending edges")
+	}
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if live.Frozen() != frozen || live.Swaps() != swaps || live.Staleness() != stale {
+		t.Fatalf("Snapshot moved the arena: swaps %d → %d, staleness %d → %d, same arena %v",
+			swaps, live.Swaps(), stale, live.Staleness(), live.Frozen() == frozen)
+	}
+	if err := pipe.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	if _, err := frozen.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() *reach.Streaming {
+		t.Helper()
+		sys2, rep, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WALRecords != 0 {
+			t.Fatalf("reopen replayed %d records; every event preceded the snapshot", rep.WALRecords)
+		}
+		if err := sys2.ClosePersist(); err != nil {
+			t.Fatal(err)
+		}
+		return unwrapReach(sys2.Reach).(*reach.Streaming)
+	}
+	re := reopen()
+	var got bytes.Buffer
+	if _, err := re.Frozen().WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("reopened arena differs from the live one")
+	}
+	if re.Staleness() != stale {
+		t.Fatalf("reopened staleness %d, live %d", re.Staleness(), stale)
+	}
+
+	path := filepath.Join(dir, "MANIFEST")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	delete(man["segments"].(map[string]any), "pending")
+	if b, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopen().Staleness(); got != 0 {
+		t.Fatalf("manifest without a pending entry opened with staleness %d", got)
+	}
+}
+
+// TestOpenRejectsPendingEdgeInGraph: a pending edge the arena's graph
+// already holds cannot come from Snapshot, so a (checksum-valid) pending
+// segment carrying one fails Open as a damaged segment.
+func TestOpenRejectsPendingEdgeInGraph(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	u := UserID(0)
+	for w.Graph.OutDegree(u) == 0 {
+		u++
+	}
+	// A sealed segment: "MLSG" | version 1 | kind 4 | count | (u, v) | crc64.
+	seg := append([]byte("MLSG"), 1, 0, 4)
+	payload := binary.LittleEndian.AppendUint64(nil, 1)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(u))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(w.Graph.Out(u)[0]))
+	seg = append(seg, payload...)
+	seg = binary.LittleEndian.AppendUint64(seg, crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001-pending.bin"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrSegment) {
+		t.Fatalf("open with a pending edge already in the graph: %v, want ErrSegment", err)
 	}
 }
 
