@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-smoke bench-vet bench-index repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile
+.PHONY: all build test test-race race bench bench-smoke bench-vet bench-index index-smoke repro repro-quick examples vet lint lint-json lint-advisory fuzz-smoke fmt fmt-check cover ci profile
 
 all: build test
 
@@ -42,7 +42,7 @@ fmt-check:
 
 # Mirror of .github/workflows/ci.yml: `ci` is the fast lane, `race` the
 # separate race-detector lane (run both before merging concurrency work).
-ci: build vet lint fmt-check test bench-smoke bench-vet fuzz-smoke
+ci: build vet lint fmt-check test bench-smoke bench-vet index-smoke fuzz-smoke
 
 test:
 	$(GO) test -vet=all ./...
@@ -91,6 +91,12 @@ bench-index:
 	$(GO) test -run=NONE -bench='BuildTwoHop|TwoHopQuery' -benchmem ./internal/reach
 	$(GO) run ./cmd/linkbench -out BENCH_reach.json -workers-sweep auto -max-wait-frac 0.25 index
 
+# CI's quick pass over the same index benchmark, writing no artefact:
+# fails if merge + epoch-barrier time climbs back over 25% of the
+# parallel build.
+index-smoke:
+	$(GO) run ./cmd/linkbench -quick -max-wait-frac 0.25 index
+
 # A few seconds of coverage-guided fuzzing per target. Targets are named
 # individually: -fuzz accepts only one match per package.
 fuzz-smoke:
@@ -104,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
 	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=5s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=5s ./internal/store
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

@@ -54,7 +54,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "world seed")
 	users := flag.Int("users", 800, "world size")
-	reachKind := flag.String("reach", "closure", "reachability substrate: closure|twohop|naive|streaming")
+	reachKind := flag.String("reach", "closure", "reachability substrate: closure|streaming")
 	ingestOn := flag.Bool("ingest", false, "attach the streaming firehose pipeline (requires -reach streaming)")
 	ingestQueue := flag.Int("ingest-queue", 0, "ingest queue capacity (0 selects the default)")
 	rebuildAfter := flag.Int("rebuild-after", 0, "rebuild the frozen reach arena after this many new follow edges (0 selects the default)")
@@ -78,15 +78,11 @@ func main() {
 	}
 
 	opts := microlink.Options{}
-	opts.Batch.Workers = *workers
+	opts.Linker.Batch.Workers = *workers
 	opts.Fsync = *fsyncOn
 	switch *reachKind {
 	case "closure":
 		opts.Reach = microlink.ReachClosure
-	case "twohop":
-		opts.Reach = microlink.ReachTwoHop
-	case "naive":
-		opts.Reach = microlink.ReachNaive
 	case "streaming":
 		opts.Reach = microlink.ReachStreaming
 	default:

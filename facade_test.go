@@ -1,6 +1,7 @@
 package microlink
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -9,6 +10,8 @@ import (
 
 	"microlink/internal/eval"
 	"microlink/internal/influence"
+	"microlink/internal/reach"
+	"microlink/internal/recency"
 )
 
 func evalByTweetLength(l EvalLinker, ts []Tweet, maxLen int) []eval.Accuracy {
@@ -21,17 +24,38 @@ func facadeWorld() *World {
 	return Generate(WorldParams{Seed: 5, Users: 400, Topics: 6, EntitiesPerTopic: 10, Days: 20})
 }
 
+// TestBuildReachVariants builds every substrate the facade can serve —
+// the two ReachKinds Build offers, and the naive oracle and a static
+// 2-hop cover through PrebuiltReach — and checks each answers R(self) = 1.
 func TestBuildReachVariants(t *testing.T) {
 	w := facadeWorld()
-	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop, ReachNaive, ReachStreaming} {
-		sys := Build(w, Options{Reach: kind, TruthComplement: true})
+	variants := map[string]Options{
+		"closure":   {Reach: ReachClosure},
+		"streaming": {Reach: ReachStreaming},
+		"naive":     {PrebuiltReach: reach.NewNaive(w.Graph, reach.DefaultMaxHops)},
+		"two-hop":   {PrebuiltReach: reach.BuildTwoHop(w.Graph, reach.TwoHopOptions{})},
+	}
+	for name, opts := range variants {
+		opts.TruthComplement = true
+		sys := Build(w, opts)
 		if sys.Reach == nil {
-			t.Fatalf("kind %d: nil reach index", kind)
+			t.Fatalf("%s: nil reach index", name)
 		}
-		// All variants answer something sane for a self-query.
 		if r := sys.Reach.R(0, 0); r != 1 {
-			t.Errorf("kind %d: R(self) = %f", kind, r)
+			t.Errorf("%s: R(self) = %f", name, r)
 		}
+	}
+}
+
+// TestTheta2DefaultIsOneConstant: zero Recency options build the same
+// propagation network, and so serve the same answers, as an explicit
+// θ₂ = recency.DefaultTheta2.
+func TestTheta2DefaultIsOneConstant(t *testing.T) {
+	w := facadeWorld()
+	zero := Build(w, Options{TruthComplement: true})
+	explicit := Build(w, Options{TruthComplement: true, Recency: recency.Options{Theta2: recency.DefaultTheta2}})
+	if !bytes.Equal(topKDump(t, zero, w), topKDump(t, explicit, w)) {
+		t.Fatal("zero Recency options serve different top-k than θ₂ = DefaultTheta2")
 	}
 }
 
@@ -97,26 +121,6 @@ func TestSearchNoMentions(t *testing.T) {
 	sys := Build(w, Options{TruthComplement: true})
 	if hits := sys.Search(0, w.Horizon(), "zzz qqq xxx", 2); len(hits) != 0 {
 		t.Fatalf("mention-free query returned %d hits", len(hits))
-	}
-}
-
-func TestLinkStreamFacade(t *testing.T) {
-	w := facadeWorld()
-	sys := Build(w, Options{TruthComplement: true})
-	test := sys.TestSet.All()
-	n := min(len(test), 60)
-	ptrs := make([]*Tweet, n)
-	for i := 0; i < n; i++ {
-		ptrs[i] = &test[i]
-	}
-	par := sys.Linker.LinkStream(ptrs, 8)
-	for i, tw := range ptrs {
-		seq := sys.Linker.LinkTweet(tw)
-		for j := range seq {
-			if par[i][j] != seq[j] {
-				t.Fatalf("tweet %d mention %d: parallel %d != sequential %d", i, j, par[i][j], seq[j])
-			}
-		}
 	}
 }
 

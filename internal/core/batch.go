@@ -15,25 +15,10 @@ import (
 type BatchOptions struct {
 	// Workers bounds the LinkBatch worker pool; ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// ParallelInterestThreshold fans the per-candidate S_in computations
-	// of a single mention across a worker pool when
-	// len(candidates)×TopInfluential exceeds it — the point where the
-	// reachability reads outweigh goroutine handoff. 0 selects the default
-	// (64); negative disables intra-mention parallelism.
-	ParallelInterestThreshold int
 	// DisableInterestCache turns off the (user, entity) interest cache,
 	// recomputing Eq. 8 on every score — the pre-cache behaviour, kept for
 	// benchmarks and bisection.
 	DisableInterestCache bool
-	// CacheEntriesPerShard bounds the interest cache's memory (16 shards);
-	// ≤ 0 selects the default 4096 entries per shard.
-	CacheEntriesPerShard int
-}
-
-func (b *BatchOptions) fill() {
-	if b.ParallelInterestThreshold == 0 {
-		b.ParallelInterestThreshold = 64
-	}
 }
 
 // MentionQuery is one (user, time, surface) triple to score.

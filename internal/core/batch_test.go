@@ -224,34 +224,6 @@ func TestInvalidateReachabilityFlushesAll(t *testing.T) {
 	}
 }
 
-// The parallel interest fan-out must produce the same scores as the
-// serial loop. GOMAXPROCS is raised so fanOutInterest actually fires on
-// single-core CI machines; threshold 1 forces the pool for the tiny
-// fixture's 2-candidate sets.
-func TestParallelInterestMatchesSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	f := newFixture(50, 5)
-	par := f.linker(Config{Batch: BatchOptions{ParallelInterestThreshold: 1, DisableInterestCache: true}})
-	ser := f.linker(Config{Batch: BatchOptions{ParallelInterestThreshold: -1, DisableInterestCache: true}})
-	if !par.fanOutInterest(2) {
-		t.Fatal("fan-out not engaged despite threshold 1")
-	}
-	for u := kb.UserID(0); u < 4; u++ {
-		got := par.ScoreCandidates(u, 100, "jordan")
-		want := ser.ScoreCandidates(u, 100, "jordan")
-		if len(got) != len(want) {
-			t.Fatalf("user %d: %d vs %d candidates", u, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("user %d cand %d: parallel %+v != serial %+v", u, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestCacheEvictionBound(t *testing.T) {
 	c := newInterestCache(1000, 2)
 	for i := 0; i < 100; i++ {

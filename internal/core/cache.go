@@ -42,9 +42,9 @@ type interestCache struct {
 
 const interestCacheShards = 16
 
-// defaultCacheEntriesPerShard bounds cache memory to ~64k entries total by
-// default (each entry is a few words: well under 4 MB).
-const defaultCacheEntriesPerShard = 4096
+// cacheEntriesPerShard bounds cache memory to ~64k entries total (each
+// entry is a few words: well under 4 MB).
+const cacheEntriesPerShard = 4096
 
 type interestKey struct {
 	u kb.UserID
@@ -64,9 +64,6 @@ type interestShard struct {
 }
 
 func newInterestCache(numEntities, maxPerShard int) *interestCache {
-	if maxPerShard <= 0 {
-		maxPerShard = defaultCacheEntriesPerShard
-	}
 	c := &interestCache{
 		entGen:      make([]atomic.Uint64, numEntities),
 		maxPerShard: maxPerShard,

@@ -26,7 +26,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,7 +76,6 @@ func (c *Config) fill() {
 	if c.MinInterest <= 0 {
 		c.MinInterest = 0.05
 	}
-	c.Batch.fill()
 }
 
 // Scored is one ranked candidate with its feature breakdown.
@@ -148,7 +146,7 @@ func New(ckb *kb.Complemented, cand *candidate.Index, rx reach.Index, inf *influ
 	cfg.fill()
 	l := &Linker{ckb: ckb, cand: cand, reach: rx, inf: inf, rec: rec, cfg: cfg}
 	if !cfg.Batch.DisableInterestCache {
-		l.cache = newInterestCache(ckb.KB().NumEntities(), cfg.Batch.CacheEntriesPerShard)
+		l.cache = newInterestCache(ckb.KB().NumEntities(), cacheEntriesPerShard)
 	}
 	return l
 }
@@ -298,27 +296,15 @@ func (l *Linker) finishLocked(ctx context.Context, u kb.UserID, sh *sharedScores
 // a common scale; the paper normalises the other two explicitly and
 // leaves Eq. 8 raw, which would let a structurally small reachability
 // value be drowned by the normalised features.
-//
-// When the amount of work — len(ents) candidates × TopInfluential
-// reachability reads each — exceeds the configured threshold, the
-// per-candidate computations fan out across a bounded worker pool: each
-// is an independent read (reach.R and the influence cache are
-// concurrent-safe, and the caller's read lock spans the fan-out).
 func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) ([]float64, error) {
 	ints := make([]float64, len(sh.ents))
-	if l.fanOutInterest(len(sh.ents)) {
-		if err := l.interestsParallel(ctx, u, sh, ints); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, e := range sh.ents {
-			if i&7 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+	for i, e := range sh.ents {
+		if i&7 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			ints[i] = l.cachedInterest(u, e, sh)
 		}
+		ints[i] = l.cachedInterest(u, e, sh)
 	}
 	var sum float64
 	for i := range ints {
@@ -333,46 +319,6 @@ func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) (
 		}
 	}
 	return ints, nil
-}
-
-// fanOutInterest reports whether the interest stage should use the worker
-// pool: enough independent work to amortise goroutine handoff, and more
-// than one P to run it on.
-func (l *Linker) fanOutInterest(numCands int) bool {
-	thr := l.cfg.Batch.ParallelInterestThreshold
-	return thr > 0 && numCands*l.cfg.TopInfluential > thr && runtime.GOMAXPROCS(0) > 1
-}
-
-func (l *Linker) interestsParallel(ctx context.Context, u kb.UserID, sh *sharedScores, ints []float64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sh.ents) {
-		workers = len(sh.ents)
-	}
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sh.ents) || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				ints[i] = l.cachedInterest(u, sh.ents[i], sh)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
 }
 
 // cachedInterest answers S_in(u, e) from the interest cache when a live

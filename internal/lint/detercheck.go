@@ -15,7 +15,8 @@ import (
 //
 //   - append to a slice declared outside the loop, unless the enclosing
 //     function later (lexically after the loop) passes that slice to a
-//     sort.* or slices.* call;
+//     sorting function (sortingFuncs); slices.Contains, sort.Search and
+//     the other non-sorting calls of those packages do not count;
 //   - direct output via the fmt print family, which emits lines in map
 //     order.
 //
@@ -55,8 +56,16 @@ func (detercheck) Run(pkg *Package, report func(token.Pos, string)) {
 	}
 }
 
-// sortCall records one sort.*/slices.* call and every object its
-// arguments reference, so "was this slice sorted after the loop" is an
+// sortingFuncs are the sort and slices functions that reorder their
+// argument: only a call to one of them after the loop fixes the order a
+// map-ordered append produced.
+var sortingFuncs = map[string]map[string]bool{
+	"sort":   {"Sort": true, "Stable": true, "Slice": true, "SliceStable": true, "Strings": true, "Ints": true, "Float64s": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
+// sortCall records one sorting call and every object its arguments
+// reference, so "was this slice sorted after the loop" is an
 // object-identity question.
 type sortCall struct {
 	pos  token.Pos
@@ -70,7 +79,9 @@ func collectSortCalls(pkg *Package, body *ast.BlockStmt) []sortCall {
 		if !ok {
 			return true
 		}
-		if p := calleePackagePath(pkg, call); p != "sort" && p != "slices" {
+		// A known package path means call.Fun is a package selector.
+		fns := sortingFuncs[calleePackagePath(pkg, call)]
+		if fns == nil || !fns[call.Fun.(*ast.SelectorExpr).Sel.Name] {
 			return true
 		}
 		sc := sortCall{pos: call.Pos(), objs: map[types.Object]bool{}}

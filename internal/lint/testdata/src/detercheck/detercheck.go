@@ -5,6 +5,7 @@ package detercheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,6 +28,43 @@ func KeysSorted(m map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// KeysSortedFunc sorts with the slices package: also sanctioned.
+func KeysSortedFunc(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, func(a, b string) int { return len(a) - len(b) })
+	return out
+}
+
+// KeysContains only searches the map-ordered slice; it is never sorted.
+func KeysContains(m map[string]int) ([]string, bool) {
+	var out []string
+	for k := range m {
+		out = append(out, k) // want "order depends on map iteration"
+	}
+	return out, slices.Contains(out, "jordan")
+}
+
+// KeysCompact drops adjacent duplicates, which keeps map order.
+func KeysCompact(m map[string]string) []string {
+	var out []string
+	for _, v := range m {
+		out = append(out, v) // want "order depends on map iteration"
+	}
+	return slices.Compact(out)
+}
+
+// KeysSearch binary-searches a slice that was never sorted.
+func KeysSearch(m map[string]int) int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v) // want "order depends on map iteration"
+	}
+	return sort.SearchInts(out, 3) + sort.Search(len(out), func(i int) bool { return out[i] >= 3 })
 }
 
 // FieldAppend leaks map order into a struct field.

@@ -26,6 +26,11 @@ import (
 	"microlink/internal/kb"
 )
 
+// DefaultTheta2 is θ₂, the relatedness threshold below which WLM edges
+// are cut from the propagation network (Table 3). Options.Theta2 ≤ 0
+// selects it, in BuildPropNet's callers and in fill alike.
+const DefaultTheta2 = 0.6
+
 // Options configures recency scoring; zero values select the paper's
 // defaults from Table 3.
 type Options struct {
@@ -35,7 +40,8 @@ type Options struct {
 	// no burst (default 10).
 	Theta1 int
 	// Theta2 is the relatedness threshold for propagation edges
-	// (default 0.6).
+	// (default DefaultTheta2). The scorer is handed a built PropNet, so
+	// the value only matters to whoever builds it (BuildPropNet).
 	Theta2 float64
 	// Lambda trades off gathered vs propagated recency in Eq. 11
 	// (default 0.5).
@@ -55,7 +61,7 @@ func (o *Options) fill() {
 		o.Theta1 = 10
 	}
 	if o.Theta2 <= 0 {
-		o.Theta2 = 0.6
+		o.Theta2 = DefaultTheta2
 	}
 	if o.Lambda <= 0 {
 		o.Lambda = 0.5

@@ -29,7 +29,7 @@ type Manifest struct {
 	// World regenerates the deterministic base dataset (graph, KB,
 	// corpus); only state beyond it is serialized in segments.
 	World synth.Params `json:"world"`
-	// Reach names the persisted index kind: ReachClosure, ReachTwoHop or
+	// Reach names the persisted index kind: ReachClosure or
 	// ReachStreaming.
 	Reach string `json:"reach"`
 	// MaxHops is the bounded-reachability horizon the index was built
@@ -62,7 +62,7 @@ func readManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: %s: version %d, want %d", ErrManifest, path, m.Version, manifestVersion)
 	}
 	switch m.Reach {
-	case ReachClosure, ReachTwoHop, ReachStreaming:
+	case ReachClosure, ReachStreaming:
 	default:
 		return nil, fmt.Errorf("%w: %s: unknown reach kind %q", ErrManifest, path, m.Reach)
 	}

@@ -82,7 +82,6 @@ var (
 // Reach kind names recorded in the manifest.
 const (
 	ReachClosure   = "closure"
-	ReachTwoHop    = "twohop"
 	ReachStreaming = "streaming"
 )
 
@@ -259,9 +258,8 @@ type Snapshot struct {
 	Pending  [][2]graph.NodeID // sorted by (u, v); none of them in Graph
 	Postings [][]kb.Posting
 	Tweets   []tweets.Tweet
-	// Reach is the index kind (ReachClosure, ReachTwoHop,
-	// ReachStreaming) and Index its serializer — the frozen arena's
-	// WriteTo.
+	// Reach is the index kind (ReachClosure or ReachStreaming) and
+	// Index its serializer — the frozen arena's WriteTo.
 	Reach   string
 	MaxHops int
 	Index   io.WriterTo

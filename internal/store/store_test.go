@@ -559,6 +559,20 @@ func TestManifestDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, manifestName)
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A committed manifest naming the retired static 2-hop kind: the
+	// directory must be re-snapshotted from a cold Build.
+	twohop := bytes.Replace(committed, []byte(`"reach": "streaming"`), []byte(`"reach": "twohop"`), 1)
+	if err := os.WriteFile(path, twohop, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrManifest) || !bytes.Contains([]byte(err.Error()), []byte(`"twohop"`)) {
+		t.Fatalf("Open with reach kind twohop: got %v, want ErrManifest naming it", err)
+	}
 
 	// Corrupt JSON.
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {

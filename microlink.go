@@ -137,17 +137,13 @@ const (
 	// ReachClosure is the extended transitive closure (Algorithm 1):
 	// fastest queries, largest index.
 	ReachClosure ReachKind = iota
-	// ReachTwoHop is the extended 2-hop cover (Algorithm 2): compact
-	// index, slightly slower queries.
-	ReachTwoHop
-	// ReachNaive answers queries by BFS with no index; only sensible for
-	// tiny graphs and tests.
-	ReachNaive
-	// ReachStreaming pairs a frozen 2-hop cover (serving queries
-	// lock-free) with a live edge set absorbing follow edges online;
-	// the ingest pipeline's rebuild manager periodically re-freezes the
-	// cover and copy-on-swaps it in. Required by System.Follow and
-	// System.StartIngest.
+	// ReachStreaming is the extended 2-hop cover (Algorithm 2): a frozen
+	// arena serving queries lock-free — compact, slower queries than the
+	// closure — paired with a live edge set absorbing follow edges
+	// online; the ingest pipeline's rebuild manager periodically
+	// re-freezes the cover and copy-on-swaps it in. Required by
+	// System.Follow and System.StartIngest. A system that is never sent
+	// a follow serves the static 2-hop cover.
 	ReachStreaming
 )
 
@@ -155,14 +151,9 @@ const (
 // transitive-closure reachability with H=4, entropy influence, collective
 // complementation over users with ≥10 postings, and Table 3's weights.
 type Options struct {
-	// Linker weighs the Eq. 1 features (Table 3 defaults when zero).
+	// Linker weighs the Eq. 1 features (Table 3 defaults when zero);
+	// Linker.Batch tunes the batch pipeline and the interest cache.
 	Linker LinkerConfig
-	// Batch tunes the concurrent batch-linking pipeline and the interest
-	// cache (worker-pool size, intra-mention fan-out threshold, cache
-	// sizing). Zero values select the defaults documented on
-	// core.BatchOptions; when any field is set it takes precedence over a
-	// Batch embedded in Linker.
-	Batch BatchOptions
 	// Reach selects the reachability substrate.
 	Reach ReachKind
 	// MaxHops is the reachability hop bound H (default 4).
@@ -273,20 +264,14 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 		ckb = w.ComplementCollective(w.Store.FilterByActivity(opts.ComplementTheta, 0), cand)
 	}
 
-	var rx reach.Index
-	switch {
-	case opts.PrebuiltReach != nil:
-		rx = opts.PrebuiltReach
-	default:
+	rx := opts.PrebuiltReach
+	if rx == nil {
 		rx = buildReach(w, opts)
 	}
 
 	reg := obs.NewRegistry()
-	switch v := unwrapReach(rx).(type) {
-	case *reach.TwoHop:
-		reach.PublishTwoHopBuild(v, reg)
-	case *reach.Streaming:
-		reach.PublishTwoHopBuild(v.Frozen(), reg)
+	if st, ok := unwrapReach(rx).(*reach.Streaming); ok {
+		reach.PublishTwoHopBuild(st.Frozen(), reg)
 	}
 	rx = reach.Instrument(rx, reg)
 
@@ -295,15 +280,12 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 	if !opts.Recency.NoPropagation {
 		theta2 := opts.Recency.Theta2
 		if theta2 <= 0 {
-			theta2 = 0.6
+			theta2 = recency.DefaultTheta2
 		}
 		net = recency.BuildPropNet(w.KB, theta2)
 	}
 	rec := recency.NewScorer(ckb, net, opts.Recency)
 
-	if opts.Batch != (BatchOptions{}) {
-		opts.Linker.Batch = opts.Batch
-	}
 	linker := core.New(ckb, cand, rx, inf, rec, opts.Linker)
 	linker.Instrument(reg)
 
@@ -334,16 +316,10 @@ func unwrapReach(idx reach.Index) reach.Index {
 }
 
 func buildReach(w *World, opts Options) reach.Index {
-	switch opts.Reach {
-	case ReachTwoHop:
-		return reach.BuildTwoHop(w.Graph, reach.TwoHopOptions{MaxHops: opts.MaxHops})
-	case ReachNaive:
-		return reach.NewNaive(w.Graph, opts.MaxHops)
-	case ReachStreaming:
+	if opts.Reach == ReachStreaming {
 		return reach.NewStreaming(w.Graph, reach.TwoHopOptions{MaxHops: opts.MaxHops})
-	default:
-		return reach.BuildTransitiveClosure(w.Graph, reach.ClosureOptions{MaxHops: opts.MaxHops})
 	}
+	return reach.BuildTransitiveClosure(w.Graph, reach.ClosureOptions{MaxHops: opts.MaxHops})
 }
 
 // ErrNotStreaming is returned by Follow and StartIngest when the system

@@ -29,9 +29,9 @@ var ErrNoStore = errors.New("microlink: no data directory attached (use Open or 
 // directory without a committed MANIFEST.
 var ErrNoSnapshot = store.ErrNoSnapshot
 
-// ErrNotSnapshottable is returned by Snapshot for reach substrates with
-// no serialised form (naive BFS).
-var ErrNotSnapshottable = fmt.Errorf("microlink: reach substrate is not snapshottable (use ReachClosure, ReachTwoHop or ReachStreaming)")
+// ErrNotSnapshottable is returned by Snapshot for a PrebuiltReach
+// substrate other than the two Build makes (closure, streaming).
+var ErrNotSnapshottable = fmt.Errorf("microlink: reach substrate is not snapshottable (use ReachClosure or ReachStreaming)")
 
 // SnapshotInfo summarises one committed snapshot.
 type SnapshotInfo struct {
@@ -74,8 +74,8 @@ type RestartReport struct {
 // With an ingest pipeline running, the whole capture happens inside the
 // pipeline's apply barrier, so the segment/WAL split is exact for every
 // kind of record: each one at or past the rotation point replays onto
-// state that does not include it. Static substrates (closure, 2-hop)
-// take the same path with no barrier and no pending edges.
+// state that does not include it. The closure, which is static, takes
+// the same path with no barrier and no pending edges.
 //
 // dir may be empty when the system is already bound (SnapshotNow).
 func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
@@ -88,8 +88,6 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	switch idx := unwrapReach(s.Reach).(type) {
 	case *reach.Streaming:
 		snap.Reach, snap.MaxHops, stream = store.ReachStreaming, idx.MaxHops(), idx
-	case *reach.TwoHop:
-		snap.Reach, snap.MaxHops, snap.Graph, snap.Index = store.ReachTwoHop, idx.MaxHops(), s.World.Graph, idx
 	case *reach.TransitiveClosure:
 		snap.Reach, snap.MaxHops, snap.Graph, snap.Index = store.ReachClosure, idx.MaxHops(), s.World.Graph, idx
 	default:
@@ -278,9 +276,6 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	}
 	var pre ReachIndex
 	switch man.Reach {
-	case store.ReachTwoHop:
-		pre, err = reach.ReadTwoHop(rc, g)
-		opts.Reach = ReachTwoHop
 	case store.ReachClosure:
 		pre, err = reach.ReadTransitiveClosure(rc, g)
 		opts.Reach = ReachClosure

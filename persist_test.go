@@ -446,50 +446,47 @@ func TestFollowUnknownUser(t *testing.T) {
 		t.Fatalf("replayed bad follow = %v, want ErrWALCorrupt naming the IDs", err)
 	}
 
-	static := Build(w, Options{Reach: ReachTwoHop, TruthComplement: true})
+	static := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
 	rec = store.FollowRecord(0, 1)
 	if err := static.applyRecord(&rec, &RestartReport{}); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), ErrNotStreaming.Error()) {
 		t.Fatalf("follow record on a static substrate = %v, want ErrWALCorrupt saying why", err)
 	}
 }
 
-// TestSnapshotOpenClosure covers the pipeline-less substrates: a
-// transitive-closure or static 2-hop system snapshots and reopens with
-// the same substrate kind, no WAL traffic, and identical answers — top-k
-// and per-tweet links alike.
+// TestSnapshotOpenClosure covers the pipeline-less substrate: a
+// transitive-closure system snapshots and reopens as a closure, with no
+// WAL traffic and identical answers — top-k and per-tweet links alike.
 func TestSnapshotOpenClosure(t *testing.T) {
 	w := persistWorld()
-	for _, kind := range []ReachKind{ReachClosure, ReachTwoHop} {
-		dir := t.TempDir()
-		sys := Build(w, Options{Reach: kind, TruthComplement: true})
-		if _, err := sys.Snapshot(dir); err != nil {
-			t.Fatal(err)
-		}
-		sys2, rep, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.WALRecords != 0 {
-			t.Fatalf("reach kind %d: snapshot replayed %d records", kind, rep.WALRecords)
-		}
-		if got, want := fmt.Sprintf("%T", unwrapReach(sys2.Reach)), fmt.Sprintf("%T", unwrapReach(sys.Reach)); got != want {
-			t.Fatalf("reach kind %d: restored substrate %s, want %s", kind, got, want)
-		}
-		if got, want := topKDump(t, sys2, w), topKDump(t, sys, w); !bytes.Equal(got, want) {
-			t.Fatalf("reach kind %d: restored system serves different top-k", kind)
-		}
-		test := sys.TestSet.All()
-		for i := 0; i < min(len(test), 40); i++ {
-			if a, b := sys.Linker.LinkTweet(&test[i]), sys2.Linker.LinkTweet(&test[i]); !slices.Equal(a, b) {
-				t.Fatalf("reach kind %d: tweet %d links %v, restored %v", kind, i, a, b)
-			}
+	dir := t.TempDir()
+	sys := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	sys2, rep, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WALRecords != 0 {
+		t.Fatalf("snapshot replayed %d records", rep.WALRecords)
+	}
+	if _, ok := unwrapReach(sys2.Reach).(*reach.TransitiveClosure); !ok {
+		t.Fatalf("restored substrate %T, want *reach.TransitiveClosure", unwrapReach(sys2.Reach))
+	}
+	if got, want := topKDump(t, sys2, w), topKDump(t, sys, w); !bytes.Equal(got, want) {
+		t.Fatal("restored system serves different top-k")
+	}
+	test := sys.TestSet.All()
+	for i := 0; i < min(len(test), 40); i++ {
+		if a, b := sys.Linker.LinkTweet(&test[i]), sys2.Linker.LinkTweet(&test[i]); !slices.Equal(a, b) {
+			t.Fatalf("tweet %d links %v, restored %v", i, a, b)
 		}
 	}
 }
 
 // TestSnapshotErrors covers the API edges: snapshotting with no
 // directory bound, rebinding to a different directory, and the
-// non-snapshottable substrates.
+// non-snapshottable PrebuiltReach.
 func TestSnapshotErrors(t *testing.T) {
 	w := persistWorld()
 	sys := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
@@ -513,7 +510,7 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Fatalf("persist status = %+v", st)
 	}
 
-	naive := Build(w, Options{Reach: ReachNaive, TruthComplement: true})
+	naive := Build(w, Options{PrebuiltReach: reach.NewNaive(w.Graph, reach.DefaultMaxHops), TruthComplement: true})
 	if _, err := naive.Snapshot(t.TempDir()); !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("naive snapshot: %v", err)
 	}
@@ -595,7 +592,20 @@ func TestOpenCorruptSegment(t *testing.T) {
 // TestOpenManifestDamage requires a damaged manifest to surface
 // ErrManifest through the facade.
 func TestOpenManifestDamage(t *testing.T) {
-	dir, _ := snapshotClosureDir(t)
+	dir, man := snapshotClosureDir(t)
+	// A data directory of the retired static 2-hop kind is refused; it
+	// is re-snapshotted from a cold Build.
+	man.Reach = "twohop"
+	b, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+		t.Fatalf("open with reach kind twohop: %v", err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
