@@ -98,7 +98,8 @@ index-smoke:
 	$(GO) run ./cmd/linkbench -quick -max-wait-frac 0.25 index
 
 # A few seconds of coverage-guided fuzzing per target. Targets are named
-# individually: -fuzz accepts only one match per package.
+# individually: -fuzz accepts only one match per package. This is the one
+# list of fuzz targets; CI's "Fuzz smoke" step runs this target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=5s ./internal/textutil
 	$(GO) test -run=NONE -fuzz=FuzzNormalizePhrase -fuzztime=5s ./internal/textutil
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
 	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadTransitiveClosure -fuzztime=5s ./internal/reach
 	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=5s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=5s ./internal/store

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 
 	"microlink/internal/graph"
@@ -117,11 +118,13 @@ func Table5(scales []GraphScale, maxHops, nQueries int) []Table5Row {
 		th := reach.BuildTwoHop(g, reach.TwoHopOptions{MaxHops: maxHops})
 		row.TwoHopBuild = th.BuildStats().BuildTime
 		row.TwoHopBytes = th.SizeBytes()
+		runtime.GC() // the build's garbage must not be collected inside the timed queries
 		row.TwoHopQuery = measureQueries(th, g.NumNodes(), nQueries)
 		if sc.ClosureFeasible {
 			tc := reach.BuildTransitiveClosure(g, reach.ClosureOptions{MaxHops: maxHops})
 			row.ClosureBuild = tc.BuildStats().BuildTime
 			row.ClosureBytes = tc.SizeBytes()
+			runtime.GC()
 			row.ClosureQuery = measureQueries(tc, g.NumNodes(), nQueries)
 		}
 		rows = append(rows, row)

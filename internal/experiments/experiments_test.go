@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -104,33 +105,48 @@ func TestFig5dRows(t *testing.T) {
 	}
 }
 
+// TestTable5ShapeAndInfeasibleMarker checks Table 5's shape on one run
+// and its headline query-time trade-off on the medians of five: a single
+// 2 000-query timing swings with whatever else the machine runs.
 func TestTable5ShapeAndInfeasibleMarker(t *testing.T) {
 	scales := []GraphScale{
 		{Label: "small", Users: 400, ClosureFeasible: true},
 		{Label: "big", Users: 600, ClosureFeasible: false},
 	}
-	rows := Table5(scales, 4, 2000)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
+	const runs = 5
+	var closureQ, twoHopQ []time.Duration
+	for i := 0; i < runs; i++ {
+		rows := Table5(scales, 4, 2000)
+		if len(rows) != 2 {
+			t.Fatalf("rows = %+v", rows)
+		}
+		small, big := rows[0], rows[1]
+		if small.ClosureBuild == 0 || small.TwoHopBuild == 0 {
+			t.Fatalf("feasible scale missing builds: %+v", small)
+		}
+		if big.ClosureBuild != 0 {
+			t.Fatalf("infeasible scale built a closure: %+v", big)
+		}
+		if big.TwoHopBuild == 0 || big.TwoHopQuery == 0 {
+			t.Fatalf("2-hop must run at every scale: %+v", big)
+		}
+		// The headline Table 5 trade-off, part one: 2-hop index smaller.
+		if small.TwoHopBytes >= small.ClosureBytes {
+			t.Errorf("2-hop index (%d) should be smaller than closure (%d)", small.TwoHopBytes, small.ClosureBytes)
+		}
+		closureQ = append(closureQ, small.ClosureQuery)
+		twoHopQ = append(twoHopQ, small.TwoHopQuery)
 	}
-	small, big := rows[0], rows[1]
-	if small.ClosureBuild == 0 || small.TwoHopBuild == 0 {
-		t.Fatalf("feasible scale missing builds: %+v", small)
+	// Part two: closure queries faster.
+	if c, h := median(closureQ), median(twoHopQ); c >= h {
+		t.Errorf("median closure query (%v of %v) should beat 2-hop (%v of %v)", c, closureQ, h, twoHopQ)
 	}
-	if big.ClosureBuild != 0 {
-		t.Fatalf("infeasible scale built a closure: %+v", big)
-	}
-	if big.TwoHopBuild == 0 || big.TwoHopQuery == 0 {
-		t.Fatalf("2-hop must run at every scale: %+v", big)
-	}
-	// The headline Table 5 trade-off: closure queries faster, 2-hop index
-	// smaller.
-	if small.ClosureQuery >= small.TwoHopQuery {
-		t.Errorf("closure query (%v) should beat 2-hop (%v)", small.ClosureQuery, small.TwoHopQuery)
-	}
-	if small.TwoHopBytes >= small.ClosureBytes {
-		t.Errorf("2-hop index (%d) should be smaller than closure (%d)", small.TwoHopBytes, small.ClosureBytes)
-	}
+}
+
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 func TestFig6cBuckets(t *testing.T) {

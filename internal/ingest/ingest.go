@@ -5,19 +5,24 @@
 // manager that periodically re-freezes the 2-hop reachability arena and
 // copy-on-swaps it in without ever blocking queries.
 //
+// It is also the stack's one write path: an event is a store.Record, the
+// WAL's record type, and Deps.Apply and Deps.Rebuild are the only apply
+// and rebuild, shared with WAL replay and System.RebuildReach.
+//
 // # Stages
 //
 // Events enter through Offer (non-blocking; drops with a counter when the
 // queue is full) or Submit (blocks with context cancellation) into one
-// bounded channel. A single applier goroutine drains it, coalescing up to
-// Config.MaxBatch pending events per round so follow edges amortise one
-// lock acquisition across the batch, and applies each kind to its
-// mutation path:
+// bounded channel; both refuse a malformed event (ErrInvalidEvent)
+// before it is queued. A single applier goroutine drains the channel,
+// coalescing up to Config.MaxBatch pending events per round so follow
+// edges amortise one lock acquisition across the batch, and applies each
+// kind to its mutation path:
 //
 //   - tweets append to the live corpus (tweets.LiveStore) and, unless
 //     pre-linked, run through Linker.LinkTweet; the resulting links feed
 //     Linker.Feedback so the comprehensive KB and influence caches track
-//     the stream (disable with Config.NoFeedback),
+//     the stream,
 //   - follow edges batch into reach.Streaming.InsertEdges, joining the
 //     live graph's edge tail while the frozen query arena stays untouched,
 //   - feedback events call Linker.Feedback directly.
@@ -43,71 +48,17 @@ import (
 	"time"
 
 	"microlink/internal/core"
-	"microlink/internal/kb"
 	"microlink/internal/obs"
 	"microlink/internal/reach"
 	"microlink/internal/store"
 	"microlink/internal/tweets"
 )
 
-// Kind discriminates firehose events.
-type Kind uint8
-
-const (
-	// KindTweet is a newly posted tweet (Event.Tweet, optionally
-	// pre-linked via Event.Links).
-	KindTweet Kind = iota
-	// KindFollow is a new follow edge Event.U → Event.V.
-	KindFollow
-	// KindFeedback is an explicit (tweet, links) correction applied to
-	// the comprehensive KB.
-	KindFeedback
-)
-
-// String names the kind as used by the events_total metric label.
-func (k Kind) String() string {
-	switch k {
-	case KindTweet:
-		return "tweet"
-	case KindFollow:
-		return "follow"
-	case KindFeedback:
-		return "feedback"
-	default:
-		return "unknown"
-	}
-}
-
-// Event is one firehose item. Use the constructors; zero fields that a
-// kind does not consume are ignored.
-type Event struct {
-	Kind  Kind
-	Tweet *tweets.Tweet // KindTweet, KindFeedback
-	Links []kb.EntityID // KindFeedback; for KindTweet nil means "link on apply"
-	U, V  kb.UserID     // KindFollow: U starts following V
-}
-
-// TweetEvent wraps a posted tweet. links may be nil, in which case the
-// applier resolves them with Linker.LinkTweet before feeding back.
-func TweetEvent(tw *tweets.Tweet, links []kb.EntityID) Event {
-	return Event{Kind: KindTweet, Tweet: tw, Links: links}
-}
-
-// FollowEvent wraps a new follow edge u → v.
-func FollowEvent(u, v kb.UserID) Event {
-	return Event{Kind: KindFollow, U: u, V: v}
-}
-
-// FeedbackEvent wraps an explicit linking correction.
-func FeedbackEvent(tw *tweets.Tweet, links []kb.EntityID) Event {
-	return Event{Kind: KindFeedback, Tweet: tw, Links: links}
-}
-
 // Source yields firehose events. Next blocks until an event is ready,
 // the stream ends (io.EOF), or ctx is cancelled. Pipeline.Run drains a
 // Source into the pipeline under the configured backpressure policy.
 type Source interface {
-	Next(ctx context.Context) (Event, error)
+	Next(ctx context.Context) (store.Record, error)
 }
 
 // Config tunes a Pipeline. The zero value selects all defaults.
@@ -129,10 +80,6 @@ type Config struct {
 	// RebuildInterval additionally rebuilds on a timer when staleness
 	// is non-zero. 0 disables the timer.
 	RebuildInterval time.Duration
-	// NoFeedback stops applied tweets from feeding their links back
-	// into the comprehensive KB (explicit KindFeedback events still
-	// apply).
-	NoFeedback bool
 }
 
 // Pipeline defaults.
@@ -153,6 +100,8 @@ type Journal interface {
 // required; Live defaults to a fresh store, Metrics may be nil (all
 // instruments become no-ops), and Journal may be nil (no durable tee; a
 // persistence layer can attach one later via Barrier).
+// Apply and Rebuild also run on a Deps without a pipeline (WAL replay,
+// System.RebuildReach).
 type Deps struct {
 	Linker  *core.Linker
 	Stream  *reach.Streaming
@@ -165,13 +114,19 @@ type Deps struct {
 // closed.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
+// ErrInvalidEvent is returned (wrapped, saying why) by Submit for an
+// event the applier cannot apply: an unknown kind, or a tweet or
+// feedback event without its tweet. Offer reports such an event as not
+// accepted.
+var ErrInvalidEvent = errors.New("ingest: invalid event")
+
 // errDeps reports a New call missing a required dependency.
 var errDeps = errors.New("ingest: Deps.Linker and Deps.Stream are required")
 
 // Stats is a point-in-time snapshot of pipeline progress.
 type Stats struct {
 	AppliedTweets   int64 // tweets appended to the live corpus
-	AppliedFollows  int64 // follow events applied (including duplicates)
+	AppliedFollows  int64 // follow events applied, including duplicates and those rejected for an unknown user
 	AppliedFeedback int64 // explicit feedback events applied
 	InsertedEdges   int64 // follow edges that were new to the live graph
 	Dropped         int64 // events shed at intake (Offer on a full queue)

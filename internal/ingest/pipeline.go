@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"microlink/internal/graph"
 	"microlink/internal/obs"
 	"microlink/internal/store"
 	"microlink/internal/tweets"
@@ -42,7 +41,7 @@ type Pipeline struct {
 	deps Deps
 	cfg  Config
 
-	in chan Event
+	in chan store.Record
 
 	sendMu sync.RWMutex // microlint:lock-order ingest-send
 	closed bool         // microlint:guarded-by sendMu
@@ -89,7 +88,7 @@ func New(deps Deps, cfg Config) (*Pipeline, error) {
 		deps:        deps,
 		cfg:         cfg,
 		journal:     deps.Journal,
-		in:          make(chan Event, cfg.Queue),
+		in:          make(chan store.Record, cfg.Queue),
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -109,8 +108,12 @@ func New(deps Deps, cfg Config) (*Pipeline, error) {
 
 // Offer enqueues ev without blocking, reporting whether it was accepted.
 // A full queue sheds the event and bumps microlink_ingest_dropped_total;
-// a closed pipeline reports false without counting a drop.
-func (p *Pipeline) Offer(ev Event) bool {
+// a malformed event (see Submit) or a closed pipeline reports false
+// without counting a drop.
+func (p *Pipeline) Offer(ev store.Record) bool {
+	if check(&ev) != nil {
+		return false
+	}
 	p.sendMu.RLock()
 	defer p.sendMu.RUnlock()
 	if p.closed {
@@ -127,8 +130,13 @@ func (p *Pipeline) Offer(ev Event) bool {
 }
 
 // Submit enqueues ev, blocking until the queue has room, the pipeline
-// closes, or ctx is cancelled.
-func (p *Pipeline) Submit(ctx context.Context, ev Event) error {
+// closes, or ctx is cancelled. An event of unknown kind, or a tweet or
+// feedback event without its tweet, is refused with ErrInvalidEvent
+// before it is queued.
+func (p *Pipeline) Submit(ctx context.Context, ev store.Record) error {
+	if err := check(&ev); err != nil {
+		return err
+	}
 	p.sendMu.RLock()
 	defer p.sendMu.RUnlock()
 	if p.closed {
@@ -216,7 +224,7 @@ func (p *Pipeline) Stats() Stats {
 // applying everything buffered before the close.
 func (p *Pipeline) applier() {
 	defer close(p.done)
-	batch := make([]Event, 0, p.cfg.MaxBatch)
+	batch := make([]store.Record, 0, p.cfg.MaxBatch)
 	for {
 		ev, ok := <-p.in
 		if !ok {
@@ -242,68 +250,21 @@ func (p *Pipeline) applier() {
 	}
 }
 
-// apply routes one coalesced batch into the mutation paths. Tweets and
-// feedback apply in arrival order; follow edges accumulate across the
-// batch and land in one InsertEdges call at the end — reordering them
-// past tweets is unobservable because scoring reads only the frozen
-// arena, which no per-edge insert touches.
+// apply runs one coalesced batch through Deps.Apply, tees the records
+// it returns into the journal, and publishes the counts.
 //
 // The whole batch — mutations plus the WAL tee — runs under applyMu, so
 // a snapshot barrier observes batches whole: every mutation it captures
 // in segments has its record behind the rotation point, and every record
 // ahead of it replays onto state that does not contain it yet. Tweet
-// records carry the links actually fed back (nil when feedback was off),
-// so replay reapplies the stream without re-running the linker.
-func (p *Pipeline) apply(batch []Event) {
+// records carry the links actually fed back, so replay reapplies the
+// stream without re-running the linker.
+func (p *Pipeline) apply(batch []store.Record) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
-	var pairs [][2]graph.NodeID
-	var follows int
-	var recs []store.Record
-	if p.journal != nil {
-		recs = make([]store.Record, 0, len(batch))
-	}
-	for i := range batch {
-		ev := &batch[i]
-		switch ev.Kind {
-		case KindTweet:
-			p.deps.Live.Append(*ev.Tweet)
-			links := ev.Links
-			if links == nil {
-				links = p.deps.Linker.LinkTweet(ev.Tweet)
-			}
-			fed := links
-			if p.cfg.NoFeedback {
-				fed = nil
-			} else {
-				p.deps.Linker.Feedback(ev.Tweet, links)
-			}
-			if recs != nil {
-				recs = append(recs, store.TweetRecord(ev.Tweet, fed))
-			}
-			p.appliedTweets.Add(1)
-			p.met.evTweet.Inc()
-		case KindFollow:
-			follows++
-			// A follow naming a user outside the graph is consumed here:
-			// journaled, it would fail every later replay as corruption.
-			if !p.deps.Stream.HasNode(ev.U) || !p.deps.Stream.HasNode(ev.V) {
-				continue
-			}
-			pairs = append(pairs, [2]graph.NodeID{ev.U, ev.V})
-			if recs != nil {
-				recs = append(recs, store.FollowRecord(ev.U, ev.V))
-			}
-		case KindFeedback:
-			p.deps.Linker.Feedback(ev.Tweet, ev.Links)
-			if recs != nil {
-				recs = append(recs, store.FeedbackRecord(ev.Tweet, ev.Links))
-			}
-			p.appliedFeedback.Add(1)
-			p.met.evFeedback.Inc()
-		}
-	}
-	if len(recs) > 0 {
+	//nolint:microlint/errdrop -- intake checked every event, so Apply refuses only follows naming a user outside the graph: consumed, not journaled, counted as applied follows
+	recs, t, _ := p.deps.Apply(batch, true, make([]store.Record, 0, len(batch)))
+	if p.journal != nil && len(recs) > 0 {
 		// A failed append loses durability for this batch, not liveness:
 		// serving state is already updated, so count and continue.
 		if err := p.journal.Append(recs); err != nil {
@@ -311,13 +272,16 @@ func (p *Pipeline) apply(batch []Event) {
 			p.met.journalFails.Inc()
 		}
 	}
-	if follows == 0 {
+	p.appliedTweets.Add(int64(t.Tweets))
+	p.met.evTweet.Add(uint64(t.Tweets))
+	p.appliedFeedback.Add(int64(t.Feedback))
+	p.met.evFeedback.Add(uint64(t.Feedback))
+	if t.Follows == 0 {
 		return
 	}
-	n := p.deps.Stream.InsertEdges(pairs)
-	p.insertedEdges.Add(int64(n))
-	p.appliedFollows.Add(int64(follows))
-	p.met.evFollow.Add(uint64(follows))
+	p.insertedEdges.Add(int64(t.Inserted))
+	p.appliedFollows.Add(int64(t.Follows))
+	p.met.evFollow.Add(uint64(t.Follows))
 	st := p.deps.Stream.Staleness()
 	p.met.staleness.Set(float64(st))
 	p.kickIfStale(st)
@@ -370,9 +334,9 @@ func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
 		queueDepth: reg.Gauge("microlink_ingest_queue_depth",
 			"Events buffered in the ingest intake queue."),
-		evTweet:    ev.With(KindTweet.String()),
-		evFollow:   ev.With(KindFollow.String()),
-		evFeedback: ev.With(KindFeedback.String()),
+		evTweet:    ev.With(store.RecTweet.String()),
+		evFollow:   ev.With(store.RecFollow.String()),
+		evFeedback: ev.With(store.RecFeedback.String()),
 		dropped: reg.Counter("microlink_ingest_dropped_total",
 			"Events shed at intake because the queue was full."),
 		rebuilds: reg.Counter("microlink_ingest_rebuilds_total",

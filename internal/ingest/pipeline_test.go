@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,14 +108,14 @@ func TestPipelineAppliesEvents(t *testing.T) {
 	p := f.pipeline(t, Config{})
 	ctx := context.Background()
 
-	if err := p.Submit(ctx, TweetEvent(streamTweet(1, 3), nil)); err != nil {
+	if err := p.Submit(ctx, store.TweetRecord(streamTweet(1, 3), nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(ctx, FollowEvent(2, 19)); err != nil {
+	if err := p.Submit(ctx, store.FollowRecord(2, 19)); err != nil {
 		t.Fatal(err)
 	}
 	fbTweet := streamTweet(2, 4)
-	if err := p.Submit(ctx, FeedbackEvent(fbTweet, []kb.EntityID{1})); err != nil {
+	if err := p.Submit(ctx, store.FeedbackRecord(fbTweet, []kb.EntityID{1})); err != nil {
 		t.Fatal(err)
 	}
 	closePipeline(t, p)
@@ -157,7 +158,7 @@ func TestRebuildThreshold(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		// Long chords, none in the seed graph.
-		if err := p.Submit(ctx, FollowEvent(kb.UserID(i), kb.UserID((i+13)%32))); err != nil {
+		if err := p.Submit(ctx, store.FollowRecord(kb.UserID(i), kb.UserID((i+13)%32))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func TestInheritedStalenessTriggersRebuild(t *testing.T) {
 	p := f.pipeline(t, Config{RebuildAfterEdges: 4})
 	ctx := context.Background()
 	for i := int64(1); i <= 3; i++ {
-		if err := p.Submit(ctx, TweetEvent(streamTweet(i, kb.UserID(i)), nil)); err != nil {
+		if err := p.Submit(ctx, store.TweetRecord(streamTweet(i, kb.UserID(i)), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +211,7 @@ func TestRebuildInterval(t *testing.T) {
 	f := newFixture(t)
 	p := f.pipeline(t, Config{RebuildAfterEdges: -1, RebuildInterval: 10 * time.Millisecond})
 	ctx := context.Background()
-	if err := p.Submit(ctx, FollowEvent(5, 20)); err != nil {
+	if err := p.Submit(ctx, store.FollowRecord(5, 20)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -232,7 +233,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := p.Submit(ctx, TweetEvent(streamTweet(int64(i+1), kb.UserID(i%32)), nil)); err != nil {
+		if err := p.Submit(ctx, store.TweetRecord(streamTweet(int64(i+1), kb.UserID(i%32)), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,10 +242,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if got := p.Stats().AppliedTweets; got != n {
 		t.Fatalf("applied %d of %d buffered tweets after Close", got, n)
 	}
-	if p.Offer(FollowEvent(1, 2)) {
+	if p.Offer(store.FollowRecord(1, 2)) {
 		t.Error("Offer accepted after Close")
 	}
-	if err := p.Submit(ctx, FollowEvent(1, 2)); err != ErrClosed {
+	if err := p.Submit(ctx, store.FollowRecord(1, 2)); err != ErrClosed {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 	cctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -263,7 +264,7 @@ func TestOfferShedsWhenSaturated(t *testing.T) {
 
 	accepted, shed := 0, 0
 	for i := 0; i < 5000; i++ {
-		if p.Offer(FollowEvent(kb.UserID(i%32), kb.UserID((i+11)%32))) {
+		if p.Offer(store.FollowRecord(kb.UserID(i%32), kb.UserID((i+11)%32))) {
 			accepted++
 		} else {
 			shed++
@@ -283,21 +284,21 @@ func TestOfferShedsWhenSaturated(t *testing.T) {
 }
 
 // sliceSource replays a fixed event list as a Source, then io.EOF.
-type sliceSource struct{ evs []Event }
+type sliceSource struct{ evs []store.Record }
 
-func (s *sliceSource) Next(context.Context) (Event, error) {
+func (s *sliceSource) Next(context.Context) (store.Record, error) {
 	if len(s.evs) == 0 {
-		return Event{}, io.EOF
+		return store.Record{}, io.EOF
 	}
 	ev := s.evs[0]
 	s.evs = s.evs[1:]
 	return ev, nil
 }
 
-func chordFollows(n int) []Event {
-	evs := make([]Event, n)
+func chordFollows(n int) []store.Record {
+	evs := make([]store.Record, n)
 	for i := range evs {
-		evs[i] = FollowEvent(kb.UserID(i%32), kb.UserID((i+13)%32))
+		evs[i] = store.FollowRecord(kb.UserID(i%32), kb.UserID((i+13)%32))
 	}
 	return evs
 }
@@ -357,7 +358,7 @@ func TestRun(t *testing.T) {
 		f := newFixture(t)
 		p := f.pipeline(t, Config{Queue: 1, MaxBatch: 1, BlockOnFull: true})
 		release := holdApplier(p)
-		for p.Offer(FollowEvent(0, 13)) {
+		for p.Offer(store.FollowRecord(0, 13)) {
 		}
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
@@ -376,10 +377,10 @@ func TestMetricsRegistered(t *testing.T) {
 	f := newFixture(t)
 	p := f.pipeline(t, Config{})
 	ctx := context.Background()
-	if err := p.Submit(ctx, FollowEvent(1, 14)); err != nil {
+	if err := p.Submit(ctx, store.FollowRecord(1, 14)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(ctx, TweetEvent(streamTweet(1, 2), nil)); err != nil {
+	if err := p.Submit(ctx, store.TweetRecord(streamTweet(1, 2), nil)); err != nil {
 		t.Fatal(err)
 	}
 	closePipeline(t, p)
@@ -420,7 +421,7 @@ func TestFollowOutsideGraphIsConsumed(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, e := range [][2]kb.UserID{{2, 32}, {-1, 3}, {2, 19}} {
-		if err := p.Submit(ctx, FollowEvent(e[0], e[1])); err != nil {
+		if err := p.Submit(ctx, store.FollowRecord(e[0], e[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,4 +443,79 @@ func registryHas(reg *obs.Registry, name string) bool {
 		return false
 	}
 	return strings.Contains(buf.String(), name)
+}
+
+// TestIntakeRejectsMalformedEvents: an event the applier cannot apply —
+// the zero value, an unknown kind, a tweet or feedback event without its
+// tweet — is refused at intake: Offer reports it unaccepted without
+// counting a drop, Submit returns ErrInvalidEvent, and the applier never
+// sees it. Valid events after them apply normally.
+func TestIntakeRejectsMalformedEvents(t *testing.T) {
+	f := newFixture(t)
+	p := f.pipeline(t, Config{})
+	ctx := context.Background()
+	bad := []store.Record{
+		{},
+		{Kind: 9, U: 1, V: 2},
+		store.TweetRecord(nil, nil),
+		store.FeedbackRecord(nil, []kb.EntityID{1}),
+	}
+	for _, ev := range bad {
+		if p.Offer(ev) {
+			t.Errorf("Offer(%+v) accepted", ev)
+		}
+		if err := p.Submit(ctx, ev); !errors.Is(err, ErrInvalidEvent) {
+			t.Errorf("Submit(%+v) = %v, want ErrInvalidEvent", ev, err)
+		}
+	}
+	for _, ev := range []store.Record{
+		store.TweetRecord(streamTweet(1, 3), nil),
+		store.FollowRecord(2, 19),
+		store.FeedbackRecord(streamTweet(2, 4), []kb.EntityID{1}),
+	} {
+		if err := p.Submit(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closePipeline(t, p)
+	st := p.Stats()
+	if st.AppliedTweets != 1 || st.AppliedFollows != 1 || st.AppliedFeedback != 1 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want 1/1/1 applied and no drops", st)
+	}
+}
+
+// TestTweetJournaledWithResolvedLinks: a tweet submitted without links
+// is journaled with exactly the links Linker.LinkTweet resolved and fed
+// back — never nil, even for a tweet without mentions — so replay can
+// reapply it without the linker.
+func TestTweetJournaledWithResolvedLinks(t *testing.T) {
+	f := newFixture(t)
+	tws := []*tweets.Tweet{
+		streamTweet(1, 3),
+		{ID: 2, User: 5, Time: 1002, Text: "no mentions here"},
+	}
+	want := make([][]kb.EntityID, len(tws))
+	for i, tw := range tws {
+		want[i] = f.linker.LinkTweet(tw) // nothing applied yet: the applier sees this state
+	}
+	j := &recordingJournal{}
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: j}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tw := range tws {
+		if err := p.Submit(ctx, store.TweetRecord(tw, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closePipeline(t, p)
+	if len(j.recs) != len(tws) {
+		t.Fatalf("journal holds %d records, want %d", len(j.recs), len(tws))
+	}
+	for i, r := range j.recs {
+		if r.Kind != store.RecTweet || r.Tweet != tws[i] || r.Links == nil || !slices.Equal(r.Links, want[i]) {
+			t.Errorf("record %d = %+v, want tweet %d with links %v (non-nil)", i, r, tws[i].ID, want[i])
+		}
+	}
 }

@@ -37,30 +37,36 @@ func (p *Pipeline) rebuildLoop() {
 // stream positions; concurrent rebuilds serialise on rebuildMu.
 func (p *Pipeline) ForceRebuild() { p.rebuild(true) }
 
-// rebuild re-freezes the 2-hop arena from the live graph and
-// copy-on-swaps it into the serving path. The expensive build runs
+// rebuild is Deps.Rebuild serialised on rebuildMu, skipped when the
+// frozen arena is already current (unless forced), and counted.
+func (p *Pipeline) rebuild(force bool) {
+	p.rebuildMu.Lock()
+	defer p.rebuildMu.Unlock()
+	if !force && p.deps.Stream.Staleness() == 0 {
+		return
+	}
+	sp := obs.StartSpan(p.met.rebuildSeconds)
+	p.deps.Rebuild()
+	sp.Stop()
+	p.rebuilds.Add(1)
+	p.met.rebuilds.Inc()
+	p.met.staleness.Set(float64(p.deps.Stream.Staleness()))
+}
+
+// Rebuild re-freezes the 2-hop arena from the live graph and
+// copy-on-swaps it into the serving path, then publishes the new
+// arena's build gauges to Metrics (when set). The expensive build runs
 // outside every serving lock — the snapshot briefly holds the streaming
 // substrate's read side, nothing more — and only the Install runs under
 // the linker's write lock (via UpdateReachability), which flushes the
 // interest cache in the same critical section so scorers atomically move
 // from the old arena to the new one.
-func (p *Pipeline) rebuild(force bool) {
-	p.rebuildMu.Lock()
-	defer p.rebuildMu.Unlock()
-	st := p.deps.Stream
-	if !force && st.Staleness() == 0 {
-		return
-	}
-	sp := obs.StartSpan(p.met.rebuildSeconds)
-	th, at := st.Rebuild()
-	p.deps.Linker.UpdateReachability(func() {
-		st.Install(th, at)
+func (d Deps) Rebuild() {
+	th, at := d.Stream.Rebuild()
+	d.Linker.UpdateReachability(func() {
+		d.Stream.Install(th, at)
 	})
-	sp.Stop()
-	p.rebuilds.Add(1)
-	p.met.rebuilds.Inc()
-	p.met.staleness.Set(float64(st.Staleness()))
-	if p.deps.Metrics != nil {
-		reach.PublishTwoHopBuild(th, p.deps.Metrics)
+	if d.Metrics != nil {
+		reach.PublishTwoHopBuild(th, d.Metrics)
 	}
 }

@@ -47,10 +47,10 @@ import (
 // Both readers take the whole image into one buffer and check the
 // fingerprint and the CRC before decoding anything; every count is then
 // bounded by the bytes that remain, so a damaged count is an ErrFormat,
-// never an absurd allocation. The 2-hop reader also validates every
-// invariant the query path indexes by (see ReadTwoHop). A version-1 2-hop
-// image is rejected with ErrFormat, not upgraded: re-snapshot it from a
-// cold Build.
+// never an absurd allocation. Each reader also validates every decoded
+// value the query path relies on (see ReadTransitiveClosure, ReadTwoHop).
+// A version-1 2-hop image is rejected with ErrFormat, not upgraded:
+// re-snapshot it from a cold Build.
 
 const (
 	serialMagic = "MLRI"
@@ -281,7 +281,11 @@ func (tc *TransitiveClosure) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadTransitiveClosure loads a closure previously written with WriteTo,
-// validating it against g.
+// validating it against g. Every entry is checked before it can serve:
+// its target lies in [0,n), is not the row's own node and appears once
+// per row, its distance lies in [1,H], and its weight is finite and in
+// (0,1] — a NaN weight would otherwise pass the MinInterest floor and
+// spread through Eq. 1.
 func ReadTransitiveClosure(r io.Reader, g *graph.Graph) (*TransitiveClosure, error) {
 	hops, payload, err := readImage(r, kindClosure, Fingerprint(g))
 	if err != nil {
@@ -312,13 +316,25 @@ func ReadTransitiveClosure(r io.Reader, g *graph.Graph) (*TransitiveClosure, err
 		idx := make(map[graph.NodeID]int32, m)
 		for i := range row {
 			q := p[ctEntryLen*i:]
-			row[i] = ctEntry{
+			e := ctEntry{
 				v:    graph.NodeID(le.Uint32(q)),
 				dist: q[4],
 				nFol: int32(le.Uint32(q[5:])),
 				w:    math.Float32frombits(le.Uint32(q[9:])),
 			}
-			idx[row[i].v] = int32(i)
+			_, dup := idx[e.v]
+			switch {
+			case e.v < 0 || int(e.v) >= n || int(e.v) == u:
+				return nil, fmt.Errorf("%w: row %d: target %d is outside [0,%d) or the row's own node", ErrFormat, u, e.v, n)
+			case dup:
+				return nil, fmt.Errorf("%w: row %d: target %d repeated", ErrFormat, u, e.v)
+			case e.dist < 1 || int(e.dist) > hops:
+				return nil, fmt.Errorf("%w: row %d: distance %d outside [1,%d]", ErrFormat, u, e.dist, hops)
+			case !(e.w > 0 && e.w <= 1): // false for NaN too
+				return nil, fmt.Errorf("%w: row %d: weight %v outside (0,1]", ErrFormat, u, e.w)
+			}
+			row[i] = e
+			idx[e.v] = int32(i)
 		}
 		tc.rows[u] = ctRow{entries: row}
 		tc.maps[u] = idx

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc64"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -243,6 +244,49 @@ func TestLoadClosureCorruptCount(t *testing.T) {
 	}
 }
 
+// TestLoadClosureEntryDamage edits one value of a valid closure image
+// at a time and re-seals the checksum: a target out of range, naming the
+// row's own node or repeated, a distance outside [1,H], and a weight that
+// is not finite or not in (0,1] must each be an ErrFormat, not a closure
+// that serves it.
+func TestLoadClosureEntryDamage(t *testing.T) {
+	g := roundTripGraph()
+	const hops = 4
+	var buf bytes.Buffer
+	if _, err := BuildTransitiveClosure(g, ClosureOptions{MaxHops: hops}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	row0 := headerLen + 4 // row 0: m u32, then m entries
+	if m := le.Uint32(buf.Bytes()[row0:]); m < 2 {
+		t.Fatalf("row 0 holds %d entries; the test edits two", m)
+	}
+	e0, e1 := row0+4, row0+4+ctEntryLen
+	second := le.Uint32(buf.Bytes()[e1:])
+	u32 := func(off int, v uint32) func([]byte) { return func(b []byte) { le.PutUint32(b[off:], v) } }
+	f32 := func(off int, v float32) func([]byte) { return u32(off, math.Float32bits(v)) }
+	for name, edit := range map[string]func([]byte){
+		"target negative":   u32(e0, 0xFFFFFFFF),
+		"target n":          u32(e0, uint32(g.NumNodes())),
+		"target own node":   u32(e0, 0),
+		"target repeated":   u32(e0, second),
+		"distance 0":        func(b []byte) { b[e0+4] = 0 },
+		"distance H+1":      func(b []byte) { b[e0+4] = hops + 1 },
+		"weight NaN":        f32(e0+9, float32(math.NaN())),
+		"weight +Inf":       f32(e0+9, float32(math.Inf(1))),
+		"weight 0":          f32(e0+9, 0),
+		"weight negative":   f32(e0+9, -0.5),
+		"weight above one":  f32(e0+9, 1.5),
+		"second weight NaN": f32(e1+9, float32(math.NaN())),
+	} {
+		data := bytes.Clone(buf.Bytes())
+		edit(data)
+		reseal(data)
+		if _, err := ReadTransitiveClosure(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
+		}
+	}
+}
+
 // twoHopImage locates the fields of a version-2 2-hop image.
 type twoHopImage struct {
 	n, nOut, nIn                        int
@@ -343,6 +387,39 @@ func TestLoadTwoHopStructuralDamage(t *testing.T) {
 		le.PutUint32(data[m.poolLen:], 0xFFFFFFFF)
 		if _, err := ReadTwoHop(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
 			t.Fatalf("err = %v, want format error", err)
+		}
+	})
+}
+
+// FuzzReadTransitiveClosure feeds mutated closure images to
+// ReadTransitiveClosure with the checksum re-sealed. Every input must
+// fail with a typed error or load into a closure that writes back the
+// same bytes — the reader accepts nothing WriteTo would not produce.
+func FuzzReadTransitiveClosure(f *testing.F) {
+	g := randomGraph(rand.New(rand.NewSource(5)), 40, 160)
+	for _, hops := range []int{2, 4} {
+		var buf bytes.Buffer
+		if _, err := BuildTransitiveClosure(g, ClosureOptions{MaxHops: hops}).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		reseal(data)
+		tc, err := ReadTransitiveClosure(bytes.NewReader(data), g)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrGraphMismatch) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := tc.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("loaded closure writes %d bytes that differ from the %d it was read from", out.Len(), len(data))
 		}
 	})
 }

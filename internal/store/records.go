@@ -8,10 +8,11 @@ import (
 	"microlink/internal/tweets"
 )
 
-// Kind discriminates WAL records, mirroring ingest event kinds.
+// Kind discriminates mutation records: WAL records and, before they are
+// applied, ingest events. The zero Kind is invalid.
 type Kind uint8
 
-// WAL record kinds. Values are part of the on-disk format.
+// Record kinds. Values are part of the on-disk format.
 const (
 	// RecTweet is a streamed tweet with its resolved entity links (the
 	// links actually fed back pre-crash, so replay never re-links).
@@ -22,7 +23,8 @@ const (
 	RecFeedback Kind = 3
 )
 
-// String names the kind for diagnostics.
+// String names the kind for diagnostics and for the kind label of
+// microlink_ingest_events_total.
 func (k Kind) String() string {
 	switch k {
 	case RecTweet:
@@ -36,14 +38,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Record is one durable mutation. For RecTweet, Links are the entity
-// links that were fed back into the complemented KB when the tweet was
-// applied — nil means no feedback happened (e.g. the pipeline ran with
-// NoFeedback) and replay must skip it too.
+// Record is one mutation of serving state: the ingest pipeline's event
+// and the WAL's record (internal/ingest applies both). A RecTweet's Links
+// are the links fed back into the complemented KB. At intake nil means
+// "link on apply"; the applier journals the resolved links, so the WAL
+// never holds nil ones (the codec still keeps nil distinct from empty).
 type Record struct {
 	Kind  Kind
 	Tweet *tweets.Tweet // RecTweet, RecFeedback
-	Links []kb.EntityID // links fed back; nil ⇒ none were
+	Links []kb.EntityID // links fed back; see above for nil
 	U, V  kb.UserID     // RecFollow
 }
 

@@ -34,7 +34,7 @@ func sampleRecords() []Record {
 	tw3 := sampleTweet(3)
 	return []Record{
 		TweetRecord(&tw1, []kb.EntityID{3, 9}),
-		TweetRecord(&tw2, nil), // NoFeedback: links nil, must stay nil
+		TweetRecord(&tw2, nil), // the codec keeps nil links nil (replay then rejects them)
 		FollowRecord(4, 11),
 		FeedbackRecord(&tw3, []kb.EntityID{5}),
 	}

@@ -1,37 +1,29 @@
 package tweets
 
-import (
-	"sync"
-
-	"microlink/internal/kb"
-)
+import "sync"
 
 // LiveStore is the streaming counterpart of Store: an append-only corpus
 // that accepts tweets while queries read it concurrently. The frozen
 // Store is built once at load time and never mutated; the ingest pipeline
-// appends arriving tweets here instead, keeping per-user histories and
-// the recent-tail view fresh without touching the frozen corpus.
+// appends arriving tweets here instead, without touching the frozen
+// corpus.
 //
 // All methods are safe for concurrent use. Tweets are kept in arrival
 // order (the stream is assumed time-ordered; no re-sort happens on
 // append), and accessors return copies so callers never alias the
 // guarded backing storage.
 type LiveStore struct {
-	mu     sync.RWMutex          // microlint:lock-order tweets-live
-	all    []Tweet               // microlint:guarded-by mu
-	byUser map[kb.UserID][]int32 // microlint:guarded-by mu
+	mu  sync.RWMutex // microlint:lock-order tweets-live
+	all []Tweet      // microlint:guarded-by mu
 }
 
 // NewLiveStore returns an empty live corpus.
-func NewLiveStore() *LiveStore {
-	return &LiveStore{byUser: make(map[kb.UserID][]int32)}
-}
+func NewLiveStore() *LiveStore { return &LiveStore{} }
 
 // Append adds one tweet in arrival order.
 func (s *LiveStore) Append(tw Tweet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byUser[tw.User] = append(s.byUser[tw.User], int32(len(s.all)))
 	s.all = append(s.all, tw)
 }
 
@@ -42,48 +34,12 @@ func (s *LiveStore) Len() int {
 	return len(s.all)
 }
 
-// ByUser returns copies of user u's tweets in arrival order.
-func (s *LiveStore) ByUser(u kb.UserID) []Tweet {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx := s.byUser[u]
-	out := make([]Tweet, len(idx))
-	for i, j := range idx {
-		out[i] = s.all[j]
-	}
-	return out
-}
-
-// Recent returns copies of the most recent n tweets (fewer when the
-// store holds fewer), oldest first.
-func (s *LiveStore) Recent(n int) []Tweet {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n > len(s.all) {
-		n = len(s.all)
-	}
-	out := make([]Tweet, n)
-	copy(out, s.all[len(s.all)-n:])
-	return out
-}
-
 // All returns a copy of the corpus in arrival order — the persistence
-// capture: replaying Append over it reproduces the store exactly,
-// per-user indexes included.
+// capture: replaying Append over it reproduces the store exactly.
 func (s *LiveStore) All() []Tweet {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Tweet, len(s.all))
 	copy(out, s.all)
 	return out
-}
-
-// Snapshot freezes the current contents into a regular (time-sorted,
-// immutable) Store.
-func (s *LiveStore) Snapshot() *Store {
-	s.mu.RLock()
-	all := make([]Tweet, len(s.all))
-	copy(all, s.all)
-	s.mu.RUnlock()
-	return NewStore(all)
 }

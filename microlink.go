@@ -108,22 +108,24 @@ type (
 	// IngestConfig tunes the pipeline's queue, batching, backpressure
 	// policy and rebuild cadence.
 	IngestConfig = ingest.Config
-	// IngestEvent is one firehose item (tweet, follow edge, feedback).
-	IngestEvent = ingest.Event
+	// IngestEvent is one firehose item (tweet, follow edge, feedback):
+	// the write-ahead log's record type, so what the pipeline accepts is
+	// what it journals and what a warm restart replays.
+	IngestEvent = store.Record
 	// IngestSource yields firehose events for IngestPipeline.Run.
 	IngestSource = ingest.Source
 	// IngestStats is a point-in-time snapshot of pipeline progress.
 	IngestStats = ingest.Stats
 )
 
-// Firehose event constructors, re-exported from internal/ingest.
+// Firehose event constructors, re-exported from internal/store.
 var (
 	// TweetEvent wraps a posted tweet (nil links ⇒ link on apply).
-	TweetEvent = ingest.TweetEvent
+	TweetEvent = store.TweetRecord
 	// FollowEvent wraps a new follow edge u → v.
-	FollowEvent = ingest.FollowEvent
+	FollowEvent = store.FollowRecord
 	// FeedbackEvent wraps an explicit linking correction.
-	FeedbackEvent = ingest.FeedbackEvent
+	FeedbackEvent = store.FeedbackRecord
 )
 
 // NoEntity marks an unlinkable mention.
@@ -329,6 +331,11 @@ var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not strea
 // ErrIngestRunning is returned by StartIngest when a pipeline is already
 // attached to this system.
 var ErrIngestRunning = fmt.Errorf("microlink: ingest pipeline already started")
+
+// ErrInvalidEvent is returned (wrapped, saying why) by
+// IngestPipeline.Submit for an event of unknown kind, or a tweet or
+// feedback event without its tweet; Offer refuses such an event.
+var ErrInvalidEvent = ingest.ErrInvalidEvent
 
 // ErrUnknownUser is returned (wrapped, with the offending IDs) by Follow
 // when an endpoint is not a user of the system's follow graph.

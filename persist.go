@@ -193,10 +193,11 @@ func (s *System) ClosePersist() error {
 }
 
 // RebuildReach synchronously re-freezes the 2-hop arena from the live
-// graph and installs it — the explicit variant of the ingest manager's
-// background rebuild, for streaming systems without a pipeline (and for
-// deterministic tests). The cost is one 2-hop build, on a cold-built and
-// a warm-restored system alike.
+// graph, installs it and publishes its build gauges — the ingest rebuild
+// manager's own rebuild (ingest.Deps.Rebuild), run through the pipeline
+// when one is attached, directly otherwise (and for deterministic
+// tests). The cost is one 2-hop build, on a cold-built and a
+// warm-restored system alike.
 func (s *System) RebuildReach() error {
 	idx, ok := unwrapReach(s.Reach).(*reach.Streaming)
 	if !ok {
@@ -206,8 +207,7 @@ func (s *System) RebuildReach() error {
 		pipe.ForceRebuild()
 		return nil
 	}
-	th, at := idx.Rebuild()
-	s.Linker.UpdateReachability(func() { idx.Install(th, at) })
+	ingest.Deps{Linker: s.Linker, Stream: idx, Metrics: s.Metrics}.Rebuild()
 	return nil
 }
 
@@ -215,10 +215,11 @@ func (s *System) RebuildReach() error {
 // System.Snapshot: the deterministic base world regenerates from the
 // manifest's parameters, the segments bulk-load the state regeneration
 // cannot reproduce (the arena's graph, pending follows, postings, live
-// tweets, frozen arena), and the WAL suffix replays on top. The
-// manifest's reach kind, hop bound and world parameters override the
-// corresponding opts fields; everything else (linker weights, batch
-// options, candidate generation) applies as in Build.
+// tweets, frozen arena), and the WAL suffix replays on top through the
+// ingest applier (see replayer). The manifest's reach kind, hop bound
+// and world parameters override the corresponding opts fields;
+// everything else (linker weights, batch options, candidate generation)
+// applies as in Build.
 //
 // Cold-start cost is segment load plus replay: the offline
 // complementation phase is skipped (postings come from the segment) and
@@ -301,7 +302,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	rep.Load = time.Since(t)
 
 	t = time.Now()
-	stats, err := st.Replay(func(r *store.Record) error { return sys.applyRecord(r, rep) })
+	stats, err := st.Replay(sys.replayer(rep))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -344,29 +345,23 @@ func openStreaming(st *store.Store, rc io.Reader, g *graph.Graph, maxHops int) (
 	return idx, nil
 }
 
-// applyRecord re-applies one WAL record exactly as the pipeline applied
-// it pre-crash: tweets re-enter the live corpus and feed back their
-// recorded links (nil links means feedback was off — replay skips it
-// too, never re-running the linker), follows re-enter the live graph
-// (duplicates no-op), feedback re-applies directly.
-func (s *System) applyRecord(r *store.Record, rep *RestartReport) error {
-	switch r.Kind {
-	case store.RecTweet:
-		s.Live.Append(*r.Tweet)
-		if r.Links != nil {
-			s.Linker.Feedback(r.Tweet, r.Links)
+// replayer returns the WAL replay callback: each record goes through
+// ingest's Deps.Apply, the pipeline's own applier, with linking off. A
+// record Apply refuses (a tweet without links, a follow naming an unknown
+// user or sent to a closure) is corruption. Counts accumulate into rep.
+func (s *System) replayer(rep *RestartReport) func(*store.Record) error {
+	d := ingest.Deps{Linker: s.Linker, Live: s.Live}
+	d.Stream, _ = unwrapReach(s.Reach).(*reach.Streaming)
+	var in, out [1]store.Record
+	return func(r *store.Record) error {
+		in[0] = *r
+		_, t, err := d.Apply(in[:], false, out[:0])
+		if err != nil {
+			return fmt.Errorf("%w: %v", store.ErrWALCorrupt, err)
 		}
-		rep.Tweets++
-	case store.RecFollow:
-		if err := s.Follow(r.U, r.V); err != nil {
-			return fmt.Errorf("%w: follow record %d → %d: %v", store.ErrWALCorrupt, r.U, r.V, err)
-		}
-		rep.Follows++
-	case store.RecFeedback:
-		s.Linker.Feedback(r.Tweet, r.Links)
-		rep.Feedback++
-	default:
-		return fmt.Errorf("%w: unknown record kind %d", store.ErrWALCorrupt, r.Kind)
+		rep.Tweets += int64(t.Tweets)
+		rep.Follows += int64(t.Follows)
+		rep.Feedback += int64(t.Feedback)
+		return nil
 	}
-	return nil
 }

@@ -441,15 +441,77 @@ func TestFollowUnknownUser(t *testing.T) {
 	}
 
 	rec := store.FollowRecord(n+7, 3)
-	err := sys.applyRecord(&rec, &RestartReport{})
+	err := sys.replayer(&RestartReport{})(&rec)
 	if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
 		t.Fatalf("replayed bad follow = %v, want ErrWALCorrupt naming the IDs", err)
 	}
 
 	static := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
 	rec = store.FollowRecord(0, 1)
-	if err := static.applyRecord(&rec, &RestartReport{}); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), ErrNotStreaming.Error()) {
+	if err := static.replayer(&RestartReport{})(&rec); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), "not streaming") {
 		t.Fatalf("follow record on a static substrate = %v, want ErrWALCorrupt saying why", err)
+	}
+}
+
+// TestOpenRejectsUnlinkedTweetRecord: the applier journals every tweet
+// with the links it fed back, so a WAL tweet record with nil links is
+// damage. Replay refuses it rather than skipping its feedback or
+// re-running the linker.
+func TestOpenRejectsUnlinkedTweetRecord(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	tw := w.Store.All()[0]
+	if err := st.Append([]store.Record{store.TweetRecord(&tw, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrWALCorrupt) {
+		t.Fatalf("open with an unlinked tweet record: %v, want ErrWALCorrupt", err)
+	}
+}
+
+// TestRebuildReachPublishesArena: RebuildReach on a system without a
+// pipeline runs the ingest rebuild, gauges included, so
+// microlink_reach_twohop_labels describes the arena that serves.
+func TestRebuildReachPublishesArena(t *testing.T) {
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, MaxHops: 2, TruthComplement: true})
+	labels := func() (gauge, arena float64) {
+		out, in := unwrapReach(sys.Reach).(*reach.Streaming).Frozen().LabelCounts()
+		return sys.Metrics.Gauge("microlink_reach_twohop_labels", "").Value(), float64(out + in)
+	}
+	_, before := labels()
+	n := UserID(w.Graph.NumNodes())
+	for u := UserID(0); u < 60; u++ {
+		if err := sys.Follow(u, (u*37+11)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.RebuildReach(); err != nil {
+		t.Fatal(err)
+	}
+	gauge, arena := labels()
+	if arena == before {
+		t.Fatalf("60 follows left the arena at %v labels; the test needs a change to observe", arena)
+	}
+	if gauge != arena {
+		t.Fatalf("microlink_reach_twohop_labels = %v after RebuildReach, installed arena has %v", gauge, arena)
 	}
 }
 
@@ -782,7 +844,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var repRef RestartReport
-	stats, err := st.Replay(func(r *store.Record) error { return ref.applyRecord(r, &repRef) })
+	stats, err := st.Replay(ref.replayer(&repRef))
 	if err != nil {
 		t.Fatal(err)
 	}
