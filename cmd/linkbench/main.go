@@ -351,13 +351,13 @@ func index() {
 	}
 	if *maxWaitFrac > 0 {
 		for _, r := range results {
-			if r.Workers <= 1 || r.ParallelMS <= 0 {
+			if r.Workers <= 1 {
 				continue
 			}
-			if frac := float64(r.ParallelMergeMS+r.ParallelBarrierMS) / float64(r.ParallelMS); frac > *maxWaitFrac {
+			if r.MergeWaitFrac > *maxWaitFrac {
 				fmt.Fprintf(os.Stderr,
-					"linkbench: merge+barrier wait is %.0f%% of the workers=%d build, above the %.0f%% gate — the merge barrier is back\n",
-					100*frac, r.Workers, 100**maxWaitFrac)
+					"linkbench: merge+barrier wait is %.0f%% of the workers=%d build (median of %d), above the %.0f%% gate — the merge barrier is back\n",
+					100*r.MergeWaitFrac, r.Workers, r.ParallelBuilds, 100**maxWaitFrac)
 				os.Exit(1)
 			}
 		}
@@ -369,11 +369,12 @@ func printIndexRecord(r experiments.IndexBenchResult) {
 	fmt.Printf("  workers=%d gomaxprocs=%d: build %v, speedup %.2fx, size ratio %.3f (batch=%d, %d partitions)\n",
 		r.Workers, r.GOMAXPROCS, (time.Duration(r.ParallelMS) * time.Millisecond).String(),
 		r.Speedup, r.SizeRatio, r.BatchSize, r.MergePartitions)
-	fmt.Printf("    stages: bfs %v, merge %v, barrier wait %v, freeze %v\n",
+	fmt.Printf("    stages: bfs %v, merge %v, barrier wait %v, freeze %v; merge+barrier %.1f%% (median of %d builds)\n",
 		time.Duration(r.ParallelBFSMS)*time.Millisecond,
 		time.Duration(r.ParallelMergeMS)*time.Millisecond,
 		time.Duration(r.ParallelBarrierMS)*time.Millisecond,
-		time.Duration(r.ParallelFreezeMS)*time.Millisecond)
+		time.Duration(r.ParallelFreezeMS)*time.Millisecond,
+		100*r.MergeWaitFrac, r.ParallelBuilds)
 	if len(r.MergeUtilization) > 0 {
 		fmt.Printf("    merge workers busy:")
 		for _, u := range r.MergeUtilization {

@@ -73,7 +73,8 @@ const rankInf = int32(1<<31 - 1)
 
 // TwoHopOptions tunes Algorithm 2.
 type TwoHopOptions struct {
-	// MaxHops is the hop bound H; ≤ 0 selects DefaultMaxHops.
+	// MaxHops is the hop bound H; ≤ 0 selects DefaultMaxHops. Bounds
+	// above 254 build as 254 (label distances are one byte).
 	MaxHops int
 	// Workers bounds construction parallelism; ≤ 0 selects GOMAXPROCS.
 	// It changes only how fast the cover is built, never which cover:

@@ -121,7 +121,7 @@ func newThWork(g *graph.Graph, h int, randomOrder bool) *thWork {
 
 // BuildTwoHop runs Algorithm 2 over g.
 func BuildTwoHop(g *graph.Graph, opts TwoHopOptions) *TwoHop {
-	h := opts.MaxHops
+	h := min(opts.MaxHops, maxTwoHopHops)
 	if h <= 0 {
 		h = DefaultMaxHops
 	}
@@ -231,9 +231,9 @@ func (d *thDelta) reset() {
 }
 
 // thBuilder is one worker's BFS scratch: O(n) distance marks (shared
-// graph.DistMap), the per-node position of this hub's buffered label, and
-// forward-BFS first-hop sets. Builders are reused across batches through
-// thBuildPool.
+// graph.DistMap), the per-node position of this hub's buffered label,
+// forward-BFS first-hop sets, and the BFS root's scattered label list.
+// Builders are reused across batches through thBuildPool.
 //
 // microlint:owned — per-worker scratch by contract: thBuildPool.acquire
 // hands each builder to at most one worker at a time.
@@ -242,10 +242,30 @@ type thBuilder struct {
 	marks *graph.DistMap
 	pos   []int32          // node → index into the current delta's bucket labs
 	fpath [][]graph.NodeID // forward BFS first-hop followee sets
-	qbuf  []graph.NodeID   // scratch for build-time cover queries
 	cur   []graph.NodeID   // frontier double buffer
 	nxt   []graph.NodeID
+
+	// The BFS root's label list scattered by hub rank (see scatter):
+	// sdist[r] is the root's distance through hub r, thUnset when the
+	// root has no hub-r label; sidx[r] that label's index in sroot, read
+	// only where sdist is set. sroot is the scattered list itself: no label
+	// list is written during a BFS, so unscatter walks it again to clear
+	// sdist.
+	sdist []uint8
+	sidx  []int32
+	sroot []thLabel
+	sk    int32 // the root's own rank, the virtual self entry
 }
+
+// thUnset marks a hub rank the scattered root has no label for. Every
+// label distance is ≤ H ≤ maxTwoHopHops < thUnset, so thUnset plus any
+// label distance exceeds H and the prune kernels need no separate
+// presence test.
+const thUnset = 0xff
+
+// maxTwoHopHops caps the hop bound: label distances are uint8 and
+// thUnset is reserved.
+const maxTwoHopHops = thUnset - 1
 
 func newThBuilder(w *thWork) *thBuilder {
 	n := w.g.NumNodes()
@@ -254,9 +274,14 @@ func newThBuilder(w *thWork) *thBuilder {
 		marks: graph.NewDistMap(n),
 		pos:   make([]int32, n),
 		fpath: make([][]graph.NodeID, n),
+		sdist: make([]uint8, n),
+		sidx:  make([]int32, n),
 	}
 	for i := range b.pos {
 		b.pos[i] = -1
+	}
+	for i := range b.sdist {
+		b.sdist[i] = thUnset
 	}
 	return b
 }
@@ -267,6 +292,7 @@ func (b *thBuilder) reset() {
 		b.fpath[v] = b.fpath[v][:0]
 	}
 	b.marks.Reset()
+	b.unscatter()
 }
 
 func (b *thBuilder) runHub(vk graph.NodeID, k int32, d *thDelta) {
@@ -288,6 +314,7 @@ func (b *thBuilder) emitIn(d *thDelta, t graph.NodeID, lab thLabel) {
 	r.labs = append(r.labs, lab)
 }
 
+// microlint:noalloc
 func containsNode(s []graph.NodeID, v graph.NodeID) bool {
 	for _, x := range s {
 		if x == v {
@@ -295,6 +322,88 @@ func containsNode(s []graph.NodeID, v graph.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// Eq. 5 prune kernels. Every pair hub k's BFS tests shares the endpoint
+// vk, so the BFS scatters vk's label list once into sdist/sidx and each
+// test scans only the other endpoint's labels (the "temporary array" of
+// pruned landmark labeling, Akiba et al., SIGMOD 2013). The kernels
+// evaluate Eq. 5 over the label lists exactly as a two-list sorted merge
+// would — the minimum pair-sum ≤ H, and for the backward test the union
+// of the followee sets achieving it — so the cover is unchanged. During
+// a batch's BFS phase no label list is written (deltas merge after the
+// epoch fence), so the scattered copy stays current for the whole BFS.
+
+// scatter loads the BFS root's label list labs into sdist/sidx, plus the
+// virtual self entry sdist[k] = 0 for the root's own rank k: the pair
+// whose hub is the root itself then scores as the ordinary sum 0 + dist.
+//
+// microlint:noalloc
+func (b *thBuilder) scatter(labs []thLabel, k int32) {
+	for i := range labs {
+		b.sdist[labs[i].hub] = labs[i].dist
+		b.sidx[labs[i].hub] = int32(i)
+	}
+	b.sdist[k] = 0
+	b.sroot, b.sk = labs, k
+}
+
+// unscatter clears every sdist entry scatter set.
+//
+// microlint:noalloc
+func (b *thBuilder) unscatter() {
+	for i := range b.sroot {
+		b.sdist[b.sroot[i].hub] = thUnset
+	}
+	b.sdist[b.sk] = thUnset
+	b.sroot = nil
+}
+
+// forwardPrune is Eq. 5's distance from the scattered root vk to t: the
+// minimum over t's hub-t entry in Lout(vk) and every Lin(t) label's
+// pair-sum, or infHops when none is within H.
+//
+// microlint:noalloc
+func (b *thBuilder) forwardPrune(t graph.NodeID) int {
+	w := b.w
+	best := int(b.sdist[w.rank[t]]) // hub is t: d_vk,t + 0
+	lt := w.in[t]
+	for i := range lt {
+		if d := int(b.sdist[lt[i].hub]) + int(lt[i].dist); d < best {
+			best = d
+		}
+	}
+	if best > w.h {
+		return infHops
+	}
+	return best
+}
+
+// backwardPrune is Eq. 5 from s to the scattered root vk: the distance
+// (infHops when none is within H) and whether followee u is in the
+// followee union of the labels achieving it. A common hub contributes
+// the out-label's set, the hub-s entry of Lin(vk) its own; an equal
+// distance ORs membership in, a smaller one replaces it.
+//
+// microlint:noalloc
+func (b *thBuilder) backwardPrune(s, u graph.NodeID) (int, bool) {
+	w := b.w
+	best, inF := infHops, false
+	if rs := w.rank[s]; int(b.sdist[rs]) <= w.h { // hub is s: 0 + d_s,vk
+		best, inF = int(b.sdist[rs]), containsNode(b.sroot[b.sidx[rs]].fol, u)
+	}
+	ls := w.out[s]
+	for i := range ls {
+		d := int(b.sdist[ls[i].hub]) + int(ls[i].dist)
+		switch {
+		case d > w.h || d > best:
+		case d < best:
+			best, inF = d, containsNode(ls[i].fol, u)
+		case !inF:
+			inF = containsNode(ls[i].fol, u)
+		}
+	}
+	return best, inF
 }
 
 // backward performs the pruned backward BFS of Algorithm 2 lines 5–29,
@@ -305,6 +414,7 @@ func containsNode(s []graph.NodeID, v graph.NodeID) bool {
 func (b *thBuilder) backward(vk graph.NodeID, k int32, d *thDelta) {
 	defer b.reset()
 	w := b.w
+	b.scatter(w.in[vk], k)
 	b.marks.Set(vk, 0)
 	frontier := append(b.cur[:0], vk)
 	next := b.nxt[:0]
@@ -328,23 +438,19 @@ func (b *thBuilder) backward(vk graph.NodeID, k int32, d *thDelta) {
 					} else {
 						// Covered by earlier hubs at this distance; record u
 						// only if those hubs do not already encode it.
-						var f []graph.NodeID
-						_, f, b.qbuf = w.queryRank(s, vk, b.qbuf)
-						if !containsNode(f, u) {
+						if _, inF := b.backwardPrune(s, u); !inF {
 							b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
 						}
 					}
 				default: // first visit this round
-					var dPrev int
-					var fPrev []graph.NodeID
-					dPrev, fPrev, b.qbuf = w.queryRank(s, vk, b.qbuf)
+					dPrev, inF := b.backwardPrune(s, u)
 					switch {
 					case int(length) < dPrev: // lines 11–19: shorter path found
 						b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
 						b.marks.Set(s, length)
 						next = append(next, s)
 					case int(length) == dPrev: // lines 20–27: equal path via u
-						if !containsNode(fPrev, u) {
+						if !inF {
 							b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
 						}
 						b.marks.Set(s, length) // visited, not expanded
@@ -366,6 +472,7 @@ func (b *thBuilder) backward(vk graph.NodeID, k int32, d *thDelta) {
 func (b *thBuilder) forward(vk graph.NodeID, k int32, d *thDelta) {
 	defer b.reset()
 	w := b.w
+	b.scatter(w.out[vk], k)
 	b.marks.Set(vk, 0)
 	frontier := append(b.cur[:0], vk)
 	next := b.nxt[:0]
@@ -410,9 +517,7 @@ func (b *thBuilder) forward(vk graph.NodeID, k int32, d *thDelta) {
 						}
 					}
 				default: // first visit
-					var dPrev int
-					dPrev, _, b.qbuf = w.queryRank(vk, t, b.qbuf)
-					if int(length) < dPrev {
+					if int(length) < b.forwardPrune(t) {
 						fol := append([]graph.NodeID(nil), firstHop...)
 						b.emitIn(d, t, thLabel{hub: k, dist: uint8(length), fol: fol})
 						b.marks.Set(t, length)
@@ -429,69 +534,6 @@ func (b *thBuilder) forward(vk graph.NodeID, k int32, d *thDelta) {
 		frontier, next = next, frontier
 	}
 	b.cur, b.nxt = frontier[:0], next[:0]
-}
-
-// queryRank is the build-time Eq. 5 evaluation over the mutable per-node
-// label slices, appending the followee union into buf and returning it for
-// reuse (the query-path equivalent over the frozen arenas lives in
-// twohop.go). Returned fol aliases buf and is valid until the next call.
-func (w *thWork) queryRank(s, t graph.NodeID, buf []graph.NodeID) (int, []graph.NodeID, []graph.NodeID) {
-	buf = buf[:0]
-	if s == t {
-		return 0, nil, buf
-	}
-	ls, lt := w.out[s], w.in[t]
-	rs, rt := w.rank[s], w.rank[t]
-	best := infHops
-	fol := buf
-
-	consider := func(d int, f []graph.NodeID) {
-		if d > w.h || d > best {
-			return
-		}
-		if d < best {
-			best = d
-			fol = fol[:0]
-		}
-		for _, x := range f {
-			if !containsNode(fol, x) {
-				fol = append(fol, x)
-			}
-		}
-	}
-
-	// Virtual self entries: hub = t (t ∈ Lout(s) directly) and hub = s
-	// (s ∈ Lin(t); followee info comes from the in-label).
-	i, j := 0, 0
-	for i < len(ls) || j < len(lt) {
-		hi, hj := rankInf, rankInf
-		if i < len(ls) {
-			hi = ls[i].hub
-		}
-		if j < len(lt) {
-			hj = lt[j].hub
-		}
-		switch {
-		case hi < hj:
-			if hi == rt { // hub is t itself: d = d_s,t + 0
-				consider(int(ls[i].dist), ls[i].fol)
-			}
-			i++
-		case hj < hi:
-			if hj == rs { // hub is s itself: d = 0 + d_s,t, F from in-label
-				consider(int(lt[j].dist), lt[j].fol)
-			}
-			j++
-		default:
-			consider(int(ls[i].dist)+int(lt[j].dist), ls[i].fol)
-			i++
-			j++
-		}
-	}
-	if best == infHops {
-		return infHops, nil, fol
-	}
-	return best, fol, fol
 }
 
 // thBuildPool hands out per-worker BFS scratch across batches so the O(n)

@@ -1,0 +1,235 @@
+package reach
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"microlink/internal/graph"
+)
+
+// refQueryRank is the two-list sorted merge walk the builder's prune test
+// ran before the scattered kernels replaced it, kept as their oracle: the
+// build-time Eq. 5 evaluation over the mutable per-node label slices,
+// appending the followee union into buf and returning it for reuse.
+// Returned fol aliases buf and is valid until the next call.
+func (w *thWork) refQueryRank(s, t graph.NodeID, buf []graph.NodeID) (int, []graph.NodeID, []graph.NodeID) {
+	buf = buf[:0]
+	if s == t {
+		return 0, nil, buf
+	}
+	ls, lt := w.out[s], w.in[t]
+	rs, rt := w.rank[s], w.rank[t]
+	best := infHops
+	fol := buf
+
+	consider := func(d int, f []graph.NodeID) {
+		if d > w.h || d > best {
+			return
+		}
+		if d < best {
+			best = d
+			fol = fol[:0]
+		}
+		for _, x := range f {
+			if !containsNode(fol, x) {
+				fol = append(fol, x)
+			}
+		}
+	}
+
+	// Virtual self entries: hub = t (t ∈ Lout(s) directly) and hub = s
+	// (s ∈ Lin(t); followee info comes from the in-label).
+	i, j := 0, 0
+	for i < len(ls) || j < len(lt) {
+		hi, hj := rankInf, rankInf
+		if i < len(ls) {
+			hi = ls[i].hub
+		}
+		if j < len(lt) {
+			hj = lt[j].hub
+		}
+		switch {
+		case hi < hj:
+			if hi == rt { // hub is t itself: d = d_s,t + 0
+				consider(int(ls[i].dist), ls[i].fol)
+			}
+			i++
+		case hj < hi:
+			if hj == rs { // hub is s itself: d = 0 + d_s,t, F from in-label
+				consider(int(lt[j].dist), lt[j].fol)
+			}
+			j++
+		default:
+			consider(int(ls[i].dist)+int(lt[j].dist), ls[i].fol)
+			i++
+			j++
+		}
+	}
+	if best == infHops {
+		return infHops, nil, fol
+	}
+	return best, fol, fol
+}
+
+// unfrozenLabels runs Algorithm 2's labeling over g without freezing it,
+// leaving the per-node label lists the prune kernels read.
+func unfrozenLabels(g *graph.Graph, h, batch int) *thWork {
+	w := newThWork(g, h, false)
+	w.buildLabels(1, batch)
+	return w
+}
+
+// labelsBefore returns the label state the builder held just before the
+// hub of rank cut ran, for cut on a batch boundary: a merged label is
+// never rewritten and every list is sorted by hub rank, so it is each
+// finished list's prefix of hubs ranked below cut.
+func labelsBefore(w *thWork, cut int32) *thWork {
+	c := *w
+	prefix := func(lists [][]thLabel) [][]thLabel {
+		p := make([][]thLabel, len(lists))
+		for u, l := range lists {
+			j := 0
+			for j < len(l) && l[j].hub < cut {
+				j++
+			}
+			p[u] = l[:j:j]
+		}
+		return p
+	}
+	c.out, c.in = prefix(w.out), prefix(w.in)
+	return &c
+}
+
+// TestPruneKernelsMatchMergeWalk pins the scattered prune kernels to the
+// merge walk they replaced, under ==: for every root and every other
+// node, forwardPrune's distance equals refQueryRank(root, t)'s, and
+// backwardPrune's (distance, u ∈ F) equals refQueryRank(s, root)'s for
+// every followee u of s and for one node that is not a followee. The
+// label states are the ones the kernels meet mid-build (batch boundaries
+// a quarter and half way through, and the finished build); on a finished
+// build alone the hub = s and hub = t entries never decide a test. Graph
+// sizes straddle the partition spans; batch 32 leaves in-batch redundant
+// labels the serial build would have pruned, so the kernels see
+// equal-distance ties.
+func TestPruneKernelsMatchMergeWalk(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, n := range []int{3, 63, 64, 65, 129, 150} {
+			g := randomGraph(r, n, 5*n)
+			for _, h := range []int{2, 3, 4} {
+				for _, batch := range []int{1, 32} {
+					w := unfrozenLabels(g, h, batch)
+					prev := -1
+					for _, cut := range []int{n / 4, n / 2, n} {
+						if cut = min(n, (cut+batch-1)/batch*batch); cut == prev {
+							continue
+						}
+						prev = cut
+						t.Run(fmt.Sprintf("seed=%d/n=%d/H=%d/batch=%d/before=%d", seed, n, h, batch, cut), func(t *testing.T) {
+							checkPruneKernels(t, labelsBefore(w, int32(cut)), int32(cut))
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkPruneKernels compares the kernels with the merge walk over w for
+// every root the build still runs against this state (rank ≥ cut), or
+// for every root when the build is finished (cut = n).
+func checkPruneKernels(t *testing.T, w *thWork, cut int32) {
+	t.Helper()
+	n := w.g.NumNodes()
+	b := newThBuilder(w)
+	var buf []graph.NodeID
+	for root := graph.NodeID(0); int(root) < n; root++ {
+		k := w.rank[root]
+		if k < cut && int(cut) < n {
+			continue
+		}
+
+		b.scatter(w.out[root], k)
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			if v == root {
+				continue
+			}
+			var want int
+			want, _, buf = w.refQueryRank(root, v, buf)
+			if got := b.forwardPrune(v); got != want {
+				t.Fatalf("forwardPrune(%d → %d) = %d, merge walk %d", root, v, got, want)
+			}
+		}
+		b.unscatter()
+		requireUnscattered(t, b)
+
+		b.scatter(w.in[root], k)
+		for s := graph.NodeID(0); int(s) < n; s++ {
+			if s == root {
+				continue
+			}
+			var want int
+			var fol []graph.NodeID
+			want, fol, buf = w.refQueryRank(s, root, buf)
+			out := w.g.Out(s)
+			probe := append([]graph.NodeID(nil), out...)
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				if !containsNode(out, v) {
+					probe = append(probe, v) // one non-member
+					break
+				}
+			}
+			for _, u := range probe {
+				got, gotIn := b.backwardPrune(s, u)
+				if wantIn := containsNode(fol, u); got != want || gotIn != wantIn {
+					t.Fatalf("backwardPrune(%d → %d, u=%d) = (%d, %v), merge walk (%d, %v)",
+						s, root, u, got, gotIn, want, wantIn)
+				}
+			}
+		}
+		b.unscatter()
+		requireUnscattered(t, b)
+	}
+}
+
+// requireUnscattered asserts unscatter left no scattered entry behind:
+// the next root's kernels must not see this one's labels.
+func requireUnscattered(t *testing.T, b *thBuilder) {
+	t.Helper()
+	for r, d := range b.sdist {
+		if d != thUnset {
+			t.Fatalf("sdist[%d] = %d after unscatter", r, d)
+		}
+	}
+}
+
+// TestPruneKernelsZeroAlloc is the runtime ground truth behind the
+// kernels' microlint:noalloc annotations: scattering a root, running
+// both prune tests against it and clearing it allocates nothing.
+func TestPruneKernelsZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	g := randomGraph(r, 200, 1200)
+	w := unfrozenLabels(g, DefaultMaxHops, DefaultTwoHopBatch)
+	b := newThBuilder(w)
+	root := w.order[len(w.order)/2]
+	k := w.rank[root]
+	i := 0
+	if avg := testing.AllocsPerRun(400, func() {
+		v := graph.NodeID(i % g.NumNodes())
+		i++
+		if v == root {
+			return // the kernels never test the root against itself
+		}
+		b.scatter(w.in[root], k)
+		for _, u := range g.Out(v) {
+			b.backwardPrune(v, u)
+		}
+		b.unscatter()
+		b.scatter(w.out[root], k)
+		b.forwardPrune(v)
+		b.unscatter()
+	}); avg != 0 {
+		t.Fatalf("prune kernels allocate %.2f per run, want 0", avg)
+	}
+}
