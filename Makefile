@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
 	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
+	$(GO) test -run=NONE -fuzz=FuzzRFromMatchesR -fuzztime=5s ./internal/reach
 	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
 	$(GO) test -run=NONE -fuzz=FuzzReadTransitiveClosure -fuzztime=5s ./internal/reach
 	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=5s ./internal/store

@@ -26,6 +26,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ type Config struct {
 	WPopularity float64 // γ: entity popularity weight (default 0.1)
 	// TopInfluential is the number of most influential users whose
 	// weighted reachability is averaged in Eq. 8 (§4.1.2). ≤ 0 selects the
-	// default 5; set to -1 … no: use WholeCommunity to disable truncation.
+	// default 5. To average over every user instead, set WholeCommunity.
 	TopInfluential int
 	// WholeCommunity disables influential-user truncation and averages
 	// reachability over the entire community U_e (Eq. 3) — the expensive
@@ -296,15 +297,61 @@ func (l *Linker) finishLocked(ctx context.Context, u kb.UserID, sh *sharedScores
 // a common scale; the paper normalises the other two explicitly and
 // leaves Eq. 8 raw, which would let a structurally small reachability
 // value be drowned by the normalised features.
+//
+// Raw S_in(u, e) is the mean of R(u, v) over the averaged users of e:
+// the influential users U_e* (Eq. 8), or the whole community U_e (Eq. 3)
+// under WholeCommunity. Cache hits are answered first; the averaged users
+// of every missing candidate are then gathered into one RFrom call, so
+// the author's reachability labels are read once per mention, and each
+// candidate's run is summed in user order — the same additions, in the
+// same order, as one R call per user. Callers hold mu.RLock, which makes
+// the cache generation read, the computation and the store atomic with
+// respect to Feedback's invalidation bumps.
 func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) ([]float64, error) {
 	ints := make([]float64, len(sh.ents))
+	g := gatherPool.Get().(*gather)
+	defer gatherPool.Put(g)
+	g.misses, g.users = g.misses[:0], g.users[:0]
 	for i, e := range sh.ents {
 		if i&7 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		ints[i] = l.cachedInterest(u, e, sh)
+		if v, ok := l.cache.get(u, e, sh.setHash); ok {
+			l.metrics().cacheHits.Inc()
+			ints[i] = v
+			continue
+		}
+		var users []kb.UserID
+		if l.cfg.WholeCommunity {
+			users = l.ckb.Community(e)
+		} else {
+			users = l.inf.TopInfluential(e, sh.ents, l.cfg.TopInfluential)
+		}
+		g.users = append(g.users, users...)
+		g.misses = append(g.misses, gatherRun{cand: i, end: len(g.users)})
+	}
+	if len(g.users) > 0 {
+		g.rs = slices.Grow(g.rs[:0], len(g.users))[:len(g.users)]
+		l.reach.RFrom(u, g.users, g.rs)
+	}
+	start := 0
+	for _, m := range g.misses {
+		var v float64
+		if run := g.rs[start:m.end]; len(run) > 0 {
+			var sum float64
+			for _, r := range run {
+				sum += r
+			}
+			v = sum / float64(len(run))
+		}
+		start = m.end
+		ints[m.cand] = v
+		if l.cache != nil {
+			l.cache.put(u, sh.ents[m.cand], sh.setHash, v)
+			l.metrics().cacheMisses.Inc()
+		}
 	}
 	var sum float64
 	for i := range ints {
@@ -321,23 +368,22 @@ func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) (
 	return ints, nil
 }
 
-// cachedInterest answers S_in(u, e) from the interest cache when a live
-// entry exists, computing and storing it otherwise. Callers hold mu.RLock,
-// which makes the generation read + compute + store atomic with respect to
-// Feedback's invalidation bumps.
-func (l *Linker) cachedInterest(u kb.UserID, e kb.EntityID, sh *sharedScores) float64 {
-	if l.cache == nil {
-		return l.interest(u, e, sh.ents)
-	}
-	if v, ok := l.cache.get(u, e, sh.setHash); ok {
-		l.metrics().cacheHits.Inc()
-		return v
-	}
-	v := l.interest(u, e, sh.ents)
-	l.cache.put(u, e, sh.setHash, v)
-	l.metrics().cacheMisses.Inc()
-	return v
+// gather is interests' pooled scratch: the averaged users of every
+// cache-missing candidate back to back, their reachabilities from the
+// author, and where each candidate's run ends.
+type gather struct {
+	users  []kb.UserID
+	rs     []float64
+	misses []gatherRun
 }
+
+// gatherRun is one missing candidate's run: users[prev end : end].
+type gatherRun struct {
+	cand int // index into the candidate set
+	end  int
+}
+
+var gatherPool = sync.Pool{New: func() any { return new(gather) }}
 
 // ScoreCandidatesCtx generates E_m for surface and scores every candidate
 // by Eq. 1 for the given author and time, sorted by descending score (ties
@@ -369,25 +415,6 @@ func (l *Linker) ScoreCandidates(u kb.UserID, now int64, surface string) []Score
 	//nolint:microlint/errdrop -- background context cannot be cancelled, so the error is impossible here
 	out, _ := l.ScoreCandidatesCtx(context.Background(), u, now, surface)
 	return out
-}
-
-// interest computes S_in(u, e) over the influential users U_e* (Eq. 8), or
-// the whole community (Eq. 3) when configured.
-func (l *Linker) interest(u kb.UserID, e kb.EntityID, ents []kb.EntityID) float64 {
-	var users []kb.UserID
-	if l.cfg.WholeCommunity {
-		users = l.ckb.Community(e)
-	} else {
-		users = l.inf.TopInfluential(e, ents, l.cfg.TopInfluential)
-	}
-	if len(users) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range users {
-		sum += l.reach.R(u, v)
-	}
-	return sum / float64(len(users))
 }
 
 // LinkMentionCtx links one mention to its best entity. ok is false when

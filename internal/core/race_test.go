@@ -27,6 +27,7 @@ type raceFixture struct {
 	cand *candidate.Index
 	st   *reach.Streaming
 	inf  *influence.Estimator
+	net  *recency.PropNet
 	rec  *recency.Scorer
 }
 
@@ -63,12 +64,14 @@ func newRaceFixture() *raceFixture {
 	}
 	g := gb.Build()
 
+	net := recency.BuildPropNet(k, 0.3)
 	return &raceFixture{
 		ckb:  ckb,
 		cand: candidate.NewIndex(k, candidate.Options{MaxEdit: 1}),
 		st:   reach.NewStreaming(g, reach.TwoHopOptions{MaxHops: 3}),
 		inf:  influence.New(ckb, influence.Entropy),
-		rec:  recency.NewScorer(ckb, recency.BuildPropNet(k, 0.3), recency.Options{Tau: 100, Theta1: 3}),
+		net:  net,
+		rec:  recency.NewScorer(ckb, net, recency.Options{Tau: 100, Theta1: 3}),
 	}
 }
 

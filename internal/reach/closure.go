@@ -253,6 +253,11 @@ func (tc *TransitiveClosure) R(u, v graph.NodeID) float64 {
 	return float64(tc.rows[u].entries[idx].w)
 }
 
+// RFrom implements Index with one map lookup per target.
+func (tc *TransitiveClosure) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	rFromLoop(tc, u, vs, out)
+}
+
 // NumFollowees returns |F_uv| without materialising the set.
 func (tc *TransitiveClosure) NumFollowees(u, v graph.NodeID) int {
 	idx, ok := tc.maps[u][v]

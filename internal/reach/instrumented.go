@@ -13,8 +13,10 @@ import (
 //	microlink_reach_queries_total{kind=…}
 //	microlink_reach_query_seconds{kind=…}
 //
-// where kind names the substrate (closure, twohop, naive, streaming). The
-// wrapper adds two clock reads per query on top of the atomic updates;
+// where kind names the substrate (closure, twohop, naive, pruned,
+// streaming). The counter advances once per R and len(vs) per RFrom; the
+// histogram takes one sample per call of either. The wrapper adds two
+// clock reads per call on top of the atomic updates;
 // callers that need the raw substrate (serialisation, follow-edge
 // inserts) can recover it via Unwrap.
 type Instrumented struct {
@@ -31,7 +33,7 @@ func Instrument(idx Index, reg *obs.Registry) *Instrumented {
 		queries: reg.CounterVec("microlink_reach_queries_total",
 			"Weighted reachability queries, by index substrate.", "kind").With(kind),
 		seconds: reg.HistogramVec("microlink_reach_query_seconds",
-			"Weighted reachability query latency, by index substrate.", nil, "kind").With(kind),
+			"Weighted reachability call latency (one sample per R or RFrom call), by index substrate.", nil, "kind").With(kind),
 	}
 }
 
@@ -44,6 +46,8 @@ func KindName(idx Index) string {
 		return "twohop"
 	case *Naive:
 		return "naive"
+	case *PrunedSearch:
+		return "pruned"
 	case *Streaming:
 		return "streaming"
 	case *Instrumented:
@@ -113,6 +117,15 @@ func (x *Instrumented) R(u, v graph.NodeID) float64 {
 	sp.Stop()
 	x.queries.Inc()
 	return r
+}
+
+// RFrom implements Index: one latency sample for the whole call, and
+// len(vs) queries on the counter.
+func (x *Instrumented) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	sp := obs.StartSpan(x.seconds)
+	x.inner.RFrom(u, vs, out)
+	sp.Stop()
+	x.queries.Add(uint64(len(vs)))
 }
 
 // SizeBytes implements Index, reporting the wrapped index's size.

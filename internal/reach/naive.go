@@ -88,6 +88,9 @@ func (n *Naive) R(u, v graph.NodeID) float64 {
 	return score(res, ok, n.g.OutDegree(u))
 }
 
+// RFrom implements Index with one R per target.
+func (n *Naive) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) { rFromLoop(n, u, vs, out) }
+
 // SizeBytes implements Index; the naive oracle holds no index.
 func (n *Naive) SizeBytes() int64 { return 0 }
 

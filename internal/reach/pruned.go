@@ -160,6 +160,11 @@ func (ps *PrunedSearch) R(u, v graph.NodeID) float64 {
 	return score(res, ok, ps.g.OutDegree(u))
 }
 
+// RFrom implements Index with one R per target.
+func (ps *PrunedSearch) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	rFromLoop(ps, u, vs, out)
+}
+
 // SizeBytes implements Index: the labels are the entire index.
 func (ps *PrunedSearch) SizeBytes() int64 {
 	return int64(len(ps.labels))*8 + int64(len(ps.scc.Comp))*4

@@ -5,15 +5,26 @@
 //
 // where d_uv is the shortest-path distance from u to v and F_uv is the set
 // of u's followees that participate in at least one shortest path from u to
-// v. Three interchangeable substrates are provided:
+// v. Five interchangeable substrates are provided:
 //
 //   - Naive: a per-query double BFS with no index — the baseline the paper's
 //     Fig. 5(b) compares against.
+//   - PrunedSearch: the online-search row of Fig. 5(b) — GRAIL interval
+//     labels refute unreachable pairs, a bounded double BFS answers the rest.
 //   - TransitiveClosure: the extended transitive-closure matrix built by the
 //     paper's incremental Algorithm 1 in O(H·|V|²) instead of O(|V|⁴).
 //   - TwoHop: the extended 2-hop cover of Algorithm 2 (pruned landmark
 //     labeling with per-label followee sets), trading query time for a much
 //     smaller index (paper Table 5).
+//   - Streaming: a frozen TwoHop arena serving queries lock-free beside a
+//     live follow graph, replaced wholesale by copy-on-swap rebuilds (the
+//     ingest pipeline's substrate).
+//
+// Besides the pairwise R, every substrate answers RFrom: one source
+// against many targets, equal to a loop over R under ==. Eq. 8 asks
+// exactly that — one author against every averaged user of the missing
+// candidates — and TwoHop answers it natively, reading the author's
+// out-labels once instead of once per target; the others loop over R.
 //
 // One deliberate deviation from the literal formula: for a direct follow
 // edge (d_uv = 1) Eq. 4 would yield 1/|F_u|, but the paper's Algorithm 1
@@ -49,6 +60,9 @@ type Index interface {
 	Query(u, v graph.NodeID) (Result, bool)
 	// R returns the weighted reachability score in [0, 1].
 	R(u, v graph.NodeID) float64
+	// RFrom writes R(u, vs[i]) into out[i] for every i, equal to a loop
+	// over R under ==. out must hold at least len(vs) entries.
+	RFrom(u graph.NodeID, vs []graph.NodeID, out []float64)
 	// SizeBytes estimates the memory held by the index (Table 5's
 	// "index size" column).
 	SizeBytes() int64
@@ -60,6 +74,14 @@ type Index interface {
 type BuildStats struct {
 	BuildTime time.Duration // wall-clock construction time
 	Entries   int64         // closure entries or 2-hop labels stored
+}
+
+// rFromLoop is RFrom for the substrates without a batched kernel: one R
+// per target.
+func rFromLoop(idx Index, u graph.NodeID, vs []graph.NodeID, out []float64) {
+	for i, v := range vs {
+		out[i] = idx.R(u, v)
+	}
 }
 
 // score converts a query result into R(u,v) per Eq. 4 with the Algorithm 1

@@ -387,6 +387,9 @@ func ReadTwoHop(r io.Reader, g *graph.Graph) (*TwoHop, error) {
 	if n != g.NumNodes() {
 		return nil, ErrGraphMismatch
 	}
+	if hops > maxTwoHopHops {
+		return nil, fmt.Errorf("%w: hop bound %d above %d", ErrFormat, hops, maxTwoHopHops)
+	}
 	th := &TwoHop{g: g, h: hops}
 	th.order = d.int32s(n)
 	th.outOff = d.int32s(n + 1)

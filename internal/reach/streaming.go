@@ -252,6 +252,12 @@ func (st *Streaming) R(u, v graph.NodeID) float64 {
 	return st.frozen.Load().R(u, v)
 }
 
+// RFrom implements Index against the frozen arena (lock-free): one
+// arena load for every target.
+func (st *Streaming) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	st.frozen.Load().RFrom(u, vs, out)
+}
+
 // SizeBytes implements Index: what the substrate holds — the frozen
 // arena and the base CSR, both measured from their backing slices, plus
 // an estimate of the tail's map (16 B per edge). With no

@@ -327,6 +327,159 @@ func (th *TwoHop) R(u, v graph.NodeID) float64 {
 	return r
 }
 
+// rfScratch is RFrom's pooled scratch: the source's out-labels scattered
+// by hub rank (the "temporary array" of pruned landmark labeling, Akiba
+// et al., SIGMOD 2013, which the builder's prune kernels also use) and an
+// epoch-stamped per-node mark array counting the followee union.
+//
+// sdist[r] is the source's distance through hub r, thUnset when it has no
+// hub-r label; sidx[r] that label's index in outLab, or -1 for the virtual
+// self entry, whose followee set is the in-label's. sidx is read only
+// where sdist is set. mark[w] == epoch means followee w is already
+// counted for the current target.
+type rfScratch struct {
+	sdist []uint8
+	sidx  []int32
+	mark  []uint32
+	epoch uint32
+}
+
+var rfScratchPool = sync.Pool{New: func() any { return new(rfScratch) }}
+
+// fit grows the scratch to n nodes. Growth appends into the pooled
+// fields, so a warm scratch returns at once.
+//
+// microlint:noalloc
+func (sc *rfScratch) fit(n int) {
+	for len(sc.sdist) < n {
+		sc.sdist = append(sc.sdist, thUnset)
+		sc.sidx = append(sc.sidx, 0)
+		sc.mark = append(sc.mark, 0)
+	}
+}
+
+// count adds the members of set not yet marked this epoch, marking them.
+//
+// microlint:noalloc
+func (sc *rfScratch) count(set []graph.NodeID) int {
+	c := 0
+	for _, w := range set {
+		if sc.mark[w] != sc.epoch {
+			sc.mark[w] = sc.epoch
+			c++
+		}
+	}
+	return c
+}
+
+// nextEpoch starts a fresh followee union; on wrap-around the marks are
+// cleared so no stale stamp can match.
+//
+// microlint:noalloc
+func (sc *rfScratch) nextEpoch() {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+}
+
+// RFrom implements Index natively: u's out-labels are scattered once, and
+// each target scans only its own in-labels against them, so a call costs
+// |Lout(u)| + Σ|Lin(v)| label reads instead of a merge walk per pair.
+// Every out[i] equals R(u, vs[i]) under ==: the scan evaluates the same
+// three Eq. 5 cases as queryRank's merge walk (a common hub, the hub = v
+// entry of Lout(u), the hub = u entry of Lin(v)), counts the same
+// followee union, and combines it with R's own expression.
+//
+// microlint:noalloc
+func (th *TwoHop) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	sc := rfScratchPool.Get().(*rfScratch)
+	sc.fit(len(th.rank))
+	th.scatterOut(sc, u)
+	od := th.g.OutDegree(u)
+	for i, v := range vs {
+		out[i] = th.rFromTarget(sc, u, v, od)
+	}
+	th.unscatterOut(sc, u)
+	rfScratchPool.Put(sc)
+}
+
+// scatterOut loads Lout(u) into sc, plus the virtual self entry
+// sdist[rank(u)] = 0 when u has no label on its own rank: the hub = u
+// case then scores as the ordinary sum 0 + d(u, v).
+//
+// microlint:noalloc
+func (th *TwoHop) scatterOut(sc *rfScratch, u graph.NodeID) {
+	base := th.outOff[u]
+	for i, l := range th.outLabels(u) {
+		sc.sdist[l.hub] = l.dist
+		sc.sidx[l.hub] = base + int32(i)
+	}
+	if ru := th.rank[u]; sc.sdist[ru] == thUnset {
+		sc.sdist[ru], sc.sidx[ru] = 0, -1
+	}
+}
+
+// unscatterOut clears every sdist entry scatterOut set.
+//
+// microlint:noalloc
+func (th *TwoHop) unscatterOut(sc *rfScratch, u graph.NodeID) {
+	for _, l := range th.outLabels(u) {
+		sc.sdist[l.hub] = thUnset
+	}
+	sc.sdist[th.rank[u]] = thUnset
+}
+
+// rFromTarget is R(u, v) against the scattered Lout(u); od is |F_u|. An
+// unset hub reads thUnset, which plus any label distance exceeds H
+// (ReadTwoHop refuses H > maxTwoHopHops), so no presence test is needed.
+//
+// microlint:noalloc
+func (th *TwoHop) rFromTarget(sc *rfScratch, u, v graph.NodeID, od int) float64 {
+	if u == v {
+		return 1
+	}
+	lt := th.inLabels(v)
+	rv := th.rank[v]
+	best, selfIn := infHops, false
+	for i := range lt {
+		selfIn = selfIn || lt[i].hub == rv
+		if d := int(sc.sdist[lt[i].hub]) + int(lt[i].dist); d <= th.h && d < best {
+			best = d
+		}
+	}
+	// Hub is v itself, absent from Lin(v): d(u, v) from Lout(u) alone.
+	tail := !selfIn && int(sc.sdist[rv]) <= th.h
+	if tail && int(sc.sdist[rv]) < best {
+		best = int(sc.sdist[rv])
+	}
+	switch {
+	case best >= infHops:
+		return 0
+	case best <= 1:
+		return 1
+	case od == 0:
+		return 0
+	}
+	sc.nextEpoch()
+	nf := 0
+	for i := range lt {
+		if int(sc.sdist[lt[i].hub])+int(lt[i].dist) != best {
+			continue
+		}
+		if k := sc.sidx[lt[i].hub]; k >= 0 {
+			nf += sc.count(th.folSet(th.outLab[k]))
+		} else {
+			nf += sc.count(th.folSet(lt[i])) // hub is u: F from the in-label
+		}
+	}
+	if tail && int(sc.sdist[rv]) == best {
+		nf += sc.count(th.folSet(th.outLab[sc.sidx[rv]]))
+	}
+	return 1 / float64(best) * float64(nf) / float64(od)
+}
+
 // SizeBytes implements Index. With arena storage this is measured, not
 // estimated: the sum of the actual backing-array and header sizes of the
 // frozen index (the arenas are shrunk to exact capacity at freeze time).

@@ -62,6 +62,20 @@ func BenchmarkTwoHopQuery(b *testing.B) {
 		}
 		_ = sink
 	})
+	// One author against the ≈ 14 averaged users of a cache-missing
+	// mention (Eq. 8 over a few candidates): the linker's RFrom shape.
+	targets := make([]graph.NodeID, 14*64)
+	for i := range targets {
+		targets[i] = graph.NodeID(r.Intn(g.NumNodes()))
+	}
+	b.Run("RFrom/targets=14", func(b *testing.B) {
+		b.ReportAllocs()
+		out := make([]float64, 14)
+		for i := 0; i < b.N; i++ {
+			k := i & 63
+			th.RFrom(pairs[i&1023][0], targets[14*k:14*k+14], out)
+		}
+	})
 	b.Run("QueryAppend", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]graph.NodeID, 0, 512)

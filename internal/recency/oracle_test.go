@@ -264,20 +264,31 @@ func TestScoresConcurrentMatchOracle(t *testing.T) {
 }
 
 // FuzzScoresMatchOracle drives Scores with arbitrary postings (from seed),
-// query time and candidate list over clusterKB.
+// query time and candidate list over clusterKB. Each input is scored
+// twice (a propagation, then a memo hit), then once more after one
+// posting at now on entity post, which may move the window vector.
 func FuzzScoresMatchOracle(f *testing.F) {
-	f.Add(int64(0), int64(500), []byte{0, 3, 5})
-	f.Add(int64(7), int64(900), []byte{0, 1, 2, 0, 9})
-	f.Add(int64(-3), int64(-1), []byte{})
-	f.Fuzz(func(t *testing.T, seed, now int64, raw []byte) {
+	f.Add(int64(0), int64(500), []byte{0, 3, 5}, uint8(0))
+	f.Add(int64(7), int64(900), []byte{0, 1, 2, 0, 9}, uint8(1))
+	f.Add(int64(-3), int64(-1), []byte{}, uint8(9))
+	f.Fuzz(func(t *testing.T, seed, now int64, raw []byte, post uint8) {
 		c, net := seededClusterKB(seed)
 		cands := make([]kb.EntityID, len(raw))
 		for i, b := range raw {
 			cands[i] = kb.EntityID(b % 10)
 		}
-		for _, opts := range []Options{{Theta1: 5, Tau: 100}, {Theta1: 5, Tau: 100, NoPropagation: true}} {
-			s := NewScorer(c, net, opts)
-			sameBits(t, "fuzz", s.Scores(now, cands), oracle{s}.scores(now, cands))
+		scorers := []*Scorer{
+			NewScorer(c, net, Options{Theta1: 5, Tau: 100}),
+			NewScorer(c, net, Options{Theta1: 5, Tau: 100, NoPropagation: true}),
 		}
+		check := func(what string) {
+			for _, s := range scorers {
+				sameBits(t, what, s.Scores(now, cands), oracle{s}.scores(now, cands))
+			}
+		}
+		check("first")
+		check("repeat")
+		c.Link(kb.EntityID(post%10), kb.Posting{Tweet: -1, User: 1, Time: now})
+		check("after Link")
 	})
 }

@@ -19,6 +19,7 @@
 package recency
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -223,14 +224,30 @@ func (n *PropNet) NumEdges() int {
 }
 
 // Scorer computes recency scores S_r(e) (Eq. 9 + Eq. 11) over a
-// complemented knowledgebase, propagating afresh on every call, once per
-// distinct cluster among the candidates. Safe for concurrent use.
+// complemented knowledgebase, once per distinct cluster among the
+// candidates. Eq. 11's result is a pure function of the cluster's gated
+// window vector s0 (the network, λ and the iteration count are fixed), so
+// each cluster keeps a one-entry memo of its last propagation keyed on
+// s0: a call whose s0 equals the stored one reuses the stored vector, any
+// other propagates and replaces the entry. A posting or a window expiry
+// that moves a member across θ₁ or changes its count changes s0 and so
+// misses by construction: there is no clock bucket and no invalidation.
+// Safe for concurrent use.
 type Scorer struct {
 	ckb  *kb.Complemented
 	net  *PropNet
 	opts Options
 
-	memoHits atomic.Int64 // reported by MemoHits; nothing increments it without a memo
+	// memo holds one slot per cluster, nil until the cluster first
+	// propagates a burst. A published entry is never written again.
+	memo     []atomic.Pointer[propMemo]
+	memoHits atomic.Int64
+}
+
+// propMemo is one cluster's last propagation: the gated window vector it
+// started from and the Eq. 11 result, both aligned with the members.
+type propMemo struct {
+	s0, vec []float64
 }
 
 // NewScorer returns a Scorer. net may be nil only when opts.NoPropagation
@@ -240,7 +257,11 @@ func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options) *Scorer {
 	if net == nil && !opts.NoPropagation {
 		panic("recency: propagation enabled but no propagation network given")
 	}
-	return &Scorer{ckb: ckb, net: net, opts: opts}
+	s := &Scorer{ckb: ckb, net: net, opts: opts}
+	if net != nil {
+		s.memo = make([]atomic.Pointer[propMemo], len(net.clusters))
+	}
+	return s
 }
 
 // Options returns the effective (defaults-filled) options.
@@ -255,8 +276,8 @@ func (s *Scorer) Clusters(e kb.EntityID) []kb.EntityID {
 	return s.net.ClusterOf(e)
 }
 
-// MemoHits reports how many propagation runs a memo saved: 0, as the
-// Scorer keeps no memo.
+// MemoHits reports how many propagation runs the per-cluster memo saved:
+// calls whose cluster window vector equalled the stored one.
 func (s *Scorer) MemoHits() int64 { return s.memoHits.Load() }
 
 // raw returns the gated burst signal of Eq. 9's numerator: |D_e^τ| when it
@@ -319,7 +340,7 @@ next:
 				continue next
 			}
 		}
-		vec := s.propagateCluster(&s.net.clusters[id], now, sc)
+		vec := s.propagateCluster(id, now, sc)
 		for j := i; j < len(cands); j++ {
 			if s.net.clusterOf[cands[j]] == id {
 				out[j] = vec[s.net.localIdx[cands[j]]]
@@ -328,9 +349,12 @@ next:
 	}
 }
 
-// propagateCluster runs Eq. 11 over one cluster and returns the recency
-// vector aligned with its members; the vector lives in sc.
-func (s *Scorer) propagateCluster(c *propCluster, now int64, sc *propScratch) []float64 {
+// propagateCluster runs Eq. 11 over cluster id and returns the recency
+// vector aligned with its members, read-only: it lives in sc or in the
+// cluster's memo entry. An s0 equal to the memo's returns the memoised
+// vector; any other burst propagates and publishes a fresh entry.
+func (s *Scorer) propagateCluster(id int32, now int64, sc *propScratch) []float64 {
+	c := &s.net.clusters[id]
 	n := len(c.members)
 	if cap(sc.s0) < n {
 		sc.s0, sc.cur, sc.nxt = make([]float64, n), make([]float64, n), make([]float64, n)
@@ -343,7 +367,17 @@ func (s *Scorer) propagateCluster(c *propCluster, now int64, sc *propScratch) []
 	if !burst {
 		return s0 // all zeros
 	}
-	return c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
+	slot := &s.memo[id]
+	if m := slot.Load(); m != nil && slices.Equal(m.s0, s0) {
+		s.memoHits.Add(1)
+		return m.vec
+	}
+	vec := c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
+	buf := make([]float64, 2*n)
+	copy(buf, s0)
+	copy(buf[n:], vec)
+	slot.Store(&propMemo{s0: buf[:n:n], vec: buf[n:]})
+	return vec
 }
 
 // iterate is the Eq. 11 fixpoint loop in pull form,
