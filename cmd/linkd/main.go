@@ -93,17 +93,17 @@ func main() {
 	}
 
 	// Warm restart: when -data holds a committed snapshot, the whole
-	// system — graph, complemented KB, live tweets, frozen reach arena —
-	// reloads from segments and the WAL suffix replays on top. The
-	// manifest's world and reach parameters win over -seed/-users/-reach.
+	// system — world, graph, complemented KB, live tweets, frozen reach
+	// arena — reloads from segments and the WAL suffix replays on top.
+	// The directory's world and reach kind win over -seed/-users/-reach.
 	var sys *microlink.System
 	if *dataDir != "" {
 		s, rep, err := microlink.Open(*dataDir, opts)
 		switch {
 		case err == nil:
 			sys = s
-			log.Printf("linkd: warm restart from %s: snapshot seq %d, generate %v + segment load %v + WAL replay %v (%d records, torn tail: %v)",
-				*dataDir, rep.Seq, rep.Generate.Round(time.Millisecond), rep.Load.Round(time.Millisecond),
+			log.Printf("linkd: warm restart from %s: snapshot seq %d, segment load %v (world segment %v of it, read in parallel) + WAL replay %v (%d records, torn tail: %v)",
+				*dataDir, rep.Seq, rep.Load.Round(time.Millisecond), rep.World.Round(time.Millisecond),
 				rep.Replay.Round(time.Millisecond), rep.WALRecords, rep.TornTail)
 		case errors.Is(err, microlink.ErrNoSnapshot):
 			log.Printf("linkd: %s holds no snapshot; cold start", *dataDir)

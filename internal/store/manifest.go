@@ -11,8 +11,11 @@ import (
 )
 
 const (
-	manifestName    = "MANIFEST"
-	manifestVersion = 1
+	manifestName = "MANIFEST"
+	// manifestVersion 2 added the world segment. A version-1 directory
+	// meant "regenerate the world from World" and is refused: it is
+	// re-snapshotted from a cold Build, not decoded a second way.
+	manifestVersion = 2
 )
 
 // Manifest is the commit record of one snapshot generation. It is the
@@ -26,8 +29,8 @@ type Manifest struct {
 	Seq uint64 `json:"seq"`
 	// CreatedUnix is the commit wall time, seconds since the epoch.
 	CreatedUnix int64 `json:"created_unix"`
-	// World regenerates the deterministic base dataset (graph, KB,
-	// corpus); only state beyond it is serialized in segments.
+	// World is the parameters the world segment's dataset was generated
+	// from: provenance, not regenerated. Open reads the world segment.
 	World synth.Params `json:"world"`
 	// Reach names the persisted index kind: ReachClosure or
 	// ReachStreaming.
@@ -35,9 +38,10 @@ type Manifest struct {
 	// MaxHops is the bounded-reachability horizon the index was built
 	// with (0 for unbounded closure).
 	MaxHops int `json:"max_hops,omitempty"`
-	// Segments maps segment base names (graph, pending, ckb, tweets,
-	// reach) to file names inside the data directory. The pending entry
-	// is optional: manifests written before it existed have none.
+	// Segments maps segment base names (world, graph, pending, ckb,
+	// tweets, reach) to file names inside the data directory. The world
+	// entry may name an earlier generation's file: a binding writes its
+	// world once and later commits carry the entry forward.
 	Segments map[string]string `json:"segments"`
 	// WALSeq is the first WAL file extending this snapshot: replay
 	// starts there and pruning deletes everything below it.
@@ -69,7 +73,7 @@ func readManifest(path string) (*Manifest, error) {
 	if m.Seq == 0 || m.WALSeq == 0 {
 		return nil, fmt.Errorf("%w: %s: zero sequence numbers", ErrManifest, path)
 	}
-	for _, name := range []string{segGraphName, segCKBName, segTweetsName, segReachName} {
+	for _, name := range []string{segWorldName, segGraphName, segPendingName, segCKBName, segTweetsName, segReachName} {
 		if m.Segments[name] == "" {
 			return nil, fmt.Errorf("%w: %s: missing %s segment entry", ErrManifest, path, name)
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"microlink/internal/kb"
 	"microlink/internal/tweets"
@@ -202,7 +203,50 @@ func (d *decoder) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func decodeTweet(d *decoder) (tweets.Tweet, error) {
+// tweetArena carves decoded tweets' strings out of one backing and their
+// mention lists out of one array. A nil arena allocates per field (WAL
+// records, one tweet each); a sizing arena allocates nothing and only
+// tallies what a carving pass over the same bytes needs.
+type tweetArena struct {
+	sizing    bool
+	strBytes  int // sizing: text and surface bytes seen
+	nMentions int // sizing: mentions seen
+	text      strings.Builder
+	mentions  []tweets.Mention
+}
+
+// str returns b as a string: a fresh one, nothing (sizing), or a slice of
+// the shared backing. Bytes already written to a strings.Builder never
+// change, so earlier slices stay valid as it grows.
+func (a *tweetArena) str(b []byte) string {
+	switch {
+	case a == nil:
+		return string(b)
+	case a.sizing:
+		a.strBytes += len(b)
+		return ""
+	}
+	start := a.text.Len()
+	a.text.Write(b)
+	return a.text.String()[start:]
+}
+
+// mentionList returns room for n mentions, nil when sizing. Carved lists
+// are capped so an append to one never writes into the next.
+func (a *tweetArena) mentionList(n int) []tweets.Mention {
+	switch {
+	case a == nil:
+		return make([]tweets.Mention, n)
+	case a.sizing:
+		a.nMentions += n
+		return nil
+	}
+	ms := a.mentions[:n:n]
+	a.mentions = a.mentions[n:]
+	return ms
+}
+
+func decodeTweet(d *decoder, a *tweetArena) (tweets.Tweet, error) {
 	var tw tweets.Tweet
 	id, err := d.u64()
 	if err != nil {
@@ -238,9 +282,9 @@ func decodeTweet(d *decoder) (tweets.Tweet, error) {
 	tw.ID = int64(id)
 	tw.User = kb.UserID(int32(user))
 	tw.Time = int64(ts)
-	tw.Text = string(text)
+	tw.Text = a.str(text)
 	if nm > 0 {
-		tw.Mentions = make([]tweets.Mention, nm)
+		tw.Mentions = a.mentionList(nm)
 	}
 	for i := 0; i < nm; i++ {
 		sl, err := d.u16()
@@ -267,12 +311,15 @@ func decodeTweet(d *decoder) (tweets.Tweet, error) {
 		if err != nil {
 			return tw, err
 		}
-		tw.Mentions[i] = tweets.Mention{
-			Surface: string(surf),
+		m := tweets.Mention{
+			Surface: a.str(surf),
 			Start:   int(int32(start)),
 			End:     int(int32(end)),
 			Truth:   kb.EntityID(int32(truth)),
 			Kind:    tweets.MentionKind(kind),
+		}
+		if tw.Mentions != nil {
+			tw.Mentions[i] = m
 		}
 	}
 	return tw, nil
@@ -318,7 +365,7 @@ func decodeRecord(kind Kind, payload []byte) (Record, error) {
 	r := Record{Kind: kind}
 	switch kind {
 	case RecTweet, RecFeedback:
-		tw, err := decodeTweet(d)
+		tw, err := decodeTweet(d, nil)
 		if err != nil {
 			return r, err
 		}

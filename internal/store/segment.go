@@ -37,6 +37,7 @@ const (
 	segKindCKB     = 2
 	segKindTweets  = 3
 	segKindPending = 4
+	segKindWorld   = 5
 
 	segHeaderSize  = 7 // magic + version + kind
 	segTrailerSize = 8 // crc64
@@ -57,6 +58,7 @@ const (
 	segTweetsName  = "tweets"
 	segReachName   = "reach"
 	segPendingName = "pending"
+	segWorldName   = "world"
 )
 
 // segName formats the file name of a segment at generation seq.
@@ -363,17 +365,37 @@ func readTweetsPayload(d *decoder) ([]tweets.Tweet, error) {
 	if err != nil {
 		return nil, err
 	}
-	bd := &decoder{b: body, class: ErrSegment}
-	out := make([]tweets.Tweet, 0, n)
-	for i := uint32(0); i < n; i++ {
-		tw, err := decodeTweet(bd)
-		if err != nil {
-			return nil, fmt.Errorf("tweet %d: %w", i, err)
-		}
-		out = append(out, tw)
+	// Two passes over the body: the first validates every tweet and sizes
+	// the shared allocations, the second carves the tweets out of them —
+	// one string backing for every text and surface, one mention array.
+	sizing := &tweetArena{sizing: true}
+	if err := decodeTweets(body, int(n), sizing, nil); err != nil {
+		return nil, err
 	}
-	if len(bd.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d tweets", ErrSegment, len(bd.b), n)
+	a := &tweetArena{mentions: make([]tweets.Mention, sizing.nMentions)}
+	a.text.Grow(sizing.strBytes)
+	out := make([]tweets.Tweet, n)
+	if err := decodeTweets(body, int(n), a, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// decodeTweets decodes the n tweets that must fill body exactly through
+// a, storing them in out unless it is nil (the sizing pass).
+func decodeTweets(body []byte, n int, a *tweetArena, out []tweets.Tweet) error {
+	d := &decoder{b: body, class: ErrSegment}
+	for i := 0; i < n; i++ {
+		tw, err := decodeTweet(d, a)
+		if err != nil {
+			return fmt.Errorf("tweet %d: %w", i, err)
+		}
+		if out != nil {
+			out[i] = tw
+		}
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %d tweets", ErrSegment, len(d.b), n)
+	}
+	return nil
 }

@@ -66,6 +66,7 @@ func TestSegmentCorruptCount(t *testing.T) {
 		{"ckb entity 0 postings", segCKBName, 4, 4, 1<<31 - 1, func(s *Store) error { _, err := s.LoadPostings(); return err }},
 		{"tweets count", segTweetsName, 0, 4, 1<<28 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
 		{"tweets body bytes", segTweetsName, 4, 8, 1<<36 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"world params bytes", segWorldName, 0, 4, 1<<31 - 1, func(s *Store) error { _, err := s.LoadWorld(); return err }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -104,8 +105,9 @@ func TestPendingSegmentValidation(t *testing.T) {
 	}
 }
 
-// TestLoadPendingWithoutManifestEntry: a manifest from before the
-// pending segment existed loads as no pending edges, not an error.
+// TestLoadPendingWithoutManifestEntry: every manifest names its pending
+// segment; one without the entry is damaged, not a directory from before
+// the segment existed (those are version 1, refused outright).
 func TestLoadPendingWithoutManifestEntry(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -132,9 +134,8 @@ func TestLoadPendingWithoutManifestEntry(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pending, err := mustOpen(t, dir).LoadPending()
-	if err != nil || pending != nil {
-		t.Fatalf("LoadPending without a manifest entry = %v, %v; want nil, nil", pending, err)
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrManifest) {
+		t.Fatalf("Open without a pending entry: got %v, want ErrManifest", err)
 	}
 }
 
@@ -166,6 +167,7 @@ var segmentCodecs = []segmentCodec{
 	{segKindPending,
 		func(d *decoder) (any, error) { return readPendingPayload(d) },
 		func(w io.Writer, v any) error { return writePendingPayload(w, v.([][2]graph.NodeID)) }},
+	{segKindWorld, func(d *decoder) (any, error) { return readWorldPayload(d) }, nil},
 }
 
 // FuzzReadSegment feeds arbitrary payloads, framed and checksum-sealed
@@ -187,10 +189,13 @@ func FuzzReadSegment(f *testing.F) {
 	seed(segKindCKB, func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) })
 	seed(segKindTweets, func(w io.Writer) error { return writeTweetsPayload(w, snap.Tweets) })
 	seed(segKindPending, func(w io.Writer) error { return writePendingPayload(w, snap.Pending) })
+	seed(segKindWorld, func(w io.Writer) error { return writeWorldPayload(w, snap.World) })
 	f.Add(uint8(segKindTweets), []byte{})
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		c := segmentCodecs[int(kind)%len(segmentCodecs)]
+		// segmentCodecs is in kind order from 1, so a seed's kind picks
+		// its own decoder.
+		c := segmentCodecs[(int(kind)+len(segmentCodecs)-1)%len(segmentCodecs)]
 		var v any
 		err := decodeSegment(frameSegment(c.kind, payload), c.kind, func(d *decoder) error {
 			var err error

@@ -9,8 +9,10 @@
 // A data directory holds at most one committed snapshot and the WAL
 // files that extend it:
 //
-//	MANIFEST                 JSON: version, seq, world params, reach
-//	                         kind, segment names, first WAL seq
+//	MANIFEST                 JSON: version, seq, world params (provenance),
+//	                         reach kind, segment names, first WAL seq
+//	seg-<seq>-world.bin      the served dataset: base graph, KB, corpus,
+//	                         events, topics (written once per binding)
 //	seg-<seq>-graph.bin      the follow graph the arena was built from
 //	seg-<seq>-pending.bin    follow edges applied since, not in the arena
 //	seg-<seq>-ckb.bin        complemented-KB posting lists (Definition 5)
@@ -19,14 +21,13 @@
 //	wal-<seq>.log            mutations applied after the snapshot barrier
 //
 // Segments are written once and never modified; a snapshot becomes
-// visible atomically when MANIFEST is renamed into place. The base world
-// (graph, KB, corpus) is not serialized: it regenerates deterministically
-// from the manifest's synth.Params, and the segments carry exactly the
-// state that regeneration cannot reproduce — streamed follow edges,
-// feedback postings, live tweets, and the (expensive to rebuild) frozen
-// arena. A manifest without a pending entry (written before the segment
-// existed, when every snapshot rebuilt its arena first) has no pending
-// edges.
+// visible atomically when MANIFEST is renamed into place. The world never
+// changes for the life of a binding, so its segment is written by the
+// binding's first commit and later manifests name that same file (its seq
+// may be older than theirs). Nothing is regenerated on open: the
+// manifest's synth.Params record where the world came from, and a changed
+// generator does not change what an existing directory means. A version-1
+// manifest (from before the world segment) is ErrManifest.
 //
 // # Durability contract
 //
@@ -77,6 +78,9 @@ var (
 	ErrWALCorrupt = errors.New("store: WAL corruption")
 	// ErrNoWAL reports an Append before Rotate opened a WAL file.
 	ErrNoWAL = errors.New("store: WAL not started (call Rotate first)")
+	// ErrNoWorld reports a Commit without a world to a directory with no
+	// committed world segment to carry forward.
+	ErrNoWorld = errors.New("store: first commit carries no world")
 )
 
 // Reach kind names recorded in the manifest.
@@ -105,6 +109,7 @@ type Store struct {
 	man     *Manifest  // microlint:guarded-by mu — nil before the first commit
 	wal     *walWriter // microlint:guarded-by mu — nil before Rotate
 	walSeq  uint64     // microlint:guarded-by mu — seq of the open WAL file
+	idle    uint64     // microlint:guarded-by mu — seq of a header-only WAL file Replay left, 0 when none
 	lastMan time.Time  // microlint:guarded-by mu — wall time of the last commit
 	met     metrics    // microlint:guarded-by mu
 }
@@ -149,12 +154,35 @@ func (s *Store) Instrument(reg *obs.Registry) {
 
 // Rotate closes the current WAL file (if any) and opens a fresh one with
 // the next sequence number. Callers invoke it inside the snapshot
-// barrier — records appended afterwards extend the snapshot being
-// written — and once at warm open so post-restart appends never touch a
-// replayed (possibly truncated) file.
+// barrier: records appended afterwards extend the snapshot being
+// written.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.rotateLocked()
+}
+
+// Resume opens the WAL for appends after Replay, once at warm open. It
+// reopens the newest file when replay found it holding only its header,
+// and rotates otherwise: post-restart appends never touch a file that
+// holds records or whose torn tail replay truncated, and a restart that
+// appends nothing leaves no new file behind.
+func (s *Store) Resume() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.idle == 0 || s.wal != nil {
+		return s.rotateLocked()
+	}
+	w, err := openWAL(filepath.Join(s.dir, walName(s.idle)), s.fsync)
+	if err != nil {
+		return err
+	}
+	s.wal, s.walSeq, s.idle = w, s.idle, 0
+	s.met.setWALBytes(w.bytes)
+	return nil
+}
+
+func (s *Store) rotateLocked() error {
 	if s.wal != nil {
 		if err := s.wal.close(); err != nil {
 			return err
@@ -251,9 +279,12 @@ func (s *Store) Close() error {
 // Snapshot is the captured system state Commit persists, all read at
 // the WAL rotation barrier: the frozen arena, the graph it was built
 // from, the follow edges applied since (Pending), the posting lists and
-// live tweets, and the world parameters that regenerate everything else.
+// live tweets — plus, on a binding's first commit, the world they sit on.
 type Snapshot struct {
-	World    synth.Params
+	// World is the dataset the system serves. It never changes for the
+	// life of a binding, so only the first commit carries it; nil carries
+	// the committed world segment forward into the new manifest.
+	World    *synth.Dataset
 	Graph    *graph.Graph
 	Pending  [][2]graph.NodeID // sorted by (u, v); none of them in Graph
 	Postings [][]kb.Posting
@@ -265,29 +296,35 @@ type Snapshot struct {
 	Index   io.WriterTo
 }
 
-// Commit writes snap as the next snapshot generation: five segment
-// files, then the manifest (atomically, via rename), then prunes
-// obsolete segments and WAL files older than the rotation barrier. The
-// caller must have rotated the WAL while capturing snap, so the
-// manifest's WALSeq points at records applied after the capture.
+// Commit writes snap as the next snapshot generation: the segment
+// files (the world only when snap carries one), then the manifest
+// (atomically, via rename), then prunes obsolete segments and WAL files
+// older than the rotation barrier. The caller must have rotated the WAL
+// while capturing snap, so the manifest's WALSeq points at records
+// applied after the capture.
 func (s *Store) Commit(snap Snapshot) (uint64, error) {
 	start := time.Now()
 	s.mu.Lock()
-	seq := uint64(1)
-	if s.man != nil {
-		seq = s.man.Seq + 1
-	}
+	prev := s.man
 	walSeq := s.walSeq
 	s.mu.Unlock()
 	if walSeq == 0 {
 		return 0, ErrNoWAL
 	}
+	seq := uint64(1)
+	if prev != nil {
+		seq = prev.Seq + 1
+	}
+	if snap.World == nil && prev == nil {
+		return 0, ErrNoWorld
+	}
 
-	segs := []struct {
+	type segment struct {
 		name    string
 		kind    uint8
 		payload func(io.Writer) error
-	}{
+	}
+	segs := []segment{
 		{segGraphName, segKindGraph, func(w io.Writer) error { return writeGraphPayload(w, snap.Graph) }},
 		{segPendingName, segKindPending, func(w io.Writer) error { return writePendingPayload(w, snap.Pending) }},
 		{segCKBName, segKindCKB, func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) }},
@@ -297,11 +334,17 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 		Version:     manifestVersion,
 		Seq:         seq,
 		CreatedUnix: start.Unix(),
-		World:       snap.World,
 		Reach:       snap.Reach,
 		MaxHops:     snap.MaxHops,
 		WALSeq:      walSeq,
 		Segments:    map[string]string{segReachName: segName(seq, segReachName)},
+	}
+	if snap.World != nil {
+		man.World = snap.World.Params
+		segs = append(segs, segment{segWorldName, segKindWorld, func(w io.Writer) error { return writeWorldPayload(w, snap.World) }})
+	} else {
+		man.World = prev.World
+		man.Segments[segWorldName] = prev.Segments[segWorldName]
 	}
 	// Segment writes run off the store lock: they are pure file IO on
 	// fresh names no reader can see until the manifest commits.
@@ -361,12 +404,8 @@ func (s *Store) LoadGraph() (*graph.Graph, error) {
 }
 
 // LoadPending reads the committed pending segment: the follow edges
-// applied after the arena's graph, sorted by (u, v). A manifest without
-// a pending entry loads as no pending edges.
+// applied after the arena's graph, sorted by (u, v).
 func (s *Store) LoadPending() ([][2]graph.NodeID, error) {
-	if man := s.Manifest(); man != nil && man.Segments[segPendingName] == "" {
-		return nil, nil
-	}
 	return loadSegment(s, segPendingName, segKindPending, readPendingPayload)
 }
 
@@ -374,6 +413,12 @@ func (s *Store) LoadPending() ([][2]graph.NodeID, error) {
 // list per entity, time-sorted as captured.
 func (s *Store) LoadPostings() ([][]kb.Posting, error) {
 	return loadSegment(s, segCKBName, segKindCKB, readPostingsPayload)
+}
+
+// LoadWorld reads the committed world segment: the dataset the system
+// serves, exactly as its first snapshot wrote it.
+func (s *Store) LoadWorld() (*synth.Dataset, error) {
+	return loadSegment(s, segWorldName, segKindWorld, readWorldPayload)
 }
 
 // LoadTweets reads the committed live-tweet segment in arrival order.
@@ -448,6 +493,7 @@ func (s *Store) Replay(fn func(*Record) error) (ReplayStats, error) {
 	s.mu.Unlock()
 
 	var stats ReplayStats
+	idle := uint64(0)
 	for seq := first; seq <= last; seq++ {
 		path := filepath.Join(s.dir, walName(seq))
 		if _, err := os.Stat(path); os.IsNotExist(err) {
@@ -467,8 +513,15 @@ func (s *Store) Replay(fn func(*Record) error) (ReplayStats, error) {
 			}
 			stats.TornTail = true
 		}
+		idle = 0
+		if records == 0 && !torn {
+			idle = seq
+		}
 	}
 	s.mu.Lock()
+	if idle == last {
+		s.idle = idle
+	}
 	s.met.observeReplay(time.Since(start))
 	s.mu.Unlock()
 	return stats, nil

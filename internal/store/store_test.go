@@ -58,9 +58,43 @@ func (f fakeIndex) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// sampleWorld is a hand-built dataset over sampleGraph: four entities,
+// one ambiguous surface, two corpus tweets, and nil lists and maps beside
+// empty ones, which the world codec keeps apart.
+func sampleWorld() *synth.Dataset {
+	kbb := kb.NewBuilder()
+	for _, name := range []string{"galaxy one", "court two", "launch three"} {
+		kbb.AddEntity(kb.Entity{Name: name, Category: kb.CategoryProduct, Context: map[string]float32{"space": 1, name: 2}})
+	}
+	kbb.AddEntity(kb.Entity{Name: "bare"}) // nil Context
+	kbb.AddSurface("galaxy", 0)
+	kbb.AddSurface("galaxy", 2)
+	kbb.AddSurface("court", 1)
+	kbb.AddLink(0, 1)
+	kbb.AddLink(2, 1)
+	kbb.AddLink(1, 0)
+	corpus := []tweets.Tweet{sampleTweet(5), sampleTweet(4)}
+	for i := range corpus {
+		corpus[i].User = 3
+		corpus[i].Mentions[0].Truth = 0
+		corpus[i].Mentions[1].Truth = kb.NoEntity
+	}
+	return &synth.Dataset{
+		Params:       synth.Params{Seed: 42, Users: 6, Topics: 3, MentionAmbig: 0.5},
+		Graph:        sampleGraph(),
+		KB:           kbb.Build(),
+		Store:        tweets.NewStore(corpus),
+		Events:       []synth.Event{{Entity: 2, Start: 100, End: 200}},
+		EntityTopic:  []int{0, 1, 2, 0},
+		UserTopic:    []int{0, 1, 2, 0, 1, 2},
+		Broadcasters: [][]kb.UserID{{0}, nil, {}},
+		SurfacesOf:   [][]string{{"galaxy one", "galaxy"}, {"court two", "court"}, {"launch three", "galaxy"}, nil},
+	}
+}
+
 func sampleSnapshot() Snapshot {
 	return Snapshot{
-		World:   synth.Params{Seed: 42, Users: 50, Topics: 3},
+		World:   sampleWorld(),
 		Graph:   sampleGraph(),
 		Pending: [][2]graph.NodeID{{0, 2}, {3, 4}, {3, 5}},
 		Postings: [][]kb.Posting{
@@ -335,8 +369,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if man.Seq != 1 || man.Reach != ReachStreaming || man.MaxHops != 2 {
 		t.Errorf("manifest fields wrong: %+v", man)
 	}
-	if man.World != snap.World {
+	if man.World != snap.World.Params {
 		t.Errorf("world params did not round-trip: %+v", man.World)
+	}
+	w, err := s2.LoadWorld()
+	if err != nil {
+		t.Fatalf("LoadWorld: %v", err)
+	}
+	if !reflect.DeepEqual(w, snap.World) {
+		t.Fatalf("world differs:\n got %+v\nwant %+v", w, snap.World)
 	}
 
 	g, err := s2.LoadGraph()
@@ -456,24 +497,42 @@ func segmentPath(t *testing.T, s *Store, kind string) string {
 	return p
 }
 
-func TestSegmentVersionSkew(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
+// segmentLoads maps a store segment to its loader, for the damage tests.
+var segmentLoads = map[string]func(*Store) error{
+	segGraphName:  func(s *Store) error { _, err := s.LoadGraph(); return err },
+	segTweetsName: func(s *Store) error { _, err := s.LoadTweets(); return err },
+	segWorldName:  func(s *Store) error { _, err := s.LoadWorld(); return err },
+}
+
+// damageSegment commits the sample snapshot in a fresh directory, hands
+// the seg file's path and bytes to damage, and returns the store.
+func damageSegment(t *testing.T, seg string, damage func(path string, b []byte) error) *Store {
+	t.Helper()
+	s := mustOpen(t, t.TempDir())
 	if err := s.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	commitSample(t, s)
-	path := segmentPath(t, s, segGraphName)
+	path := segmentPath(t, s, seg)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[4] = 0xEE // version low byte
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := damage(path, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadGraph(); !errors.Is(err, ErrSegmentVersion) {
-		t.Fatalf("LoadGraph with version skew: got %v, want ErrSegmentVersion", err)
+	return s
+}
+
+func TestSegmentVersionSkew(t *testing.T) {
+	for _, seg := range []string{segGraphName, segWorldName} {
+		s := damageSegment(t, seg, func(path string, b []byte) error {
+			b[4] = 0xEE // version low byte
+			return os.WriteFile(path, b, 0o644)
+		})
+		if err := segmentLoads[seg](s); !errors.Is(err, ErrSegmentVersion) {
+			t.Errorf("load %s with version skew: got %v, want ErrSegmentVersion", seg, err)
+		}
 	}
 }
 
@@ -508,43 +567,145 @@ func TestSegmentChecksumMismatch(t *testing.T) {
 }
 
 func TestSegmentTruncated(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	if err := s.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	commitSample(t, s)
-	path := segmentPath(t, s, segGraphName)
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadGraph(); !errors.Is(err, ErrSegment) {
-		t.Fatalf("LoadGraph on truncated segment: got %v, want ErrSegment", err)
+	for _, seg := range []string{segGraphName, segWorldName} {
+		s := damageSegment(t, seg, func(path string, b []byte) error { return os.Truncate(path, int64(len(b)/2)) })
+		if err := segmentLoads[seg](s); !errors.Is(err, ErrSegment) {
+			t.Errorf("load truncated %s: got %v, want ErrSegment", seg, err)
+		}
 	}
 }
 
 func TestSegmentBadMagic(t *testing.T) {
+	for _, seg := range []string{segTweetsName, segWorldName} {
+		s := damageSegment(t, seg, func(path string, b []byte) error {
+			copy(b, "NOPE")
+			return os.WriteFile(path, b, 0o644)
+		})
+		if err := segmentLoads[seg](s); !errors.Is(err, ErrSegment) {
+			t.Errorf("load %s with bad magic: got %v, want ErrSegment", seg, err)
+		}
+	}
+}
+
+// TestCommitCarriesWorldForward: a commit without a world names the
+// committed world segment, which pruning then keeps; a first commit
+// without one has nothing to carry and fails.
+func TestCommitCarriesWorldForward(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sampleSnapshot()
+	snap.World = nil
+	if _, err := s.Commit(snap); !errors.Is(err, ErrNoWorld) {
+		t.Fatalf("first commit without a world: got %v, want ErrNoWorld", err)
+	}
+	commitSample(t, s)
+	first := s.Manifest().Segments[segWorldName]
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(snap); err != nil {
+		t.Fatal(err)
+	}
+	man := s.Manifest()
+	if man.Seq != 2 || man.Segments[segWorldName] != first || man.World != sampleWorld().Params {
+		t.Fatalf("second commit: seq %d, world segment %q, params %+v; want 2, %q, the first commit's",
+			man.Seq, man.Segments[segWorldName], man.World, first)
+	}
+	w, err := s.LoadWorld()
+	if err != nil {
+		t.Fatalf("LoadWorld after carry-forward: %v", err)
+	}
+	if !reflect.DeepEqual(w, sampleWorld()) {
+		t.Fatal("carried-forward world differs")
+	}
+}
+
+// TestResumeReusesIdleWAL: after Replay, Resume appends to the newest
+// WAL file only when it holds just its header; a file holding records,
+// or one whose torn tail replay cut off, gets a fresh successor.
+func TestResumeReusesIdleWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	if err := s.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	commitSample(t, s)
-	path := segmentPath(t, s, segTweetsName)
-	b, err := os.ReadFile(path)
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	copy(b, "NOPE")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	wals := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	reopen := func() *Store {
+		t.Helper()
+		s := mustOpen(t, dir)
+		if _, err := s.Replay(func(*Record) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	// Header-only: reused, and the record lands in it.
+	s = reopen()
+	if err := s.Append(sampleRecords()[2:3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadTweets(); !errors.Is(err, ErrSegment) {
-		t.Fatalf("LoadTweets with bad magic: got %v, want ErrSegment", err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wals(); len(got) != 1 {
+		t.Fatalf("idle WAL not reused: %v", got)
+	}
+
+	// Holding a record: a fresh file follows it.
+	s = reopen()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := wals()
+	if len(got) != 2 {
+		t.Fatalf("WAL with records reused: %v", got)
+	}
+
+	// Torn down to its header: never appended to again.
+	for _, p := range got {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := filepath.Join(dir, walName(s.Manifest().WALSeq))
+	if err := os.WriteFile(torn, []byte(walMagic+"\x01\x00\x02\x09"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir)
+	stats, err := s.Replay(func(*Record) error { return nil })
+	if err != nil || !stats.TornTail {
+		t.Fatalf("Replay of a torn header-only file: %+v, %v", stats, err)
+	}
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(sampleRecords()[2:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(torn); err != nil || fi.Size() != walHeaderSize {
+		t.Fatalf("torn WAL file after resume: %v, %v; want %d header bytes", fi, err, walHeaderSize)
+	}
+	if got := wals(); len(got) != 2 {
+		t.Fatalf("append after a torn tail did not rotate: %v", got)
 	}
 }
 

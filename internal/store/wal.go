@@ -89,6 +89,16 @@ func createWAL(path string, fsync bool) (*walWriter, error) {
 	return w, nil
 }
 
+// openWAL reopens path, a WAL file replay found holding only a valid
+// header, for appends after it.
+func openWAL(path string, fsync bool) (*walWriter, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &walWriter{f: f, bw: bufio.NewWriter(f), fsync: fsync, bytes: walHeaderSize}, nil
+}
+
 // append frames and writes recs, then flushes to the OS (and syncs when
 // configured). The whole batch is one flush: after append returns, every
 // record in it survives process death.

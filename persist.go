@@ -16,10 +16,12 @@ import (
 // This file is the unified persistence API (DESIGN.md §8): one data
 // directory per system, holding a committed snapshot (immutable segment
 // files) plus a checksummed write-ahead log the ingest applier tees
-// into. System.Snapshot commits a new generation; Open warm-restarts a
-// whole System from the directory — regenerate the deterministic world,
-// bulk-load the segments, replay the WAL — without rebuilding the
-// 2-hop arena or re-running offline complementation.
+// into. System.Snapshot commits a new generation; the first commit of a
+// binding also writes the world segment, which later commits carry
+// forward. Open warm-restarts a whole System from the directory — read
+// the world and the other segments, replay the WAL — without running
+// the generator, rebuilding the 2-hop arena or re-running offline
+// complementation.
 
 // ErrNoStore reports a persistence call on a system with no data
 // directory attached (bind one with Open or System.Snapshot).
@@ -46,8 +48,8 @@ type SnapshotInfo struct {
 // with replay proportional to the WAL suffix, and no arena rebuild.
 type RestartReport struct {
 	Seq        uint64        // snapshot generation restored
-	Generate   time.Duration // deterministic world regeneration
-	Load       time.Duration // segment reads: graph, postings, tweets, arena
+	World      time.Duration // world segment read and decode, overlapped with Load's other reads
+	Load       time.Duration // all segment reads (world included) and wiring the stack over them
 	Replay     time.Duration // WAL replay into the live stores
 	WALFiles   int           // WAL files visited
 	WALRecords int64         // records replayed
@@ -61,10 +63,14 @@ type RestartReport struct {
 // Snapshot commits the system's serving state as it stands — the
 // installed reachability arena, the follow graph that arena was built
 // from, the follow edges applied since (pending), the complemented-KB
-// postings, the live tweets and the world parameters — as the next
-// snapshot generation in dir, and leaves the system bound to the
-// directory: a running ingest pipeline's WAL tee is attached (or
-// re-pointed) to it atomically with the capture.
+// postings and the live tweets — as the next snapshot generation in
+// dir, and leaves the system bound to the directory: a running ingest
+// pipeline's WAL tee is attached (or re-pointed) to it atomically with
+// the capture.
+//
+// The world never changes for the life of a System, so only the commit
+// that binds the directory writes the world segment; later commits, and
+// every commit of a System that Open returned, carry it forward.
 //
 // Snapshot builds nothing. It persists the arena that is serving, stale
 // or not, and records the gap as pending edges, so a reopened system
@@ -83,7 +89,7 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	defer s.persistMu.Unlock()
 	start := time.Now()
 
-	snap := store.Snapshot{World: s.World.Params}
+	var snap store.Snapshot
 	var stream *reach.Streaming
 	switch idx := unwrapReach(s.Reach).(type) {
 	case *reach.Streaming:
@@ -105,6 +111,7 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 			return SnapshotInfo{}, err
 		}
 		st.Instrument(s.Metrics)
+		snap.World = s.World
 	case dir != "" && dir != st.Dir():
 		return SnapshotInfo{}, fmt.Errorf("microlink: system already bound to data directory %s", st.Dir())
 	}
@@ -212,14 +219,15 @@ func (s *System) RebuildReach() error {
 }
 
 // Open warm-restarts a System from a data directory written by
-// System.Snapshot: the deterministic base world regenerates from the
-// manifest's parameters, the segments bulk-load the state regeneration
-// cannot reproduce (the arena's graph, pending follows, postings, live
-// tweets, frozen arena), and the WAL suffix replays on top through the
-// ingest applier (see replayer). The manifest's reach kind, hop bound
-// and world parameters override the corresponding opts fields;
-// everything else (linker weights, batch options, candidate generation)
-// applies as in Build.
+// System.Snapshot: the world segment loads the dataset the snapshotted
+// system served, the other segments bulk-load the state built on it (the
+// arena's graph, pending follows, postings, live tweets, frozen arena),
+// and the WAL suffix replays on top through the ingest applier (see
+// replayer). Open runs no generator: the manifest's world parameters are
+// provenance only, so a changed generator leaves every existing
+// directory meaning what it meant. The manifest's reach kind and hop
+// bound override the corresponding opts fields; everything else (linker
+// weights, batch options, candidate generation) applies as in Build.
 //
 // Cold-start cost is segment load plus replay: the offline
 // complementation phase is skipped (postings come from the segment) and
@@ -228,9 +236,10 @@ func (s *System) RebuildReach() error {
 // re-inserted on top — the reopened system serves the arena the
 // snapshotted one served and reports the same Staleness; the next
 // rebuild (RebuildReach, or an ingest pipeline's threshold) catches up.
-// A directory written before pending edges were persisted has none. A
-// torn final WAL record (the kill -9 signature) is truncated away and
-// reported in the RestartReport, never an error.
+// A torn final WAL record (the kill -9 signature) is truncated away and
+// reported in the RestartReport, never an error. A directory written
+// before the world segment existed (manifest version 1) is refused with
+// store.ErrManifest; re-snapshot it from a cold Build.
 func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	st, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
 	if err != nil {
@@ -246,28 +255,22 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	}
 	rep := &RestartReport{Seq: man.Seq}
 
-	t := time.Now()
-	w := Generate(man.World)
-	rep.Generate = time.Since(t)
+	// The world segment decodes beside the reads that do not need it —
+	// above all the reach arena's, the longest — on its own goroutine.
+	// The buffered channel lets it finish even when Open fails first.
+	type worldLoad struct {
+		w    *World
+		took time.Duration
+		err  error
+	}
+	loadStart := time.Now()
+	worldc := make(chan worldLoad, 1)
+	go func() {
+		w, err := st.LoadWorld()
+		worldc <- worldLoad{w, time.Since(loadStart), err}
+	}()
 
-	t = time.Now()
 	g, err := st.LoadGraph()
-	if err != nil {
-		return nil, nil, err
-	}
-	if g.NumNodes() != w.Graph.NumNodes() {
-		return nil, nil, fmt.Errorf("%w: snapshot graph has %d nodes, regenerated world has %d",
-			reach.ErrGraphMismatch, g.NumNodes(), w.Graph.NumNodes())
-	}
-	postings, err := st.LoadPostings()
-	if err != nil {
-		return nil, nil, err
-	}
-	ckb, err := kb.ComplementRestore(w.KB, postings)
-	if err != nil {
-		return nil, nil, err
-	}
-	live, err := st.LoadTweets()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,6 +295,28 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	wl := <-worldc
+	if wl.err != nil {
+		return nil, nil, wl.err
+	}
+	w := wl.w
+	rep.World = wl.took
+	if g.NumNodes() != w.Graph.NumNodes() {
+		return nil, nil, fmt.Errorf("%w: graph segment has %d nodes, world segment %d",
+			store.ErrSegment, g.NumNodes(), w.Graph.NumNodes())
+	}
+	postings, err := st.LoadPostings()
+	if err != nil {
+		return nil, nil, err
+	}
+	ckb, err := kb.ComplementRestore(w.KB, postings)
+	if err != nil {
+		return nil, nil, err
+	}
+	live, err := st.LoadTweets()
+	if err != nil {
+		return nil, nil, err
+	}
 	opts.MaxHops = man.MaxHops
 	opts.PrebuiltReach = pre
 
@@ -299,9 +324,9 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	for i := range live {
 		sys.Live.Append(live[i])
 	}
-	rep.Load = time.Since(t)
+	rep.Load = time.Since(loadStart)
 
-	t = time.Now()
+	t := time.Now()
 	stats, err := st.Replay(sys.replayer(rep))
 	if err != nil {
 		return nil, nil, err
@@ -312,9 +337,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	rep.WALBytes = stats.Bytes
 	rep.TornTail = stats.TornTail
 
-	// Fresh WAL file: post-restart appends never touch a replayed
-	// (possibly crash-truncated) file.
-	if err := st.Rotate(); err != nil {
+	if err := st.Resume(); err != nil {
 		return nil, nil, err
 	}
 	st.Instrument(sys.Metrics)

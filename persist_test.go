@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -20,9 +21,11 @@ import (
 	"time"
 
 	"microlink/internal/graph"
+	"microlink/internal/kb"
 	"microlink/internal/reach"
 	"microlink/internal/store"
 	"microlink/internal/synth"
+	"microlink/internal/tweets"
 )
 
 // persistWorldParams is shared by the persistence tests and the crash
@@ -305,7 +308,7 @@ func testReopenedRebuild(t *testing.T, refreeze bool) {
 // records the follows it does not reflect as pending edges, so the
 // reopened arena is byte-identical to the live one and the reopened
 // staleness equals the live staleness. A manifest without the pending
-// entry (as written before the segment existed) opens with none.
+// entry is damaged: only version-1 manifests, refused outright, lacked it.
 func TestSnapshotKeepsInstalledArena(t *testing.T) {
 	dir := t.TempDir()
 	w := persistWorld()
@@ -383,8 +386,8 @@ func TestSnapshotKeepsInstalledArena(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := reopen().Staleness(); got != 0 {
-		t.Fatalf("manifest without a pending entry opened with staleness %d", got)
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+		t.Fatalf("open without a pending entry: %v", err)
 	}
 }
 
@@ -601,28 +604,105 @@ func snapshotClosureDir(t *testing.T) (string, *store.Manifest) {
 	return dir, &man
 }
 
-// TestOpenWrongWorld tampers the manifest's world parameters so the
-// regenerated graph no longer matches the persisted one; Open must fail
-// with the typed graph-mismatch error, not serve wrong answers.
-func TestOpenWrongWorld(t *testing.T) {
-	dir, man := snapshotClosureDir(t)
-	man.World.Users += 50
-	b, err := json.Marshal(man)
+// TestOpenReadsPersistedWorld proves Open runs no generator. The world
+// snapshotted is not Generate(w.Params): it has one extra KB surface and
+// one corpus tweet fewer, and the manifest's world parameters are then
+// tampered. The reopened World must be the snapshotted one, field for
+// field, and serve the same top-k.
+func TestOpenReadsPersistedWorld(t *testing.T) {
+	gen := persistWorld()
+	kbb := kb.NewBuilder()
+	for e := 0; e < gen.KB.NumEntities(); e++ {
+		kbb.AddEntity(*gen.KB.Entity(EntityID(e)))
+		for _, to := range gen.KB.Outlinks(EntityID(e)) {
+			kbb.AddLink(EntityID(e), to)
+		}
+	}
+	gen.KB.EachSurface(func(form string, cands []EntityID) {
+		for _, e := range cands {
+			kbb.AddSurface(form, e)
+		}
+	})
+	const extra = "persistedonly"
+	kbb.AddSurface(extra, 0)
+	w := *gen
+	w.KB = kbb.Build()
+	corpus := slices.Clone(gen.Store.All())
+	w.Store = tweets.NewStore(slices.Delete(corpus, 10, 11))
+
+	dir := t.TempDir()
+	sys := Build(&w, Options{Reach: ReachClosure, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "MANIFEST")
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
+	var man store.Manifest
+	if err := json.Unmarshal(b, &man); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); !errors.Is(err, reach.ErrGraphMismatch) {
-		t.Fatalf("open with tampered world: %v", err)
+	man.World.Seed++
+	man.World.Users += 50
+	if b, err = json.Marshal(&man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sys2.World, &w) {
+		t.Fatal("reopened world differs from the snapshotted one")
+	}
+	if sys2.World.Store.Len() != gen.Store.Len()-1 || len(sys2.World.KB.Candidates(extra)) != 1 {
+		t.Fatalf("reopened world has %d tweets and surface %q → %v; the snapshotted one has %d and [0]",
+			sys2.World.Store.Len(), extra, sys2.World.KB.Candidates(extra), gen.Store.Len()-1)
+	}
+	if got, want := topKDump(t, sys2, &w), topKDump(t, sys, &w); !bytes.Equal(got, want) {
+		t.Fatal("reopened system serves different top-k")
+	}
+}
+
+// TestOpenKeepsWALCountFlat reopens one directory ten times without
+// appending anything: each restart must reuse the header-only WAL file
+// the last one left, not add another for every later Replay to visit.
+func TestOpenKeepsWALCountFlat(t *testing.T) {
+	dir := t.TempDir()
+	sys := Build(persistWorld(), Options{Reach: ReachStreaming, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		sys, rep, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.ClosePersist(); err != nil {
+			t.Fatal(err)
+		}
+		wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WALFiles != 1 || len(wals) != 1 {
+			t.Fatalf("restart %d: replay visited %d WAL files, directory holds %v; want one", i, rep.WALFiles, wals)
+		}
 	}
 }
 
 // TestOpenCorruptSegment flips one payload byte in each segment kind and
 // requires Open to surface the store's typed errors.
 func TestOpenCorruptSegment(t *testing.T) {
-	for _, seg := range []string{"graph", "ckb", "tweets", "reach"} {
+	for _, seg := range []string{"world", "graph", "ckb", "tweets", "reach"} {
 		t.Run(seg, func(t *testing.T) {
 			dir, man := snapshotClosureDir(t)
 			path := filepath.Join(dir, man.Segments[seg])
@@ -667,6 +747,19 @@ func TestOpenManifestDamage(t *testing.T) {
 	}
 	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
 		t.Fatalf("open with reach kind twohop: %v", err)
+	}
+	// A version-1 directory regenerated its world from the manifest's
+	// parameters; it is refused and re-snapshotted from a cold Build.
+	man.Reach = store.ReachClosure
+	man.Version = 1
+	if b, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+		t.Fatalf("open version-1 manifest: %v", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -832,8 +925,8 @@ func TestCrashRecovery(t *testing.T) {
 	if rep.WALRecords == 0 {
 		t.Fatal("kill landed before any WAL append; nothing recovered")
 	}
-	t.Logf("recovered seq %d: %d records (%d tweets, %d follows), torn=%v, generate=%v load=%v replay=%v",
-		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.TornTail, rep.Generate, rep.Load, rep.Replay)
+	t.Logf("recovered seq %d: %d records (%d tweets, %d follows), torn=%v, world=%v load=%v replay=%v",
+		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.TornTail, rep.World, rep.Load, rep.Replay)
 
 	// Reference: a fresh build of the same (pre-stream) state, fed the
 	// surviving WAL records verbatim.
