@@ -516,22 +516,30 @@ func benchBatchQueries(sys *microlink.System, n int) []microlink.MentionQuery {
 	return qs
 }
 
+// BenchmarkBatchLink also reports recency cluster propagations (Eq. 11
+// runs plus memo hits) per op: every query shares one now, so a batch
+// pays one per cluster and the serial loop one per query.
 func BenchmarkBatchLink(b *testing.B) {
 	_, sys := benchSetup(b)
 	qs := benchBatchQueries(sys, 256)
+	propagations := func() int64 { return sys.Recency.MemoHits() + sys.Recency.Propagations() }
 	b.Run("serial", func(b *testing.B) {
+		p0 := propagations()
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
 				sys.Linker.ScoreCandidates(q.User, q.Now, q.Surface)
 			}
 		}
 		b.ReportMetric(float64(len(qs)), "queries/op")
+		b.ReportMetric(float64(propagations()-p0)/float64(b.N), "propagations/op")
 	})
 	b.Run("batch", func(b *testing.B) {
+		p0 := propagations()
 		for i := 0; i < b.N; i++ {
 			sys.Linker.LinkBatch(context.Background(), qs)
 		}
 		b.ReportMetric(float64(len(qs)), "queries/op")
+		b.ReportMetric(float64(propagations()-p0)/float64(b.N), "propagations/op")
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"microlink/internal/kb"
 	"microlink/internal/obs"
+	"microlink/internal/recency"
 )
 
 // BatchOptions tunes the concurrent batch pipeline and the interest cache.
@@ -44,18 +45,22 @@ type BatchResult struct {
 // BatchResult per query, in input order.
 //
 // The pipeline exploits the Eq. 1 split between user-independent and
-// user-dependent work: queries are grouped by (surface, now), each group
-// pays candidate generation, popularity, and recency once, and only the
-// interest stage runs per query (answered from the interest cache when a
-// live entry exists). Groups fan out across a worker pool bounded by
-// BatchOptions.Workers (default GOMAXPROCS).
+// user-dependent work. Queries are grouped by now, then by surface, each
+// in order of first appearance. The unit of work is one now-group: it
+// pays recency through one recency.View, so each propagation cluster
+// runs Eq. 11 at most once per distinct now in the batch (Eq. 11 does
+// not depend on the mention); each surface in it pays candidate
+// generation and popularity once; and only the interest stage runs per
+// query (answered from the interest cache when a live entry exists).
+// Now-groups fan out across a worker pool of min(BatchOptions.Workers,
+// distinct nows) goroutines (Workers defaults to GOMAXPROCS).
 //
 // Failure isolation is per item: a cancelled or expired context marks the
 // not-yet-scored items with ctx.Err() and returns promptly without
 // discarding completed ones, and a panic while scoring one item is
 // captured into that item's Err. LinkBatch only reads linker state, so it
 // is safe to run concurrently with Feedback and with reachability arena
-// installs; each group observes a consistent snapshot (it scores
+// installs; each now-group observes one consistent snapshot (it scores
 // entirely inside one read-locked critical section).
 func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchResult {
 	res := make([]BatchResult, len(queries))
@@ -68,14 +73,25 @@ func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchR
 		now     int64
 		surface string
 	}
-	groups := make(map[groupKey][]int)
-	order := make([]groupKey, 0, len(queries))
+	nowIdx := make(map[int64]int)
+	surfIdx := make(map[groupKey]int)
+	var order []nowGroup
 	for i, q := range queries {
-		k := groupKey{now: q.Now, surface: q.Surface}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		ni, ok := nowIdx[q.Now]
+		if !ok {
+			ni = len(order)
+			nowIdx[q.Now] = ni
+			order = append(order, nowGroup{now: q.Now})
 		}
-		groups[k] = append(groups[k], i)
+		g := &order[ni]
+		k := groupKey{now: q.Now, surface: q.Surface}
+		si, ok := surfIdx[k]
+		if !ok {
+			si = len(g.surfaces)
+			surfIdx[k] = si
+			g.surfaces = append(g.surfaces, surfaceGroup{surface: q.Surface})
+		}
+		g.surfaces[si].idxs = append(g.surfaces[si].idxs, i)
 	}
 
 	workers := l.cfg.Batch.Workers
@@ -89,46 +105,48 @@ func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchR
 	// cancelFrom marks every query of order[gi:] with ctx.Err(): the
 	// drain path for work that will never be handed to a scorer.
 	cancelFrom := func(gi int) {
-		for _, k := range order[gi:] {
-			for _, i := range groups[k] {
-				res[i] = BatchResult{Entity: kb.NoEntity, Err: ctx.Err()}
+		for _, g := range order[gi:] {
+			for _, sg := range g.surfaces {
+				for _, i := range sg.idxs {
+					res[i] = BatchResult{Entity: kb.NoEntity, Err: ctx.Err()}
+				}
 			}
 		}
 	}
 
 	if workers <= 1 {
-		for gi, k := range order {
+		for gi := range order {
 			if ctx.Err() != nil {
 				cancelFrom(gi)
 				break
 			}
-			l.scoreGroup(ctx, k.now, k.surface, groups[k], queries, res)
+			l.scoreNow(ctx, &order[gi], queries, res)
 		}
 		return res
 	}
 
-	ch := make(chan groupKey)
+	ch := make(chan *nowGroup)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range ch {
+			for g := range ch {
 				l.metrics().batchWorkers.Inc()
-				l.scoreGroup(ctx, k.now, k.surface, groups[k], queries, res)
+				l.scoreNow(ctx, g, queries, res)
 				l.metrics().batchWorkers.Dec()
 			}
 		}()
 	}
-	// Feed groups until done or cancelled. Without the ctx arm a
+	// Feed now-groups until done or cancelled. Without the ctx arm a
 	// cancelled batch would still march every remaining group through
-	// the pool (each item individually erroring inside scoreGroup);
+	// the pool (each item individually erroring inside scoreSurface);
 	// with it the pool drains as soon as the in-flight groups finish,
 	// and the unsent remainder is marked cancelled here.
 feed:
-	for gi, k := range order {
+	for gi := range order {
 		select {
-		case ch <- k:
+		case ch <- &order[gi]:
 		case <-ctx.Done():
 			cancelFrom(gi)
 			break feed
@@ -139,21 +157,43 @@ feed:
 	return res
 }
 
-// scoreGroup scores every query index in idxs, all sharing (surface, now),
-// writing into res. The whole group runs inside one read-locked critical
-// section so its items see one consistent snapshot of the knowledgebase.
-func (l *Linker) scoreGroup(ctx context.Context, now int64, surface string, idxs []int, queries []MentionQuery, res []BatchResult) {
+// nowGroup is every query of a batch at one instant, by surface.
+type nowGroup struct {
+	now      int64
+	surfaces []surfaceGroup
+}
+
+// surfaceGroup is the indices of the queries of one now-group that share
+// a surface.
+type surfaceGroup struct {
+	surface string
+	idxs    []int
+}
+
+// scoreNow scores every query of g, writing into res. The whole group
+// runs inside one read-locked critical section, so its items see one
+// consistent snapshot of the knowledgebase and its surfaces share one
+// recency view.
+func (l *Linker) scoreNow(ctx context.Context, g *nowGroup, queries []MentionQuery, res []BatchResult) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	at := l.rec.At(g.now)
+	for _, sg := range g.surfaces {
+		l.scoreSurface(ctx, at, sg, queries, res)
+	}
+}
 
+// scoreSurface scores the queries of sg through at. Callers hold
+// mu.RLock.
+func (l *Linker) scoreSurface(ctx context.Context, at *recency.View, sg surfaceGroup, queries []MentionQuery, res []BatchResult) {
 	var sh *sharedScores
-	if err := capture(func() { sh = l.sharedLocked(now, surface) }); err != nil {
-		for _, i := range idxs {
+	if err := capture(func() { sh = l.sharedLocked(at, sg.surface) }); err != nil {
+		for _, i := range sg.idxs {
 			res[i] = BatchResult{Entity: kb.NoEntity, Err: err}
 		}
 		return
 	}
-	for _, i := range idxs {
+	for _, i := range sg.idxs {
 		l.metrics().mentions.Inc()
 		switch {
 		case ctx.Err() != nil:

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"microlink/internal/candidate"
 	"microlink/internal/kb"
+	"microlink/internal/recency"
 	"microlink/internal/tweets"
 )
 
@@ -25,46 +28,124 @@ func batchQueries(n int) []MentionQuery {
 	return qs
 }
 
-// LinkBatch must agree with the serial ScoreCandidates path query by
-// query, across pool sizes and with the cache on and off.
+// batchShapes are the batch layouts LinkBatch must score exactly as the
+// serial path does, over raceFixture: instants interleaved across
+// surfaces (and surfaces across instants), a single instant, and s0 on
+// its own — its candidates span two propagation clusters and an
+// unclustered entity. Every shape carries an unknown surface.
+func batchShapes() []batchShape {
+	nows := []int64{60, 90, 120, 140}
+	var interleaved, single, s0 []MentionQuery
+	for i := 0; i < 64; i++ {
+		surface := fmt.Sprintf("s%d", i%7)
+		if i%7 == 6 {
+			surface = "zzzz"
+		}
+		u := kb.UserID((i * 11) % 64)
+		interleaved = append(interleaved, MentionQuery{User: u, Now: nows[(i*3)%4], Surface: surface})
+		single = append(single, MentionQuery{User: u, Now: 100, Surface: surface})
+		if i%8 == 0 {
+			s0 = append(s0, MentionQuery{User: u, Now: nows[i%3], Surface: "s0"}, MentionQuery{User: u, Now: 100, Surface: "zzzz"})
+		}
+	}
+	return []batchShape{{"interleaved", interleaved}, {"single-now", single}, {"s0", s0}}
+}
+
+type batchShape struct {
+	name string
+	qs   []MentionQuery
+}
+
+// TestLinkBatchMatchesSerial: LinkBatch equals the serial ScoreCandidates
+// path item by item to the bit — Score and every feature — over every
+// batch shape, across pool sizes, with the interest cache on and off and
+// with propagation disabled. Serial and batch each run on a fresh linker,
+// so both compute every interest cold.
 func TestLinkBatchMatchesSerial(t *testing.T) {
-	f := newFixture(50, 5)
-	qs := batchQueries(40)
-	for _, opt := range []BatchOptions{
-		{},
-		{Workers: 1},
-		{Workers: 8},
-		{DisableInterestCache: true},
+	f := newRaceFixture()
+	clusters := map[kb.EntityID]bool{} // keyed by the cluster's least member
+	unclustered := false
+	for _, e := range candidate.Entities(f.cand.Candidates("s0")) {
+		if c := f.net.ClusterOf(e); c != nil {
+			clusters[c[0]] = true
+		} else {
+			unclustered = true
+		}
+	}
+	if len(clusters) < 2 || !unclustered {
+		t.Fatalf("s0 spans %d clusters (unclustered candidate: %v), want ≥ 2 and one", len(clusters), unclustered)
+	}
+	noProp := recency.NewScorer(f.ckb, nil, recency.Options{Tau: 100, Theta1: 3, NoPropagation: true})
+	type variant struct {
+		name string
+		rec  *recency.Scorer
+		opt  BatchOptions
+	}
+	for _, v := range []variant{
+		{"default", f.rec, BatchOptions{}},
+		{"workers=1", f.rec, BatchOptions{Workers: 1}},
+		{"workers=8", f.rec, BatchOptions{Workers: 8}},
+		{"nocache", f.rec, BatchOptions{DisableInterestCache: true}},
+		{"nopropagation/workers=1", noProp, BatchOptions{Workers: 1}},
+		{"nopropagation/workers=8", noProp, BatchOptions{Workers: 8}},
 	} {
-		l := f.linker(Config{Batch: opt})
-		want := make([][]Scored, len(qs))
-		for i, q := range qs {
-			want[i] = l.ScoreCandidates(q.User, q.Now, q.Surface)
-		}
-		got := l.LinkBatch(context.Background(), qs)
-		if len(got) != len(qs) {
-			t.Fatalf("opt=%+v: %d results for %d queries", opt, len(got), len(qs))
-		}
-		for i, r := range got {
-			if r.Err != nil {
-				t.Fatalf("opt=%+v query %d: err = %v", opt, i, r.Err)
+		for _, shape := range batchShapes() {
+			name, qs := v.name+"/"+shape.name, shape.qs
+			serial := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt})
+			want := make([][]Scored, len(qs))
+			for i, q := range qs {
+				want[i] = serial.ScoreCandidates(q.User, q.Now, q.Surface)
 			}
-			if len(r.Scored) != len(want[i]) {
-				t.Fatalf("opt=%+v query %d: %d scored, want %d", opt, i, len(r.Scored), len(want[i]))
+			batch := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt})
+			got := batch.LinkBatch(context.Background(), qs)
+			if len(got) != len(qs) {
+				t.Fatalf("%s: %d results for %d queries", name, len(got), len(qs))
 			}
-			for j := range want[i] {
-				if r.Scored[j].Entity != want[i][j].Entity ||
-					math.Abs(r.Scored[j].Score-want[i][j].Score) > 1e-12 {
-					t.Fatalf("opt=%+v query %d cand %d: %+v != %+v", opt, i, j, r.Scored[j], want[i][j])
+			for i, r := range got {
+				if r.Err != nil {
+					t.Fatalf("%s query %d: err = %v", name, i, r.Err)
+				}
+				sameScored(t, fmt.Sprintf("%s query %d %+v", name, i, qs[i]), r.Scored, want[i])
+				wantBest := kb.NoEntity
+				if len(want[i]) > 0 {
+					wantBest = want[i][0].Entity
+				}
+				if r.Entity != wantBest {
+					t.Fatalf("%s query %d: best %d, want %d", name, i, r.Entity, wantBest)
 				}
 			}
-			wantBest := kb.NoEntity
-			if len(want[i]) > 0 {
-				wantBest = want[i][0].Entity
+		}
+	}
+}
+
+// TestLinkBatchPropagationBound: a batch runs no more propagations
+// than it has distinct (now, cluster) pairs among its candidates — each
+// now-group shares one recency view — whatever the number of surfaces
+// and users per instant. Grouping by (surface, now) would pay once per
+// (surface, now, cluster) instead, twice this bound on the interleaved
+// shape.
+func TestLinkBatchPropagationBound(t *testing.T) {
+	f := newRaceFixture()
+	qs := batchShapes()[0].qs // interleaved
+	type nowCluster struct {
+		now   int64
+		least kb.EntityID
+	}
+	pairs := map[nowCluster]bool{}
+	for _, q := range qs {
+		for _, e := range candidate.Entities(f.cand.Candidates(q.Surface)) {
+			if c := f.net.ClusterOf(e); c != nil {
+				pairs[nowCluster{q.Now, c[0]}] = true
 			}
-			if r.Entity != wantBest {
-				t.Fatalf("opt=%+v query %d: best %d, want %d", opt, i, r.Entity, wantBest)
-			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		l := f.linker(Config{Batch: BatchOptions{Workers: workers}})
+		before := f.rec.MemoHits() + f.rec.Propagations()
+		l.LinkBatch(context.Background(), qs)
+		got := f.rec.MemoHits() + f.rec.Propagations() - before
+		if got == 0 || got > int64(len(pairs)) {
+			t.Fatalf("workers=%d: %d propagations, want 1..%d (one per bursting (now, cluster))", workers, got, len(pairs))
 		}
 	}
 }
@@ -113,11 +194,15 @@ func TestLinkBatchCancellationDrainsPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Distinct Now values make every query its own group, so the feeder
+	// Distinct Now values make every query its own now-group, so the feeder
 	// is still feeding when the cancel lands.
 	qs := make([]MentionQuery, 600)
 	for i := range qs {
 		qs[i] = MentionQuery{User: kb.UserID(i % 4), Now: int64(i), Surface: "jordan"}
+	}
+	want := make([][]Scored, len(qs))
+	for i, q := range qs {
+		want[i] = l.ScoreCandidates(q.User, q.Now, q.Surface)
 	}
 	done := make(chan []BatchResult, 1)
 	go func() { done <- l.LinkBatch(ctx, qs) }()
@@ -134,7 +219,13 @@ func TestLinkBatchCancellationDrainsPool(t *testing.T) {
 	}
 	for i, r := range res {
 		if r.Err == nil {
-			continue // completed before the cancel landed
+			// Completed before the cancel landed: the zero BatchResult
+			// (entity 0, no error) of a dropped item must not pass.
+			sameScored(t, fmt.Sprintf("completed query %d", i), r.Scored, want[i])
+			if len(want[i]) == 0 || r.Entity != want[i][0].Entity {
+				t.Fatalf("completed query %d: best %d, serial %+v", i, r.Entity, want[i])
+			}
+			continue
 		}
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("query %d: err = %v, want context.Canceled", i, r.Err)

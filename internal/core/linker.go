@@ -13,9 +13,10 @@
 // Scoring decomposes into a user-independent part (candidate generation,
 // popularity, recency — functions of the mention surface and time only)
 // and a user-dependent part (interest). The batch pipeline in batch.go
-// exploits the split: queries sharing (surface, now) pay the shared stages
-// once, and the per-(user, entity) interest values are memoised in a
-// sharded generation-stamped cache (cache.go).
+// exploits the split: queries sharing a now pay each recency cluster's
+// propagation once, queries sharing (surface, now) pay the other shared
+// stages once, and the per-(user, entity) interest values are memoised
+// in a sharded generation-stamped cache (cache.go).
 //
 // Naming note: the paper's α/β/γ are internally inconsistent (Eq. 1 binds
 // β to popularity and γ to recency, while Table 3, Table 4 and Fig. 6(d)
@@ -184,7 +185,7 @@ func (l *Linker) Instrument(reg *obs.Registry) {
 		batchSize: reg.Histogram("microlink_linker_batch_size_queries",
 			"Queries per LinkBatch call.", obs.ExpBuckets(1, 2, 12)),
 		batchWorkers: reg.Gauge("microlink_linker_batch_workers_active",
-			"Batch pool workers currently scoring a query group."),
+			"Batch pool workers currently scoring a now-group."),
 	})
 }
 
@@ -226,9 +227,10 @@ type sharedScores struct {
 	recs    []float64
 }
 
-// sharedLocked computes the candidate, popularity and recency stages.
-// Returns nil when the surface has no candidates. Callers hold mu.RLock.
-func (l *Linker) sharedLocked(now int64, surface string) *sharedScores {
+// sharedLocked computes the candidate, popularity and recency stages,
+// recency through at. Returns nil when the surface has no candidates.
+// Callers hold mu.RLock.
+func (l *Linker) sharedLocked(at *recency.View, surface string) *sharedScores {
 	sw := obs.StartStopwatch(l.metrics().stage)
 
 	cands := l.cand.Candidates(surface)
@@ -253,7 +255,7 @@ func (l *Linker) sharedLocked(now int64, surface string) *sharedScores {
 	sw.Stage("popularity")
 
 	// S_r (Eq. 9 + 11).
-	recs := l.rec.Scores(now, ents)
+	recs := at.Scores(ents)
 	sw.Stage("recency")
 
 	return &sharedScores{ents: ents, setHash: hashEntitySet(ents), pops: pops, recs: recs}
@@ -402,7 +404,7 @@ func (l *Linker) ScoreCandidatesCtx(ctx context.Context, u kb.UserID, now int64,
 	total := obs.StartSpan(l.metrics().link)
 	defer total.Stop()
 
-	sh := l.sharedLocked(now, surface)
+	sh := l.sharedLocked(l.rec.At(now), surface)
 	if sh == nil {
 		l.metrics().misses.Inc()
 		return nil, nil

@@ -18,8 +18,8 @@ import (
 
 // raceFixture is a denser world than the running example: 64 users on a
 // ring-with-chords graph behind a streaming reach substrate, 12 entities
-// behind 6 ambiguous surfaces, and enough seed postings that every entity
-// has a community. It exercises the full live configuration: LinkBatch
+// behind 6 ambiguous surfaces (s0 also names a 13th, unclustered one),
+// and enough seed postings that every entity has a community. It exercises the full live configuration: LinkBatch
 // racing Feedback (KB + cache writes), follow edges entering the live
 // graph, and rebuilt arenas swapping in (reachability writes).
 type raceFixture struct {
@@ -44,18 +44,26 @@ func newRaceFixture() *raceFixture {
 		b.AddLink(id, kb.EntityID(2*a%entities))
 		b.AddLink(id, kb.EntityID((2*a+3)%entities))
 	}
+	// A third s0 candidate no article links: s0's candidate set spans two
+	// propagation clusters and one unclustered entity.
+	loner := b.AddEntity(kb.Entity{Name: "loner"})
+	b.AddSurface("s0", loner)
 	k := b.Build()
 
 	ckb := kb.Complement(k)
 	id := int64(0)
-	for e := 0; e < entities; e++ {
+	post := func(e kb.EntityID) {
 		for i := 0; i < 8; i++ {
 			id++
-			ckb.Link(kb.EntityID(e), kb.Posting{
-				Tweet: id, User: kb.UserID((e*7 + i*5) % users), Time: int64(50 + i),
+			ckb.Link(e, kb.Posting{
+				Tweet: id, User: kb.UserID((int(e)*7 + i*5) % users), Time: int64(50 + i),
 			})
 		}
 	}
+	for e := 0; e < entities; e++ {
+		post(kb.EntityID(e))
+	}
+	post(loner)
 
 	gb := graph.NewBuilder(users)
 	for u := 0; u < users; u++ {
@@ -97,7 +105,7 @@ func TestLinkBatchRaceWithFeedbackAndFollow(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		queries = append(queries, MentionQuery{
 			User:    kb.UserID((i * 11) % 64),
-			Now:     100,
+			Now:     100 + 10*int64(i%4), // four now-groups: the pool runs in parallel
 			Surface: fmt.Sprintf("s%d", i%6),
 		})
 	}

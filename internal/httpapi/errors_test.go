@@ -80,6 +80,35 @@ func TestOutOfRangeIDs(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: every POST route that decodes a body stops reading
+// at MaxBodyBytes and answers 413 body_too_large, and a body just under
+// the cap still decodes.
+func TestBodyTooLarge(t *testing.T) {
+	over := `{"pad":"` + strings.Repeat("a", MaxBodyBytes) + `"}`
+	for _, tc := range []struct {
+		path   string
+		server func(*testing.T) *Server
+	}{
+		{"/v1/link/batch", testServer},
+		{"/v1/tweet", testServer},
+		{"/v1/confirm", testServer},
+		{"/v1/ingest/tweet", ingestServer},
+		{"/v1/ingest/follow", ingestServer},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			tc.server(t).ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(over)))
+			decodeError(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
+		})
+	}
+	under := `{"user":0,"text":"` + strings.Repeat(" ", MaxBodyBytes-64) + `"}`
+	rec := httptest.NewRecorder()
+	testServer(t).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tweet", strings.NewReader(under)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("body of %d bytes under the cap: status %d (%.200s)", len(under), rec.Code, rec.Body.String())
+	}
+}
+
 // TestWrongMethods checks that each route rejects the other verb.
 func TestWrongMethods(t *testing.T) {
 	s := testServer(t)

@@ -16,6 +16,7 @@
 // to IDs outside the world (users, entities) are 404.
 //
 //	invalid_json       400  request body is not valid JSON
+//	body_too_large     413  request body exceeds MaxBodyBytes
 //	invalid_user       400  user parameter missing or not an integer
 //	missing_mention    400  mention parameter/field missing or empty
 //	missing_query      400  q parameter missing or empty
@@ -61,6 +62,7 @@ import (
 // documentation for the status each maps to.
 const (
 	CodeInvalidJSON         = "invalid_json"
+	CodeBodyTooLarge        = "body_too_large"
 	CodeInvalidUser         = "invalid_user"
 	CodeMissingMention      = "missing_mention"
 	CodeMissingQuery        = "missing_query"
@@ -80,6 +82,11 @@ const (
 // MaxBatchQueries caps the number of queries one /v1/link/batch request
 // may carry; larger batches are rejected with batch_too_large.
 const MaxBatchQueries = 256
+
+// MaxBodyBytes caps the request body of every endpoint that decodes one;
+// a larger body is rejected with body_too_large before it is fully read. A full
+// batch of MaxBatchQueries queries is a few tens of kilobytes.
+const MaxBodyBytes = 1 << 20
 
 // StatusClientClosedRequest is the (nginx-conventional) status reported
 // when the client goes away mid-request; net/http cannot actually deliver
@@ -180,6 +187,24 @@ type apiErr struct {
 
 func (e *apiErr) send(s *Server, w http.ResponseWriter) {
 	s.writeError(w, e.status, e.code, e.msg)
+}
+
+// decodeBody decodes r's JSON body, read through http.MaxBytesReader,
+// into v. On failure it writes the error — 413 body_too_large past
+// MaxBodyBytes, else 400 invalid_json — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			"request body exceeds "+strconv.Itoa(MaxBodyBytes)+" bytes")
+	default:
+		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	}
+	return false
 }
 
 // ctxErrInfo maps a context error onto the catalogue.
@@ -322,8 +347,7 @@ type BatchResponse struct {
 func (s *Server) handleLinkBatch(w http.ResponseWriter, r *http.Request) {
 	s.nBatch.Add(1)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -452,8 +476,7 @@ func (s *Server) timeOrHorizon(t *int64) int64 {
 func (s *Server) handleTweet(w http.ResponseWriter, r *http.Request) {
 	s.nTweet.Add(1)
 	var req TweetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if aerr := s.validateUser(int64(req.User)); aerr != nil {
@@ -494,8 +517,7 @@ type ConfirmRequest struct {
 
 func (s *Server) handleConfirm(w http.ResponseWriter, r *http.Request) {
 	var req ConfirmRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if aerr := s.validateUser(int64(req.User)); aerr != nil {

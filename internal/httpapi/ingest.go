@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"microlink"
@@ -61,8 +60,7 @@ func (s *Server) handleIngestTweet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestTweetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if aerr := s.validateUser(int64(req.User)); aerr != nil {
@@ -89,8 +87,7 @@ func (s *Server) handleIngestFollow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestFollowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if aerr := s.validateUser(int64(req.Follower)); aerr != nil {

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"microlink/internal/kb"
+	"microlink/internal/obs"
 )
 
 // DefaultTheta2 is θ₂, the relatedness threshold below which WLM edges
@@ -240,9 +241,18 @@ type Scorer struct {
 
 	// memo holds one slot per cluster, nil until the cluster first
 	// propagates a burst. A published entry is never written again.
-	memo     []atomic.Pointer[propMemo]
-	memoHits atomic.Int64
+	memo []atomic.Pointer[propMemo]
+	// memoHits and runs count bursting cluster propagations: answered
+	// from the memo, or by an Eq. 11 run.
+	memoHits, runs atomic.Int64
+	// met is the exported mirror of the two counts, published by
+	// Instrument; nil until then, read through metrics().
+	met atomic.Pointer[scorerMetrics]
 }
+
+// scorerMetrics is microlink_recency_propagations_total, one child per
+// memo outcome.
+type scorerMetrics struct{ hit, miss *obs.Counter }
 
 // propMemo is one cluster's last propagation: the gated window vector it
 // started from and the Eq. 11 result, both aligned with the members.
@@ -264,6 +274,26 @@ func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options) *Scorer {
 	return s
 }
 
+// Instrument registers microlink_recency_propagations_total{memo} in reg
+// and starts counting into it: memo="hit" mirrors MemoHits, memo="miss"
+// Propagations, from the call on.
+func (s *Scorer) Instrument(reg *obs.Registry) {
+	v := reg.CounterVec("microlink_recency_propagations_total",
+		"Bursting recency-cluster propagations (Eq. 11), by whether the per-cluster memo answered them.", "memo")
+	s.met.Store(&scorerMetrics{hit: v.With("hit"), miss: v.With("miss")})
+}
+
+// metrics returns the published counters, or a shared zero value of
+// nil-safe ones before Instrument runs.
+func (s *Scorer) metrics() *scorerMetrics {
+	if m := s.met.Load(); m != nil {
+		return m
+	}
+	return &zeroScorerMetrics
+}
+
+var zeroScorerMetrics scorerMetrics
+
 // Options returns the effective (defaults-filled) options.
 func (s *Scorer) Options() Options { return s.opts }
 
@@ -280,6 +310,10 @@ func (s *Scorer) Clusters(e kb.EntityID) []kb.EntityID {
 // calls whose cluster window vector equalled the stored one.
 func (s *Scorer) MemoHits() int64 { return s.memoHits.Load() }
 
+// Propagations reports how many times Eq. 11 ran: bursting cluster
+// propagations the memo could not answer.
+func (s *Scorer) Propagations() int64 { return s.runs.Load() }
+
 // raw returns the gated burst signal of Eq. 9's numerator: |D_e^τ| when it
 // reaches θ₁, else 0.
 func (s *Scorer) raw(e kb.EntityID, now int64) float64 {
@@ -295,7 +329,7 @@ func (s *Scorer) raw(e kb.EntityID, now int64) float64 {
 // fixpoint of Eq. 11 computed over e's cluster only.
 func (s *Scorer) Propagated(e kb.EntityID, now int64) float64 {
 	var v [1]float64
-	s.propagated(now, []kb.EntityID{e}, v[:])
+	s.propagated(now, []kb.EntityID{e}, v[:], nil)
 	return v[0]
 }
 
@@ -303,11 +337,44 @@ func (s *Scorer) Propagated(e kb.EntityID, now int64) float64 {
 // normalised over the candidate set (Eq. 9's normalisation). The result
 // sums to 1 when any candidate has a burst, else is all zeros.
 func (s *Scorer) Scores(now int64, cands []kb.EntityID) []float64 {
+	return s.scores(now, cands, nil)
+}
+
+// View is a Scorer pinned at one instant. Eq. 11 is mention-independent,
+// so every candidate set scored at the same now shares each cluster's
+// propagated vector: a View propagates a cluster at its first use and
+// answers every later use from the vector it kept. Its Scores equals
+// Scorer.Scores at the same instant bit for bit, provided the
+// knowledgebase does not change under it (LinkBatch holds the linker's
+// read lock for a view's whole life). Not safe for concurrent use.
+type View struct {
+	s    *Scorer
+	now  int64
+	kept []keptVec // clusters propagated so far, in first-use order
+}
+
+// keptVec is one cluster's propagated vector, aligned with its members;
+// nil when no member bursts.
+type keptVec struct {
+	id  int32
+	vec []float64
+}
+
+// At returns a View of s pinned at now.
+func (s *Scorer) At(now int64) *View { return &View{s: s, now: now} }
+
+// Scores is Scorer.Scores(now, cands) at the view's instant.
+func (v *View) Scores(cands []kb.EntityID) []float64 {
+	return v.s.scores(v.now, cands, v)
+}
+
+// scores normalises the propagated signals over the candidate set.
+func (s *Scorer) scores(now int64, cands []kb.EntityID, v *View) []float64 {
 	out := make([]float64, len(cands))
-	s.propagated(now, cands, out)
+	s.propagated(now, cands, out, v)
 	var sum float64
-	for _, v := range out {
-		sum += v
+	for _, x := range out {
+		sum += x
 	}
 	if sum > 0 {
 		for i := range out {
@@ -323,9 +390,10 @@ type propScratch struct{ s0, cur, nxt []float64 }
 
 var propPool = sync.Pool{New: func() any { return new(propScratch) }}
 
-// propagated writes each candidate's propagated signal into out. A
-// cluster is propagated once, at its first candidate, for all of them.
-func (s *Scorer) propagated(now int64, cands []kb.EntityID, out []float64) {
+// propagated writes each candidate's propagated signal into out, which
+// arrives zeroed. A cluster is looked up once, at its first candidate,
+// for all of them: through v when it is non-nil, else propagated afresh.
+func (s *Scorer) propagated(now int64, cands []kb.EntityID, out []float64, v *View) {
 	sc := propPool.Get().(*propScratch)
 	defer propPool.Put(sc)
 next:
@@ -340,7 +408,14 @@ next:
 				continue next
 			}
 		}
-		vec := s.propagateCluster(id, now, sc)
+		vec, ok := v.lookup(id)
+		if !ok {
+			vec = s.propagateCluster(id, now, sc)
+			v.keep(id, vec)
+		}
+		if vec == nil {
+			continue // no member bursts: the cluster's entries stay 0
+		}
 		for j := i; j < len(cands); j++ {
 			if s.net.clusterOf[cands[j]] == id {
 				out[j] = vec[s.net.localIdx[cands[j]]]
@@ -349,10 +424,31 @@ next:
 	}
 }
 
+// lookup returns the vector v kept for cluster id. A nil view keeps none.
+func (v *View) lookup(id int32) ([]float64, bool) {
+	if v == nil {
+		return nil, false
+	}
+	for _, k := range v.kept {
+		if k.id == id {
+			return k.vec, true
+		}
+	}
+	return nil, false
+}
+
+// keep records cluster id's vector; a no-op on a nil view.
+func (v *View) keep(id int32, vec []float64) {
+	if v != nil {
+		v.kept = append(v.kept, keptVec{id, vec})
+	}
+}
+
 // propagateCluster runs Eq. 11 over cluster id and returns the recency
-// vector aligned with its members, read-only: it lives in sc or in the
-// cluster's memo entry. An s0 equal to the memo's returns the memoised
-// vector; any other burst propagates and publishes a fresh entry.
+// vector aligned with its members, or nil when no member bursts. A
+// returned vector is a published memo entry's, never written again: an s0
+// equal to the memo's returns the memoised vector, any other propagates
+// and publishes a fresh entry.
 func (s *Scorer) propagateCluster(id int32, now int64, sc *propScratch) []float64 {
 	c := &s.net.clusters[id]
 	n := len(c.members)
@@ -365,19 +461,23 @@ func (s *Scorer) propagateCluster(id int32, now int64, sc *propScratch) []float6
 		burst = burst || s0[i] > 0
 	}
 	if !burst {
-		return s0 // all zeros
+		return nil
 	}
 	slot := &s.memo[id]
 	if m := slot.Load(); m != nil && slices.Equal(m.s0, s0) {
 		s.memoHits.Add(1)
+		s.metrics().hit.Inc()
 		return m.vec
 	}
+	s.runs.Add(1)
+	s.metrics().miss.Inc()
 	vec := c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
 	buf := make([]float64, 2*n)
 	copy(buf, s0)
 	copy(buf[n:], vec)
-	slot.Store(&propMemo{s0: buf[:n:n], vec: buf[n:]})
-	return vec
+	m := &propMemo{s0: buf[:n:n], vec: buf[n:]}
+	slot.Store(m)
+	return m.vec
 }
 
 // iterate is the Eq. 11 fixpoint loop in pull form,

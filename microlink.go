@@ -287,6 +287,7 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 		net = recency.BuildPropNet(w.KB, theta2)
 	}
 	rec := recency.NewScorer(ckb, net, opts.Recency)
+	rec.Instrument(reg)
 
 	linker := core.New(ckb, cand, rx, inf, rec, opts.Linker)
 	linker.Instrument(reg)
