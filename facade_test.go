@@ -2,6 +2,7 @@ package microlink
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -114,6 +115,53 @@ func TestSearchPersonalizedAndOrdered(t *testing.T) {
 	if !found {
 		t.Skip("no user cleared the threshold for this surface")
 	}
+}
+
+// TestSearchResolvesLiveTweetText: a tweet that arrived through ingest
+// is found by search with its text, not just its posting — the live
+// corpus is consulted when the world's store misses.
+func TestSearchResolvesLiveTweetText(t *testing.T) {
+	w := facadeWorld()
+	sys := Build(w, Options{Reach: ReachStreaming})
+	var surface string
+	w.KB.EachSurface(func(form string, cs []EntityID) {
+		if surface == "" && len(cs) >= 2 {
+			surface = form
+		}
+	})
+	var id int64
+	for _, tw := range w.Store.All() {
+		id = max(id, tw.ID+1)
+	}
+	now := w.Horizon() + 60
+	const user = UserID(3)
+	top := sys.Linker.TopK(user, now, surface, 1)
+	if len(top) == 0 {
+		t.Fatalf("no entity clears the threshold for %q", surface)
+	}
+	tw := &Tweet{ID: id, User: user, Time: now, Text: "live news on " + surface,
+		Mentions: []Mention{{Surface: surface, Start: 3, End: 4, Truth: top[0].Entity}}}
+
+	pipe, err := sys.StartIngest(IngestConfig{BlockOnFull: true, RebuildAfterEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := pipe.Submit(ctx, TweetEvent(tw, []EntityID{top[0].Entity})); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range sys.Search(user, now, surface, 8) {
+		if h.Posting.Tweet == id {
+			if h.Text != tw.Text {
+				t.Fatalf("live hit text = %q, want %q", h.Text, tw.Text)
+			}
+			return
+		}
+	}
+	t.Fatalf("search for %q did not return live tweet %d", surface, id)
 }
 
 func TestSearchNoMentions(t *testing.T) {

@@ -23,18 +23,19 @@ type PrunedSearch struct {
 	g      *graph.Graph
 	h      int
 	scc    *graph.SCC
-	labels [][2]int32 // k intervals per component, flattened
-	k      int
+	labels [][2]int32 // prunedPasses intervals per component, flattened
 	naive  *Naive
 	stats  BuildStats
 }
+
+// prunedPasses is k, the number of independent random interval labelings;
+// a pair is refuted when any one pass refutes it.
+const prunedPasses = 2
 
 // PrunedOptions tunes the online-search oracle.
 type PrunedOptions struct {
 	// MaxHops is the hop bound H; ≤ 0 selects DefaultMaxHops.
 	MaxHops int
-	// Passes is the number of random interval labelings k (default 2).
-	Passes int
 	// Seed drives the random traversal orders.
 	Seed int64
 }
@@ -44,9 +45,6 @@ func NewPrunedSearch(g *graph.Graph, opts PrunedOptions) *PrunedSearch {
 	if opts.MaxHops <= 0 {
 		opts.MaxHops = DefaultMaxHops
 	}
-	if opts.Passes <= 0 {
-		opts.Passes = 2
-	}
 	start := time.Now()
 	scc := graph.StronglyConnected(g)
 	dag := scc.Condense(g)
@@ -54,12 +52,11 @@ func NewPrunedSearch(g *graph.Graph, opts PrunedOptions) *PrunedSearch {
 		g:      g,
 		h:      opts.MaxHops,
 		scc:    scc,
-		k:      opts.Passes,
-		labels: make([][2]int32, scc.Count*opts.Passes),
+		labels: make([][2]int32, scc.Count*prunedPasses),
 		naive:  NewNaive(g, opts.MaxHops),
 	}
 	r := rand.New(rand.NewSource(opts.Seed + 1))
-	for pass := 0; pass < opts.Passes; pass++ {
+	for pass := 0; pass < prunedPasses; pass++ {
 		ps.labelPass(dag, pass, r)
 	}
 	ps.stats = BuildStats{
@@ -89,9 +86,9 @@ func (ps *PrunedSearch) labelPass(dag *graph.Graph, pass int, r *rand.Rand) {
 		return out
 	}
 	set := func(c graph.NodeID, lo, hi int32) {
-		ps.labels[int(c)*ps.k+pass] = [2]int32{lo, hi}
+		ps.labels[int(c)*prunedPasses+pass] = [2]int32{lo, hi}
 	}
-	get := func(c graph.NodeID) [2]int32 { return ps.labels[int(c)*ps.k+pass] }
+	get := func(c graph.NodeID) [2]int32 { return ps.labels[int(c)*prunedPasses+pass] }
 
 	for _, rootIdx := range order {
 		root := graph.NodeID(rootIdx)
@@ -133,9 +130,9 @@ func (ps *PrunedSearch) MaybeReachable(u, v graph.NodeID) bool {
 	if cu == cv {
 		return true
 	}
-	for pass := 0; pass < ps.k; pass++ {
-		lu := ps.labels[int(cu)*ps.k+pass]
-		lv := ps.labels[int(cv)*ps.k+pass]
+	for pass := 0; pass < prunedPasses; pass++ {
+		lu := ps.labels[int(cu)*prunedPasses+pass]
+		lv := ps.labels[int(cv)*prunedPasses+pass]
 		if lv[0] < lu[0] || lv[1] > lu[1] {
 			return false
 		}

@@ -48,7 +48,7 @@ const DefaultMaxHops = 4
 // participating in at least one shortest path from u to v.
 type Result struct {
 	Dist      int            // shortest-path distance in hops
-	Followees []graph.NodeID // F_uv, unspecified order
+	Followees []graph.NodeID // F_uv: ascending from TwoHop and Streaming, unspecified order otherwise
 }
 
 // Index answers weighted reachability queries. Implementations are safe for

@@ -88,6 +88,10 @@ func rfromSubstrates(r *rand.Rand, g *graph.Graph, h int) []namedIndex {
 	return append(out, namedIndex{"streaming/after-install", moved})
 }
 
+// TestRFromMatchesR checks every substrate's RFrom against its own loop
+// over R, on graphs with out-degree-0 sources, unreachable targets and
+// direct follows. For the 2-hop cover both run the one Eq. 5 kernel;
+// TestEq5KernelMatchesMergeWalk pins that kernel to an oracle.
 func TestRFromMatchesR(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	var sawDirect, sawUnreachable, sawZeroOut bool
@@ -134,9 +138,10 @@ func TestInstrumentedRFromCounts(t *testing.T) {
 	}
 }
 
-// FuzzRFromMatchesR checks RFrom against a loop over R on arbitrary
-// graphs, hop bounds and target lists, for the 2-hop cover (both batch
-// shapes) and the streaming substrate after an Install.
+// FuzzRFromMatchesR checks RFrom on arbitrary graphs, hop bounds and
+// target lists: for the 2-hop cover (both batch shapes) against the merge
+// walk over the labels before freeze, with Query and R alongside, and for
+// the streaming substrate after an Install against a loop over R.
 func FuzzRFromMatchesR(f *testing.F) {
 	f.Add(int64(0), uint8(20), uint8(3), uint8(0), []byte{0, 1, 2, 3, 3})
 	f.Add(int64(7), uint8(40), uint8(2), uint8(5), []byte{5, 5, 9, 40, 41, 42})
@@ -154,8 +159,10 @@ func FuzzRFromMatchesR(f *testing.F) {
 		st := NewStreaming(g, TwoHopOptions{MaxHops: hops})
 		st.InsertEdge(u, graph.NodeID(r.Intn(nodes)))
 		st.Install(st.Rebuild())
-		checkRFrom(t, "twohop/batch=1", BuildTwoHop(g, TwoHopOptions{MaxHops: hops, BatchSize: 1}), u, vs)
-		checkRFrom(t, "twohop", BuildTwoHop(g, TwoHopOptions{MaxHops: hops}), u, vs)
+		for _, batch := range []int{1, DefaultTwoHopBatch} {
+			ref, th := frozenWithRef(g, hops, batch)
+			checkEq5Kernel(t, fmt.Sprintf("twohop/batch=%d", batch), ref, th, u, vs)
+		}
 		checkRFrom(t, "streaming", st, u, vs)
 	})
 }

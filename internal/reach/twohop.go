@@ -19,24 +19,25 @@ import (
 // arenas: one flat []thLabelFlat per direction indexed by per-node offset
 // arrays, plus a single shared followee pool holding every label's
 // followee set sorted ascending, with identical small sets interned once.
-// Queries therefore walk two cache-contiguous label runs and dedup followee
-// sets by sorted merge instead of quadratic scans; SizeBytes reports the
-// measured arena sizes, not an estimate.
+// One kernel evaluates Eq. 5 over them (RFrom's scatter-and-scan; R and
+// Query are its one-target cases): the source's out-labels are scattered
+// by hub rank, each target's in-label run is scanned against them, and
+// followee sets are deduplicated on an epoch-stamped mark array. SizeBytes
+// reports the measured arena sizes, not an estimate.
 //
 // Exactness note. Distances returned by Query are exact within the hop
-// bound (the standard PLL cover property). Followee sets are exact for the
-// vast majority of pairs but can be *under*-approximated in two corner
-// cases inherited from the paper's algorithm: (1) pairs whose every
-// covering hub equals the source itself are answered through in-labels,
-// which Algorithm 2 (line 30) populates only on strict distance
-// improvement, and (2) equal-length alternative shortest paths through
-// pruned subtrees. We mitigate (1) by recording the hub's first-hop
-// followee set inside in-labels during the forward BFS, which Eq. 5 then
-// consumes for the hub = source case. The property tests in reach_test.go
-// and theorems_test.go assert distance exactness and followee-subset
-// behaviour against the naive oracle; empirically the sets are exact on
-// ~97.5% of reachable pairs of random small-world graphs
-// (TestTwoHopFolloweeExactnessRate).
+// bound (the standard PLL cover property). Followee sets can be
+// *under*-approximated in two corner cases inherited from the paper's
+// algorithm: (1) pairs whose every covering hub equals the source itself
+// are answered through in-labels, which Algorithm 2 (line 30) populates
+// only on strict distance improvement, and (2) equal-length alternative
+// shortest paths through pruned subtrees. We mitigate (1) by recording the
+// hub's first-hop followee set inside in-labels during the forward BFS,
+// which Eq. 5 then consumes for the hub = source case. The property tests
+// in reach_test.go and theorems_test.go assert distance exactness and
+// followee-subset behaviour against the naive oracle. On the bench world
+// R departs from Naive's on ≈ 1 % of reachable pairs at distance 2, 4 % at
+// distance 3 and 11 % at distance 4 (TestTwoHopDeviationOnBenchWorld).
 type TwoHop struct {
 	g     *graph.Graph
 	h     int
@@ -67,9 +68,6 @@ type thLabelFlat struct {
 }
 
 const infHops = 1 << 30
-
-// rankInf sentinels an exhausted label list in the merge walks.
-const rankInf = int32(1<<31 - 1)
 
 // TwoHopOptions tunes Algorithm 2.
 type TwoHopOptions struct {
@@ -144,139 +142,6 @@ func (th *TwoHop) folSet(l thLabelFlat) []graph.NodeID {
 	return th.folPool[l.folOff : l.folOff+int32(l.folLen)]
 }
 
-// thScratch is the reusable per-query scratch threaded through
-// queryRank/Query so steady-state queries allocate nothing: fol
-// accumulates the followee union, tmp is the merge double-buffer.
-type thScratch struct {
-	fol []graph.NodeID
-	tmp []graph.NodeID
-}
-
-var thScratchPool = sync.Pool{New: func() any { return new(thScratch) }}
-
-// union folds a sorted set into the sorted accumulator sc.fol. All
-// growth lands in the scratch's own fields, so steady state reuses
-// their capacity.
-//
-// microlint:noalloc
-func (sc *thScratch) union(set []graph.NodeID) {
-	if len(set) == 0 {
-		return
-	}
-	if len(sc.fol) == 0 {
-		sc.fol = append(sc.fol[:0], set...)
-		return
-	}
-	a, b := sc.fol, set
-	dst := sc.tmp[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case b[j] < a[i]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	sc.fol, sc.tmp = dst, a
-}
-
-// queryRank evaluates Eq. 5 on the frozen labels: the exact shortest-path
-// distance from s to t (infHops when unreachable within H) and the union of
-// the followee sets over all hubs achieving the minimum (Theorem 2), sorted
-// ascending inside sc.fol. Two merge walks over the rank-sorted label runs:
-// the first finds the minimum distance, the second unions only the followee
-// sets of hubs achieving it, so non-minimal labels cost no set work.
-//
-// microlint:noalloc
-func (th *TwoHop) queryRank(s, t graph.NodeID, sc *thScratch) (int, []graph.NodeID) {
-	sc.fol = sc.fol[:0]
-	if s == t {
-		return 0, nil
-	}
-	ls, lt := th.outLabels(s), th.inLabels(t)
-	rs, rt := th.rank[s], th.rank[t]
-	best := infHops
-
-	// Pass 1: minimum distance. Virtual self entries: hub = t (t ∈ Lout(s)
-	// directly) and hub = s (s ∈ Lin(t)).
-	i, j := 0, 0
-	for i < len(ls) || j < len(lt) {
-		hi, hj := rankInf, rankInf
-		if i < len(ls) {
-			hi = ls[i].hub
-		}
-		if j < len(lt) {
-			hj = lt[j].hub
-		}
-		switch {
-		case hi < hj:
-			if hi == rt {
-				if d := int(ls[i].dist); d <= th.h && d < best {
-					best = d
-				}
-			}
-			i++
-		case hj < hi:
-			if hj == rs {
-				if d := int(lt[j].dist); d <= th.h && d < best {
-					best = d
-				}
-			}
-			j++
-		default:
-			if d := int(ls[i].dist) + int(lt[j].dist); d <= th.h && d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	if best == infHops {
-		return infHops, nil
-	}
-
-	// Pass 2: union the followee sets of every hub achieving best.
-	i, j = 0, 0
-	for i < len(ls) || j < len(lt) {
-		hi, hj := rankInf, rankInf
-		if i < len(ls) {
-			hi = ls[i].hub
-		}
-		if j < len(lt) {
-			hj = lt[j].hub
-		}
-		switch {
-		case hi < hj:
-			if hi == rt && int(ls[i].dist) == best {
-				sc.union(th.folSet(ls[i]))
-			}
-			i++
-		case hj < hi:
-			// Hub is s itself: d = 0 + d_s,t, F from the in-label.
-			if hj == rs && int(lt[j].dist) == best {
-				sc.union(th.folSet(lt[j]))
-			}
-			j++
-		default:
-			if int(ls[i].dist)+int(lt[j].dist) == best {
-				sc.union(th.folSet(ls[i]))
-			}
-			i++
-			j++
-		}
-	}
-	return best, sc.fol
-}
-
 // Query implements Index. The returned followee slice is freshly allocated;
 // the allocation-free variants are QueryAppend and R.
 func (th *TwoHop) Query(u, v graph.NodeID) (Result, bool) {
@@ -284,63 +149,74 @@ func (th *TwoHop) Query(u, v graph.NodeID) (Result, bool) {
 }
 
 // QueryAppend is Query with caller-owned followee storage: the result's
-// followee set is appended to buf (which may be nil) and returned inside
-// Result.Followees. With a reused buffer of sufficient capacity the call
-// performs no allocation.
+// followee set is appended to buf (which may be nil), sorted ascending,
+// and returned inside Result.Followees. With a reused buffer of
+// sufficient capacity the call performs no allocation.
 //
 // microlint:noalloc
 func (th *TwoHop) QueryAppend(u, v graph.NodeID, buf []graph.NodeID) (Result, bool) {
-	sc := thScratchPool.Get().(*thScratch)
-	d, fol := th.queryRank(u, v, sc)
+	if u == v {
+		return Result{Followees: buf}, true
+	}
+	sc := th.scatterOut(u)
+	d, tail := th.minHub(sc, v)
 	if d >= infHops {
-		thScratchPool.Put(sc)
+		th.release(sc, u)
 		return Result{}, false
 	}
-	if d == 1 && len(fol) == 0 {
+	th.union(sc, v, d, tail)
+	sortNodeIDs(sc.fol)
+	if d == 1 && len(sc.fol) == 0 {
 		buf = append(buf, v)
 	} else {
-		buf = append(buf, fol...)
+		buf = append(buf, sc.fol...)
 	}
-	thScratchPool.Put(sc)
+	th.release(sc, u)
 	return Result{Dist: d, Followees: buf}, true
 }
 
-// R implements Index. The whole evaluation runs on pooled scratch, so the
-// linker's per-candidate hot path stays allocation-free.
+// R implements Index as the one-target case of RFrom, on the same pooled
+// scratch, so the linker's per-candidate hot path stays allocation-free.
 //
 // microlint:noalloc
 func (th *TwoHop) R(u, v graph.NodeID) float64 {
-	sc := thScratchPool.Get().(*thScratch)
-	d, fol := th.queryRank(u, v, sc)
-	var r float64
-	switch {
-	case d >= infHops:
-		r = 0
-	case d <= 1:
-		r = 1
-	default:
-		if od := th.g.OutDegree(u); od > 0 {
-			r = 1 / float64(d) * float64(len(fol)) / float64(od)
-		}
-	}
-	thScratchPool.Put(sc)
+	sc := th.scatterOut(u)
+	r := th.rTarget(sc, u, v, th.g.OutDegree(u))
+	th.release(sc, u)
 	return r
 }
 
-// rfScratch is RFrom's pooled scratch: the source's out-labels scattered
-// by hub rank (the "temporary array" of pruned landmark labeling, Akiba
-// et al., SIGMOD 2013, which the builder's prune kernels also use) and an
-// epoch-stamped per-node mark array counting the followee union.
+// RFrom implements Index natively: u's out-labels are scattered once, and
+// each target scans only its own in-labels against them, so a call costs
+// |Lout(u)| + Σ|Lin(v)| label reads. It is the only evaluation of Eq. 5
+// over the frozen labels: R is its one-target case and Query reads the
+// followee union it leaves behind.
+//
+// microlint:noalloc
+func (th *TwoHop) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+	sc := th.scatterOut(u)
+	od := th.g.OutDegree(u)
+	for i, v := range vs {
+		out[i] = th.rTarget(sc, u, v, od)
+	}
+	th.release(sc, u)
+}
+
+// rfScratch is the pooled scratch of the Eq. 5 kernel: the source's
+// out-labels scattered by hub rank (the "temporary array" of pruned
+// landmark labeling, Akiba et al., SIGMOD 2013, which the builder's prune
+// kernels also use) and the followee union fol, deduplicated by an
+// epoch-stamped per-node mark array.
 //
 // sdist[r] is the source's distance through hub r, thUnset when it has no
 // hub-r label; sidx[r] that label's index in outLab, or -1 for the virtual
 // self entry, whose followee set is the in-label's. sidx is read only
-// where sdist is set. mark[w] == epoch means followee w is already
-// counted for the current target.
+// where sdist is set. mark[w] == epoch means followee w is already in fol.
 type rfScratch struct {
 	sdist []uint8
 	sidx  []int32
 	mark  []uint32
+	fol   []graph.NodeID
 	epoch uint32
 }
 
@@ -358,25 +234,25 @@ func (sc *rfScratch) fit(n int) {
 	}
 }
 
-// count adds the members of set not yet marked this epoch, marking them.
+// add appends the members of set not yet marked this epoch to fol,
+// marking them.
 //
 // microlint:noalloc
-func (sc *rfScratch) count(set []graph.NodeID) int {
-	c := 0
+func (sc *rfScratch) add(set []graph.NodeID) {
 	for _, w := range set {
 		if sc.mark[w] != sc.epoch {
 			sc.mark[w] = sc.epoch
-			c++
+			sc.fol = append(sc.fol, w)
 		}
 	}
-	return c
 }
 
-// nextEpoch starts a fresh followee union; on wrap-around the marks are
-// cleared so no stale stamp can match.
+// nextEpoch starts a fresh, empty followee union; on wrap-around the
+// marks are cleared so no stale stamp can match.
 //
 // microlint:noalloc
 func (sc *rfScratch) nextEpoch() {
+	sc.fol = sc.fol[:0]
 	sc.epoch++
 	if sc.epoch == 0 {
 		clear(sc.mark)
@@ -384,33 +260,15 @@ func (sc *rfScratch) nextEpoch() {
 	}
 }
 
-// RFrom implements Index natively: u's out-labels are scattered once, and
-// each target scans only its own in-labels against them, so a call costs
-// |Lout(u)| + Σ|Lin(v)| label reads instead of a merge walk per pair.
-// Every out[i] equals R(u, vs[i]) under ==: the scan evaluates the same
-// three Eq. 5 cases as queryRank's merge walk (a common hub, the hub = v
-// entry of Lout(u), the hub = u entry of Lin(v)), counts the same
-// followee union, and combines it with R's own expression.
+// scatterOut takes a scratch from the pool and loads Lout(u) into it,
+// plus the virtual self entry sdist[rank(u)] = 0 when u has no label on
+// its own rank: the hub = u case then scores as the ordinary sum
+// 0 + d(u, v).
 //
 // microlint:noalloc
-func (th *TwoHop) RFrom(u graph.NodeID, vs []graph.NodeID, out []float64) {
+func (th *TwoHop) scatterOut(u graph.NodeID) *rfScratch {
 	sc := rfScratchPool.Get().(*rfScratch)
 	sc.fit(len(th.rank))
-	th.scatterOut(sc, u)
-	od := th.g.OutDegree(u)
-	for i, v := range vs {
-		out[i] = th.rFromTarget(sc, u, v, od)
-	}
-	th.unscatterOut(sc, u)
-	rfScratchPool.Put(sc)
-}
-
-// scatterOut loads Lout(u) into sc, plus the virtual self entry
-// sdist[rank(u)] = 0 when u has no label on its own rank: the hub = u
-// case then scores as the ordinary sum 0 + d(u, v).
-//
-// microlint:noalloc
-func (th *TwoHop) scatterOut(sc *rfScratch, u graph.NodeID) {
 	base := th.outOff[u]
 	for i, l := range th.outLabels(u) {
 		sc.sdist[l.hub] = l.dist
@@ -419,27 +277,53 @@ func (th *TwoHop) scatterOut(sc *rfScratch, u graph.NodeID) {
 	if ru := th.rank[u]; sc.sdist[ru] == thUnset {
 		sc.sdist[ru], sc.sidx[ru] = 0, -1
 	}
+	return sc
 }
 
-// unscatterOut clears every sdist entry scatterOut set.
+// release clears every sdist entry scatterOut set and returns sc to the
+// pool.
 //
 // microlint:noalloc
-func (th *TwoHop) unscatterOut(sc *rfScratch, u graph.NodeID) {
+func (th *TwoHop) release(sc *rfScratch, u graph.NodeID) {
 	for _, l := range th.outLabels(u) {
 		sc.sdist[l.hub] = thUnset
 	}
 	sc.sdist[th.rank[u]] = thUnset
+	rfScratchPool.Put(sc)
 }
 
-// rFromTarget is R(u, v) against the scattered Lout(u); od is |F_u|. An
-// unset hub reads thUnset, which plus any label distance exceeds H
-// (ReadTwoHop refuses H > maxTwoHopHops), so no presence test is needed.
+// rTarget is R(u, v) against the scattered Lout(u); od is |F_u|. The
+// followee union is built only where Eq. 4 reads it (d ≥ 2).
 //
 // microlint:noalloc
-func (th *TwoHop) rFromTarget(sc *rfScratch, u, v graph.NodeID, od int) float64 {
+func (th *TwoHop) rTarget(sc *rfScratch, u, v graph.NodeID, od int) float64 {
 	if u == v {
 		return 1
 	}
+	d, tail := th.minHub(sc, v)
+	switch {
+	case d >= infHops:
+		return 0
+	case d <= 1:
+		return 1
+	case od == 0:
+		return 0
+	}
+	th.union(sc, v, d, tail)
+	return 1 / float64(d) * float64(len(sc.fol)) / float64(od)
+}
+
+// minHub is Eq. 5's minimum for u ≠ v against the scattered Lout(u): the
+// shortest distance d(u, v) within H (infHops when v is unreachable) over
+// three cases, a hub common to Lout(u) and Lin(v), the hub = u entry of
+// Lin(v) (through the virtual self entry) and the hub = v entry of
+// Lout(u). tail reports that the last case applies: Lout(u) holds hub v
+// within H and Lin(v) has no label on v's own rank. An unset hub reads
+// thUnset, which plus any label distance exceeds H (ReadTwoHop refuses
+// H > maxTwoHopHops), so no presence test is needed.
+//
+// microlint:noalloc
+func (th *TwoHop) minHub(sc *rfScratch, v graph.NodeID) (best int, tail bool) {
 	lt := th.inLabels(v)
 	rv := th.rank[v]
 	best, selfIn := infHops, false
@@ -449,35 +333,33 @@ func (th *TwoHop) rFromTarget(sc *rfScratch, u, v graph.NodeID, od int) float64 
 			best = d
 		}
 	}
-	// Hub is v itself, absent from Lin(v): d(u, v) from Lout(u) alone.
-	tail := !selfIn && int(sc.sdist[rv]) <= th.h
+	tail = !selfIn && int(sc.sdist[rv]) <= th.h
 	if tail && int(sc.sdist[rv]) < best {
 		best = int(sc.sdist[rv])
 	}
-	switch {
-	case best >= infHops:
-		return 0
-	case best <= 1:
-		return 1
-	case od == 0:
-		return 0
-	}
+	return best, tail
+}
+
+// union leaves in sc.fol, unsorted, F_uv of Theorem 2: the union of the
+// followee sets of every hub minHub found at distance best.
+//
+// microlint:noalloc
+func (th *TwoHop) union(sc *rfScratch, v graph.NodeID, best int, tail bool) {
 	sc.nextEpoch()
-	nf := 0
+	lt := th.inLabels(v)
 	for i := range lt {
 		if int(sc.sdist[lt[i].hub])+int(lt[i].dist) != best {
 			continue
 		}
 		if k := sc.sidx[lt[i].hub]; k >= 0 {
-			nf += sc.count(th.folSet(th.outLab[k]))
+			sc.add(th.folSet(th.outLab[k]))
 		} else {
-			nf += sc.count(th.folSet(lt[i])) // hub is u: F from the in-label
+			sc.add(th.folSet(lt[i])) // hub is u: F from the in-label
 		}
 	}
-	if tail && int(sc.sdist[rv]) == best {
-		nf += sc.count(th.folSet(th.outLab[sc.sidx[rv]]))
+	if rv := th.rank[v]; tail && int(sc.sdist[rv]) == best {
+		sc.add(th.folSet(th.outLab[sc.sidx[rv]]))
 	}
-	return 1 / float64(best) * float64(nf) / float64(od)
 }
 
 // SizeBytes implements Index. With arena storage this is measured, not

@@ -764,7 +764,7 @@ func prepFreeze(src [][]thLabel, dst []thLabelFlat, off []int32, hash []uint64, 
 
 // freeze converts the built per-node label slices into the flat CSR arenas
 // of TwoHop: labels become cache-contiguous runs, every followee set is
-// sorted ascending (enabling the query path's merge-based dedup), and
+// sorted ascending (so identical sets hash and compare equal), and
 // identical small sets are interned once in the shared pool.
 //
 // The conversion runs in two stages. Stage 1 fans the per-label work that
@@ -879,6 +879,8 @@ func (w *thWork) freeze(workers int) *TwoHop {
 }
 
 // sortNodeIDs sorts a (small) followee set ascending in place.
+//
+// microlint:noalloc
 func sortNodeIDs(s []graph.NodeID) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -3,10 +3,14 @@ package reach
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"microlink/internal/graph"
 )
+
+// rankInf sentinels an exhausted label list in refQueryRank's merge walk.
+const rankInf = int32(1<<31 - 1)
 
 // refQueryRank is the two-list sorted merge walk the builder's prune test
 // ran before the scattered kernels replaced it, kept as their oracle: the
@@ -132,6 +136,76 @@ func TestPruneKernelsMatchMergeWalk(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestEq5KernelMatchesMergeWalk pins the frozen arena's one Eq. 5
+// kernel to the merge walk under ==: for every ordered pair (u, v) of
+// TestPruneKernelsMatchMergeWalk's grid, Query's distance and sorted
+// followee set equal refQueryRank's over the same labels before freeze,
+// and R and RFrom equal score over that answer.
+func TestEq5KernelMatchesMergeWalk(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, n := range []int{3, 63, 64, 65, 129, 150} {
+			g := randomGraph(r, n, 5*n)
+			all := make([]graph.NodeID, n)
+			for v := range all {
+				all[v] = graph.NodeID(v)
+			}
+			for _, h := range []int{2, 3, 4} {
+				for _, batch := range []int{1, 32} {
+					ref, th := frozenWithRef(g, h, batch)
+					for u := graph.NodeID(0); int(u) < n; u++ {
+						checkEq5Kernel(t, fmt.Sprintf("seed=%d/n=%d/H=%d/batch=%d", seed, n, h, batch), ref, th, u, all)
+					}
+				}
+			}
+		}
+	}
+}
+
+// frozenWithRef builds the 2-hop cover of g and returns it together with
+// the label lists it was frozen from, which freeze itself releases.
+func frozenWithRef(g *graph.Graph, h, batch int) (*thWork, *TwoHop) {
+	w := unfrozenLabels(g, h, batch)
+	ref := labelsBefore(w, int32(g.NumNodes()))
+	return ref, w.freeze(1)
+}
+
+// checkEq5Kernel compares th's Query, R and RFrom from u against
+// refQueryRank + score over ref, th's labels before freeze, for every
+// target in vs, and asserts RFrom writes nothing past len(vs).
+func checkEq5Kernel(t testing.TB, name string, ref *thWork, th *TwoHop, u graph.NodeID, vs []graph.NodeID) {
+	t.Helper()
+	out := make([]float64, len(vs)+1)
+	out[len(vs)] = -1
+	th.RFrom(u, vs, out[:len(vs)])
+	if out[len(vs)] != -1 {
+		t.Fatalf("%s: RFrom wrote past len(vs)", name)
+	}
+	var buf []graph.NodeID
+	for i, v := range vs {
+		var d int
+		var fol []graph.NodeID
+		d, fol, buf = ref.refQueryRank(u, v, buf)
+		ok := d < infHops
+		want := Result{Dist: d, Followees: slices.Clone(fol)}
+		slices.Sort(want.Followees)
+		if d == 1 && len(fol) == 0 {
+			want.Followees = []graph.NodeID{v} // Query's direct-edge convention
+		}
+		got, gotOK := th.Query(u, v)
+		if gotOK != ok || ok && (got.Dist != want.Dist || !slices.Equal(got.Followees, want.Followees)) {
+			t.Fatalf("%s: Query(%d, %d) = %v %v, merge walk %v %v", name, u, v, got, gotOK, want, ok)
+		}
+		wantR := score(Result{Dist: d, Followees: fol}, ok, th.g.OutDegree(u))
+		if r := th.R(u, v); r != wantR {
+			t.Fatalf("%s: R(%d, %d) = %v, merge walk %v", name, u, v, r, wantR)
+		}
+		if out[i] != wantR {
+			t.Fatalf("%s: RFrom(%d, …)[%d] (v=%d) = %v, merge walk %v", name, u, i, v, out[i], wantR)
 		}
 	}
 }

@@ -211,9 +211,9 @@ func TestTwoHopQueryZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTwoHopFolSetsSorted pins the frozen-layout invariant the merge-based
-// query union relies on: every followee run in the pool is sorted
-// ascending, and query results come back sorted.
+// TestTwoHopFolSetsSorted pins the frozen layout's ordering: every
+// followee run in the pool is sorted ascending (interning compares runs
+// by content), and query results come back sorted.
 func TestTwoHopFolSetsSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	g := randomGraph(r, 100, 500)

@@ -13,8 +13,10 @@ import "sync"
 // append), and accessors return copies so callers never alias the
 // guarded backing storage.
 type LiveStore struct {
-	mu  sync.RWMutex // microlint:lock-order tweets-live
-	all []Tweet      // microlint:guarded-by mu
+	mu      sync.RWMutex    // microlint:lock-order tweets-live
+	all     []Tweet         // microlint:guarded-by mu
+	byID    map[int64]int32 // microlint:guarded-by mu — index into all, covering all[:indexed]
+	indexed int             // microlint:guarded-by mu
 }
 
 // NewLiveStore returns an empty live corpus.
@@ -42,4 +44,23 @@ func (s *LiveStore) All() []Tweet {
 	out := make([]Tweet, len(s.all))
 	copy(out, s.all)
 	return out
+}
+
+// Text returns the text of the tweet with the given id (the latest one
+// when an id repeats). The id index is brought up to date here, not in
+// Append, so the ingest path pays nothing for it.
+func (s *LiveStore) Text(id int64) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.byID == nil {
+		s.byID = make(map[int64]int32)
+	}
+	for ; s.indexed < len(s.all); s.indexed++ {
+		s.byID[s.all[s.indexed].ID] = int32(s.indexed)
+	}
+	i, ok := s.byID[id]
+	if !ok {
+		return "", false
+	}
+	return s.all[i].Text, true
 }

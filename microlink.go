@@ -428,7 +428,7 @@ type SearchResult struct {
 	Entity  EntityID
 	Score   float64 // the entity's Eq. 1 score for the querying user
 	Posting kb.Posting
-	Text    string // tweet text when resolvable from the world's store
+	Text    string // tweet text when resolvable from the world's store or the live corpus
 }
 
 // Search implements personalized microblog search: mentions are extracted
@@ -460,9 +460,9 @@ func (s *System) Search(user UserID, now int64, query string, k int) []SearchRes
 	return out
 }
 
-// tweetText resolves a tweet id against the world's store (linear scan is
-// avoided via the store's time ordering only when ids are dense; fall back
-// to a map built lazily).
+// tweetText resolves a tweet id against the world's store, through a map
+// built on first use, and then against the live corpus, which holds the
+// tweets that arrived through ingest or were restored from a snapshot.
 func (s *System) tweetText(id int64) string {
 	s.textOnce.Do(func() {
 		s.textByID = make(map[int64]string, s.World.Store.Len())
@@ -470,7 +470,11 @@ func (s *System) tweetText(id int64) string {
 			s.textByID[tw.ID] = tw.Text
 		}
 	})
-	return s.textByID[id]
+	if text, ok := s.textByID[id]; ok {
+		return text
+	}
+	text, _ := s.Live.Text(id)
+	return text
 }
 
 // Describe returns a one-paragraph summary of the system's configuration,
