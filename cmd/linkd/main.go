@@ -19,11 +19,13 @@
 //	GET  /metrics                               Prometheus text exposition
 //	GET  /debug/pprof/*                         live profiling (opt-in via -pprof)
 //
-// With -data DIR the server is durable: boot warm-restarts from the
-// directory's snapshot + WAL when one exists (the manifest's world and
-// reach parameters override -seed/-users/-reach) and commits an initial
-// snapshot otherwise; applied firehose events tee into the WAL, and
-// kill -9 loses at most the events not yet applied.
+// The reachability substrate is the streaming 2-hop arena, the one that
+// takes follow edges and the one a data directory persists. With -data
+// DIR the server is durable: boot warm-restarts from the directory's
+// snapshot + WAL when one exists (the directory's world overrides
+// -seed/-users) and commits an initial snapshot otherwise; applied
+// firehose events tee into the WAL, and kill -9 loses at most the events
+// not yet applied.
 //
 // Errors use the structured envelope documented in internal/httpapi. The
 // -request-timeout flag bounds each request with a context deadline that
@@ -54,8 +56,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "world seed")
 	users := flag.Int("users", 800, "world size")
-	reachKind := flag.String("reach", "closure", "reachability substrate: closure|streaming")
-	ingestOn := flag.Bool("ingest", false, "attach the streaming firehose pipeline (requires -reach streaming)")
+	ingestOn := flag.Bool("ingest", false, "attach the streaming firehose pipeline")
 	ingestQueue := flag.Int("ingest-queue", 0, "ingest queue capacity (0 selects the default)")
 	rebuildAfter := flag.Int("rebuild-after", 0, "rebuild the frozen reach arena after this many new follow edges (0 selects the default)")
 	rebuildEvery := flag.Duration("rebuild-interval", 0, "additionally rebuild on this interval when stale (0 disables)")
@@ -77,25 +78,13 @@ func main() {
 		log.Fatalf("linkd: %v", err)
 	}
 
-	opts := microlink.Options{}
+	opts := microlink.Options{Reach: microlink.ReachStreaming, Fsync: *fsyncOn}
 	opts.Linker.Batch.Workers = *workers
-	opts.Fsync = *fsyncOn
-	switch *reachKind {
-	case "closure":
-		opts.Reach = microlink.ReachClosure
-	case "streaming":
-		opts.Reach = microlink.ReachStreaming
-	default:
-		log.Fatalf("linkd: unknown -reach %q", *reachKind)
-	}
-	if *ingestOn && opts.Reach != microlink.ReachStreaming {
-		log.Fatalf("linkd: -ingest requires -reach streaming, got %q", *reachKind)
-	}
 
 	// Warm restart: when -data holds a committed snapshot, the whole
 	// system — world, graph, complemented KB, live tweets, frozen reach
 	// arena — reloads from segments and the WAL suffix replays on top.
-	// The directory's world and reach kind win over -seed/-users/-reach.
+	// The directory's world and hop bound win over -seed/-users.
 	var sys *microlink.System
 	if *dataDir != "" {
 		s, rep, err := microlink.Open(*dataDir, opts)

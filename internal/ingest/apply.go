@@ -41,10 +41,10 @@ func check(r *store.Record) error {
 // never holds nil tweet links; with link unset (WAL replay) the record is
 // rejected. Follows join the live graph in one InsertEdges call at the
 // end, which is unobservable because scoring reads only the frozen arena;
-// a follow naming a user outside the graph, or sent to a stack whose
-// Stream is nil, is rejected (journaled, it would fail every later
-// replay). Feedback feeds its links back as given. Rejected records are
-// skipped; the error reports the first, after the rest have applied.
+// a follow naming a user outside the graph is rejected (journaled, it
+// would fail every later replay). Feedback feeds its links back as
+// given. Rejected records are skipped; the error reports the first,
+// after the rest have applied.
 func (d Deps) Apply(batch []store.Record, link bool, journal []store.Record) ([]store.Record, Tally, error) {
 	var t Tally
 	var pairs [][2]graph.NodeID
@@ -68,15 +68,12 @@ func (d Deps) Apply(batch []store.Record, link bool, journal []store.Record) ([]
 			t.Tweets++
 		case store.RecFollow:
 			t.Follows++
-			switch {
-			case d.Stream == nil:
-				why = fmt.Errorf("follow %d → %d: reachability substrate is not streaming", r.U, r.V)
-			case !d.Stream.HasNode(r.U) || !d.Stream.HasNode(r.V):
+			if !d.Stream.HasNode(r.U) || !d.Stream.HasNode(r.V) {
 				why = fmt.Errorf("follow %d → %d: endpoint outside the follow graph", r.U, r.V)
-			default:
-				pairs = append(pairs, [2]graph.NodeID{r.U, r.V})
-				journal = append(journal, store.FollowRecord(r.U, r.V))
+				break
 			}
+			pairs = append(pairs, [2]graph.NodeID{r.U, r.V})
+			journal = append(journal, store.FollowRecord(r.U, r.V))
 		case store.RecFeedback:
 			d.Linker.Feedback(r.Tweet, r.Links)
 			journal = append(journal, store.FeedbackRecord(r.Tweet, r.Links))

@@ -18,8 +18,6 @@ import (
 // |F_uv| and distance so that Query can report the same information as the
 // other substrates.
 type TransitiveClosure struct {
-	g         *graph.Graph
-	h         int
 	rows      []ctRow
 	maps      []map[graph.NodeID]int32 // v → index into rows[u].entries
 	followees *ctFollowees
@@ -205,8 +203,6 @@ func BuildTransitiveClosure(g *graph.Graph, opts ClosureOptions) *TransitiveClos
 		entries += int64(len(rows[u].entries))
 	}
 	return &TransitiveClosure{
-		g:         g,
-		h:         h,
 		rows:      rows,
 		maps:      maps,
 		followees: fol,
@@ -214,9 +210,9 @@ func BuildTransitiveClosure(g *graph.Graph, opts ClosureOptions) *TransitiveClos
 	}
 }
 
-// followees is nil-safe auxiliary storage.
+// lookupFollowees returns F_uv's identities, nil without KeepFollowees.
 func (tc *TransitiveClosure) lookupFollowees(u, v graph.NodeID) []graph.NodeID {
-	if tc.followees == nil || tc.followees.sets == nil {
+	if tc.followees.sets == nil {
 		return nil
 	}
 	return tc.followees.sets[u][v]
@@ -289,6 +285,3 @@ func (tc *TransitiveClosure) BuildStats() BuildStats { return tc.stats }
 
 // Reachable returns the number of nodes reachable from u within H hops.
 func (tc *TransitiveClosure) Reachable(u graph.NodeID) int { return len(tc.rows[u].entries) }
-
-// MaxHops returns the hop bound H the closure was built with.
-func (tc *TransitiveClosure) MaxHops() int { return tc.h }

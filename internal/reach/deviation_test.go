@@ -2,6 +2,7 @@ package reach
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"microlink/internal/graph"
@@ -16,7 +17,8 @@ import (
 // pairs on which TwoHop's R differs from Naive's, and fails when a
 // distance's rate rises past its bound. Distances must agree on every
 // pair; the deviation is the under-approximated followee set of TwoHop's
-// exactness note.
+// exactness note, and every differing pair must show its mechanism (no
+// hub-u in-label at v).
 func TestTwoHopDeviationOnBenchWorld(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a measurement: the race detector adds ≈ 20× its cost and checks nothing here")
@@ -49,6 +51,13 @@ func TestTwoHopDeviationOnBenchWorld(t *testing.T) {
 		reachable[res.Dist]++
 		if th.R(u, v) != score(res, ok, g.OutDegree(u)) {
 			differ[res.Dist]++
+			// The one mechanism of TestTwoHopDeviationCounterexamples:
+			// the pair has no hub-u in-label at v.
+			for _, l := range th.inLab[th.inOff[v]:th.inOff[v+1]] {
+				if l.hub == th.rank[u] {
+					t.Fatalf("(%d, %d) differs but v holds a hub-u in-label %+v", u, v, l)
+				}
+			}
 		}
 	}
 	for d := 1; d <= 4; d++ {
@@ -57,5 +66,76 @@ func TestTwoHopDeviationOnBenchWorld(t *testing.T) {
 		if rate > bound[d] {
 			t.Errorf("d = %d: deviation rate %.4f above its bound %.4f", d, rate, bound[d])
 		}
+	}
+}
+
+// TestTwoHopDeviationCounterexamples pins the two corner cases of
+// TwoHop's exactness note on the smallest graphs found for them (a seeded
+// search over random graphs of 4–14 nodes, each shrunk edge by edge and
+// relabelled so that the degree order is the id order). Both come from
+// one mechanism: the source u is the top-ranked node of a shortest path
+// through its followee f, so only a hub-u in-label at v can carry f, and
+// the forward BFS from u (Algorithm 2, line 30) writes an in-label only
+// on a strict distance improvement, while a higher-ranked hub already
+// gives d(u, v) over another shortest path. The distance is exact; f is
+// lost, so R falls below Eq. 4's value.
+//
+//	(1) diamond: v is reached at the equal distance and left unlabelled.
+//	    0 ← 1 → 2,  0 → 3,  2 → 3;              (u, v) = (1, 3)
+//	(2) pruned subtree: node 3 on the path is reached at the equal
+//	    distance and not expanded, so the BFS never reaches v at all.
+//	    1 → 0, 1 → 2, 0 → 1, 0 → 2, 0 → 3, 2 → 3, 3 → 4;  (u, v) = (1, 4)
+//
+// The serial build (batch size 1) is the one that shows them: at the
+// default batch every hub of a graph this small shares one batch, nothing
+// prunes, and both pairs are exact.
+func TestTwoHopDeviationCounterexamples(t *testing.T) {
+	cases := []struct {
+		name          string
+		n             int
+		edges         [][2]graph.NodeID
+		u, v          graph.NodeID
+		dist          int
+		served, naive []graph.NodeID
+	}{
+		{"diamond", 4, [][2]graph.NodeID{{1, 0}, {1, 2}, {0, 3}, {2, 3}},
+			1, 3, 2, []graph.NodeID{0}, []graph.NodeID{0, 2}},
+		{"pruned subtree", 5, [][2]graph.NodeID{{1, 0}, {1, 2}, {0, 1}, {0, 2}, {0, 3}, {2, 3}, {3, 4}},
+			1, 4, 3, []graph.NodeID{0}, []graph.NodeID{0, 2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := graph.NewBuilder(c.n)
+			for _, e := range c.edges {
+				b.AddEdge(e[0], e[1])
+			}
+			g := b.Build()
+			th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4, BatchSize: 1})
+			for rk, v := range th.order {
+				if int(v) != rk {
+					t.Fatalf("landmark order %v, want the id order", th.order)
+				}
+			}
+			got, ok := th.Query(c.u, c.v)
+			want, _ := NewNaive(g, 4).Query(c.u, c.v)
+			if !ok || got.Dist != c.dist || want.Dist != c.dist {
+				t.Fatalf("distance %d %v, naive %d; want both %d", got.Dist, ok, want.Dist, c.dist)
+			}
+			if !slices.Equal(got.Followees, c.served) || !slices.Equal(sortedCopy(want.Followees), c.naive) {
+				t.Fatalf("followees %v, naive %v; want %v and %v", got.Followees, sortedCopy(want.Followees), c.served, c.naive)
+			}
+			if r, eq4 := th.R(c.u, c.v), score(want, true, g.OutDegree(c.u)); r >= eq4 {
+				t.Fatalf("R = %v, Eq. 4 = %v; want R below it", r, eq4)
+			}
+			for _, l := range th.inLab[th.inOff[c.v]:th.inOff[c.v+1]] {
+				if l.hub == th.rank[c.u] {
+					t.Fatalf("v holds a hub-u in-label %+v; the counterexample needs it absent", l)
+				}
+			}
+			exact := BuildTwoHop(g, TwoHopOptions{MaxHops: 4})
+			if got, _ := exact.Query(c.u, c.v); !slices.Equal(got.Followees, c.naive) {
+				t.Fatalf("default batch: followees %v, want the exact %v", got.Followees, c.naive)
+			}
+		})
 	}
 }

@@ -13,27 +13,22 @@ import (
 	"microlink/internal/graph"
 )
 
-// Binary serialization for the reachability indexes. Construction is the
-// expensive step (Table 5's "indexing time" column); a production service
-// builds once and reloads on start. The format is versioned per kind and
-// guarded by a fingerprint of the graph it was built over, so an index can
-// never be loaded against the wrong network, plus a trailing CRC over the
-// payload.
+// Binary serialization of the 2-hop cover, the one persisted
+// reachability index. Construction is the expensive step (Table 5's
+// "indexing time" column); a production service builds once and reloads
+// on start. The image is versioned and guarded by a fingerprint of the
+// graph it was built over, so it can never be loaded against the wrong
+// network, plus a trailing CRC over the payload.
 //
 // Layout (little endian):
 //
 //	magic "MLRI" | version u16 | kind u8 | maxHops u8
 //	graph fingerprint u64
-//	payload (kind-specific)
+//	payload
 //	crc64(payload) u64
 //
-// Closure payload (kind 1, version 1), one run per source row:
-//
-//	n u32
-//	n × { m u32 | m × (v i32 | dist u8 | nFol i32 | w f32) }
-//
-// 2-hop payload (kind 2, version 2): the frozen CSR arenas of TwoHop
-// exactly as they are held in memory, so loading is a bulk decode with no
+// Payload (kind 2, version 2): the frozen CSR arenas of TwoHop exactly as
+// they are held in memory, so loading is a bulk decode with no
 // re-interning:
 //
 //	n u32
@@ -44,27 +39,24 @@ import (
 //	inLab   inOff[n] × (same record)
 //	pool    p u32 | p × i32   interned followee pool
 //
-// Both readers take the whole image into one buffer and check the
+// The reader takes the whole image into one buffer and checks the
 // fingerprint and the CRC before decoding anything; every count is then
 // bounded by the bytes that remain, so a damaged count is an ErrFormat,
-// never an absurd allocation. Each reader also validates every decoded
-// value the query path relies on (see ReadTransitiveClosure, ReadTwoHop).
-// A version-1 2-hop image is rejected with ErrFormat, not upgraded:
-// re-snapshot it from a cold Build.
+// never an absurd allocation. It also validates every decoded value the
+// query path relies on (see ReadTwoHop). Any other kind (kind 1 was the
+// transitive closure, no longer persisted) and a version-1 2-hop image
+// are rejected with ErrFormat, not upgraded: re-snapshot from a cold
+// Build.
 
 const (
 	serialMagic = "MLRI"
 	headerLen   = 16 // magic, version, kind, maxHops, fingerprint
 	trailerLen  = 8  // crc64 of the payload
 
-	kindClosure = 1
-	kindTwoHop  = 2
+	kindTwoHop    = 2
+	twoHopVersion = 2
 
-	closureVersion = 1
-	twoHopVersion  = 2
-
-	ctEntryLen = 13 // v i32 | dist u8 | nFol i32 | w f32
-	labelLen   = 11 // hub i32 | folOff i32 | folLen u16 | dist u8
+	labelLen = 11 // hub i32 | folOff i32 | folLen u16 | dist u8
 )
 
 // ErrFormat reports a malformed or incompatible index file.
@@ -95,18 +87,11 @@ func Fingerprint(g *graph.Graph) uint64 {
 	return h.Sum64()
 }
 
-func versionOf(kind uint8) uint16 {
-	if kind == kindTwoHop {
-		return twoHopVersion
-	}
-	return closureVersion
-}
-
-// appendHeader starts an image of the given kind.
-func appendHeader(b []byte, kind, maxHops uint8, fp uint64) []byte {
+// appendHeader starts a 2-hop image.
+func appendHeader(b []byte, maxHops uint8, fp uint64) []byte {
 	b = append(b, serialMagic...)
-	b = le.AppendUint16(b, versionOf(kind))
-	b = append(b, kind, maxHops)
+	b = le.AppendUint16(b, twoHopVersion)
+	b = append(b, kindTwoHop, maxHops)
 	return le.AppendUint64(b, fp)
 }
 
@@ -149,9 +134,9 @@ func readAll(r io.Reader) ([]byte, error) {
 }
 
 // readImage reads a whole image and checks, in order, its header against
-// the wanted kind and graph, then the CRC. It returns the hop bound and
-// the verified, still undecoded payload.
-func readImage(r io.Reader, wantKind uint8, fp uint64) (hops int, payload []byte, err error) {
+// the 2-hop kind and version and the graph, then the CRC. It returns the
+// hop bound and the verified, still undecoded payload.
+func readImage(r io.Reader, fp uint64) (hops int, payload []byte, err error) {
 	data, err := readAll(r)
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrFormat, err)
@@ -163,11 +148,11 @@ func readImage(r io.Reader, wantKind uint8, fp uint64) (hops int, payload []byte
 		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrFormat, data[:4])
 	}
 	version, kind := le.Uint16(data[4:]), data[6]
-	if kind != wantKind {
-		return 0, nil, fmt.Errorf("%w: kind %d, want %d", ErrFormat, kind, wantKind)
+	if kind != kindTwoHop {
+		return 0, nil, fmt.Errorf("%w: kind %d, want %d", ErrFormat, kind, kindTwoHop)
 	}
-	if want := versionOf(kind); version != want {
-		return 0, nil, fmt.Errorf("%w: version %d, want %d", ErrFormat, version, want)
+	if version != twoHopVersion {
+		return 0, nil, fmt.Errorf("%w: version %d, want %d", ErrFormat, version, twoHopVersion)
 	}
 	if le.Uint64(data[8:]) != fp {
 		return 0, nil, ErrGraphMismatch
@@ -257,96 +242,6 @@ func (d *decoder) labels(n int) []thLabelFlat {
 	return ls
 }
 
-// WriteTo serialises the closure (excluding followee identity sets, which
-// are a debugging aid; counts and weights round-trip).
-func (tc *TransitiveClosure) WriteTo(w io.Writer) (int64, error) {
-	size := headerLen + 4 + 4*len(tc.rows) + trailerLen
-	for u := range tc.rows {
-		size += ctEntryLen * len(tc.rows[u].entries)
-	}
-	b := make([]byte, 0, size)
-	b = appendHeader(b, kindClosure, uint8(tc.h), Fingerprint(tc.g))
-	b = le.AppendUint32(b, uint32(len(tc.rows)))
-	for u := range tc.rows {
-		entries := tc.rows[u].entries
-		b = le.AppendUint32(b, uint32(len(entries)))
-		for _, e := range entries {
-			b = le.AppendUint32(b, uint32(e.v))
-			b = append(b, e.dist)
-			b = le.AppendUint32(b, uint32(e.nFol))
-			b = le.AppendUint32(b, math.Float32bits(e.w))
-		}
-	}
-	return seal(w, b)
-}
-
-// ReadTransitiveClosure loads a closure previously written with WriteTo,
-// validating it against g. Every entry is checked before it can serve:
-// its target lies in [0,n), is not the row's own node and appears once
-// per row, its distance lies in [1,H], and its weight is finite and in
-// (0,1] — a NaN weight would otherwise pass the MinInterest floor and
-// spread through Eq. 1.
-func ReadTransitiveClosure(r io.Reader, g *graph.Graph) (*TransitiveClosure, error) {
-	hops, payload, err := readImage(r, kindClosure, Fingerprint(g))
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{b: payload}
-	n := d.count(4) // every row carries at least its own count
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n != g.NumNodes() {
-		return nil, ErrGraphMismatch
-	}
-	tc := &TransitiveClosure{
-		g:    g,
-		h:    hops,
-		rows: make([]ctRow, n),
-		maps: make([]map[graph.NodeID]int32, n),
-	}
-	var entries int64
-	for u := 0; u < n; u++ {
-		m := d.count(ctEntryLen)
-		p := d.take(ctEntryLen * m)
-		if d.err != nil {
-			return nil, d.err
-		}
-		row := make([]ctEntry, m)
-		idx := make(map[graph.NodeID]int32, m)
-		for i := range row {
-			q := p[ctEntryLen*i:]
-			e := ctEntry{
-				v:    graph.NodeID(le.Uint32(q)),
-				dist: q[4],
-				nFol: int32(le.Uint32(q[5:])),
-				w:    math.Float32frombits(le.Uint32(q[9:])),
-			}
-			_, dup := idx[e.v]
-			switch {
-			case e.v < 0 || int(e.v) >= n || int(e.v) == u:
-				return nil, fmt.Errorf("%w: row %d: target %d is outside [0,%d) or the row's own node", ErrFormat, u, e.v, n)
-			case dup:
-				return nil, fmt.Errorf("%w: row %d: target %d repeated", ErrFormat, u, e.v)
-			case e.dist < 1 || int(e.dist) > hops:
-				return nil, fmt.Errorf("%w: row %d: distance %d outside [1,%d]", ErrFormat, u, e.dist, hops)
-			case !(e.w > 0 && e.w <= 1): // false for NaN too
-				return nil, fmt.Errorf("%w: row %d: weight %v outside (0,1]", ErrFormat, u, e.w)
-			}
-			row[i] = e
-			idx[e.v] = int32(i)
-		}
-		tc.rows[u] = ctRow{entries: row}
-		tc.maps[u] = idx
-		entries += int64(m)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	tc.stats = BuildStats{Entries: entries}
-	return tc, nil
-}
-
 // WriteTo serialises the 2-hop cover: the landmark order and the frozen
 // label arenas, followee pool included, as they are held in memory.
 func (th *TwoHop) WriteTo(w io.Writer) (int64, error) {
@@ -354,7 +249,7 @@ func (th *TwoHop) WriteTo(w io.Writer) (int64, error) {
 	size := headerLen + 4 + 4*n + 2*4*(n+1) +
 		labelLen*(len(th.outLab)+len(th.inLab)) + 4 + 4*len(th.folPool) + trailerLen
 	b := make([]byte, 0, size)
-	b = appendHeader(b, kindTwoHop, uint8(th.h), Fingerprint(th.g))
+	b = appendHeader(b, uint8(th.h), Fingerprint(th.g))
 	b = le.AppendUint32(b, uint32(n))
 	b = appendInt32s(b, th.order)
 	b = appendInt32s(b, th.outOff)
@@ -375,7 +270,7 @@ func (th *TwoHop) WriteTo(w io.Writer) (int64, error) {
 // strictly ascend within a node's run; every followee run lies inside the
 // pool; and pool ids lie in [0,n) and strictly ascend within each run.
 func ReadTwoHop(r io.Reader, g *graph.Graph) (*TwoHop, error) {
-	hops, payload, err := readImage(r, kindTwoHop, Fingerprint(g))
+	hops, payload, err := readImage(r, Fingerprint(g))
 	if err != nil {
 		return nil, err
 	}

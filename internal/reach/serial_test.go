@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc64"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,40 +16,6 @@ import (
 func roundTripGraph() *graph.Graph {
 	r := rand.New(rand.NewSource(21))
 	return randomGraph(r, 120, 900)
-}
-
-func TestClosureRoundTrip(t *testing.T) {
-	g := roundTripGraph()
-	tc := BuildTransitiveClosure(g, ClosureOptions{MaxHops: 4})
-	var buf bytes.Buffer
-	n, err := tc.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadTransitiveClosure(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		for v := 0; v < g.NumNodes(); v++ {
-			a := tc.R(graph.NodeID(u), graph.NodeID(v))
-			b := got.R(graph.NodeID(u), graph.NodeID(v))
-			if a != b {
-				t.Fatalf("R(%d,%d): %f != %f", u, v, a, b)
-			}
-			ra, oka := tc.Query(graph.NodeID(u), graph.NodeID(v))
-			rb, okb := got.Query(graph.NodeID(u), graph.NodeID(v))
-			if oka != okb || (oka && ra.Dist != rb.Dist) {
-				t.Fatalf("Query(%d,%d) differs", u, v)
-			}
-		}
-	}
-	if got.BuildStats().Entries != tc.BuildStats().Entries {
-		t.Fatal("entry counts differ")
-	}
 }
 
 func TestTwoHopRoundTrip(t *testing.T) {
@@ -106,26 +71,22 @@ func TestTwoHopRoundTrip(t *testing.T) {
 
 func TestLoadAgainstWrongGraph(t *testing.T) {
 	g := roundTripGraph()
-	tc := BuildTransitiveClosure(g, ClosureOptions{MaxHops: 4})
-	var buf bytes.Buffer
-	if _, err := tc.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	data := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4}))
 	other := randomGraph(rand.New(rand.NewSource(99)), 120, 900)
-	if _, err := ReadTransitiveClosure(&buf, other); !errors.Is(err, ErrGraphMismatch) {
+	if _, err := ReadTwoHop(bytes.NewReader(data), other); !errors.Is(err, ErrGraphMismatch) {
 		t.Fatalf("err = %v, want graph mismatch", err)
 	}
 }
 
+// TestLoadWrongKind: an image of any kind but the 2-hop cover's — kind 1
+// was the transitive closure, which is no longer persisted — is an
+// ErrFormat, not a cover.
 func TestLoadWrongKind(t *testing.T) {
 	g := roundTripGraph()
-	th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4})
-	var buf bytes.Buffer
-	if _, err := th.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTransitiveClosure(&buf, g); !errors.Is(err, ErrFormat) {
-		t.Fatalf("err = %v, want format error", err)
+	data := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4}))
+	data[6] = 1
+	if _, err := ReadTwoHop(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "kind 1") {
+		t.Fatalf("err = %v, want a kind-1 format error", err)
 	}
 }
 
@@ -135,10 +96,10 @@ func TestLoadGarbage(t *testing.T) {
 		nil,
 		[]byte("garbage"),
 		[]byte("MLRI"),
-		[]byte("MLRI\x01\x00\x01\x04"),
+		[]byte("MLRI\x02\x00\x02\x04"),
 	}
 	for i, c := range cases {
-		if _, err := ReadTransitiveClosure(bytes.NewReader(c), g); err == nil {
+		if _, err := ReadTwoHop(bytes.NewReader(c), g); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -146,15 +107,10 @@ func TestLoadGarbage(t *testing.T) {
 
 func TestLoadCorruptedPayload(t *testing.T) {
 	g := roundTripGraph()
-	tc := BuildTransitiveClosure(g, ClosureOptions{MaxHops: 4})
-	var buf bytes.Buffer
-	if _, err := tc.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4}))
 	// Flip a byte in the middle of the payload.
 	data[len(data)/2] ^= 0xFF
-	if _, err := ReadTransitiveClosure(bytes.NewReader(data), g); err == nil {
+	if _, err := ReadTwoHop(bytes.NewReader(data), g); err == nil {
 		t.Fatal("corrupted payload must not load")
 	}
 }
@@ -218,72 +174,6 @@ func TestLoadTwoHopVersion1Rejected(t *testing.T) {
 	_, err := ReadTwoHop(bytes.NewReader(data), g)
 	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("err = %v, want a version-1 format error", err)
-	}
-}
-
-// TestLoadClosureCorruptCount sets row 0's entry count to 0xFFFFFFFF. A
-// reader that sized its row from the field before checking anything died
-// of an unrecoverable out-of-memory; both the checksum and, with the
-// checksum re-sealed, the remaining-bytes bound must turn it into an
-// ErrFormat.
-func TestLoadClosureCorruptCount(t *testing.T) {
-	g := roundTripGraph()
-	var buf bytes.Buffer
-	if _, err := BuildTransitiveClosure(g, ClosureOptions{MaxHops: 4}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, resealed := range []bool{false, true} {
-		data := bytes.Clone(buf.Bytes())
-		le.PutUint32(data[headerLen+4:], 0xFFFFFFFF)
-		if resealed {
-			reseal(data)
-		}
-		if _, err := ReadTransitiveClosure(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
-			t.Fatalf("resealed=%v: err = %v, want format error", resealed, err)
-		}
-	}
-}
-
-// TestLoadClosureEntryDamage edits one value of a valid closure image
-// at a time and re-seals the checksum: a target out of range, naming the
-// row's own node or repeated, a distance outside [1,H], and a weight that
-// is not finite or not in (0,1] must each be an ErrFormat, not a closure
-// that serves it.
-func TestLoadClosureEntryDamage(t *testing.T) {
-	g := roundTripGraph()
-	const hops = 4
-	var buf bytes.Buffer
-	if _, err := BuildTransitiveClosure(g, ClosureOptions{MaxHops: hops}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	row0 := headerLen + 4 // row 0: m u32, then m entries
-	if m := le.Uint32(buf.Bytes()[row0:]); m < 2 {
-		t.Fatalf("row 0 holds %d entries; the test edits two", m)
-	}
-	e0, e1 := row0+4, row0+4+ctEntryLen
-	second := le.Uint32(buf.Bytes()[e1:])
-	u32 := func(off int, v uint32) func([]byte) { return func(b []byte) { le.PutUint32(b[off:], v) } }
-	f32 := func(off int, v float32) func([]byte) { return u32(off, math.Float32bits(v)) }
-	for name, edit := range map[string]func([]byte){
-		"target negative":   u32(e0, 0xFFFFFFFF),
-		"target n":          u32(e0, uint32(g.NumNodes())),
-		"target own node":   u32(e0, 0),
-		"target repeated":   u32(e0, second),
-		"distance 0":        func(b []byte) { b[e0+4] = 0 },
-		"distance H+1":      func(b []byte) { b[e0+4] = hops + 1 },
-		"weight NaN":        f32(e0+9, float32(math.NaN())),
-		"weight +Inf":       f32(e0+9, float32(math.Inf(1))),
-		"weight 0":          f32(e0+9, 0),
-		"weight negative":   f32(e0+9, -0.5),
-		"weight above one":  f32(e0+9, 1.5),
-		"second weight NaN": f32(e1+9, float32(math.NaN())),
-	} {
-		data := bytes.Clone(buf.Bytes())
-		edit(data)
-		reseal(data)
-		if _, err := ReadTransitiveClosure(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
-			t.Errorf("%s: err = %v, want ErrFormat", name, err)
-		}
 	}
 }
 
@@ -387,39 +277,6 @@ func TestLoadTwoHopStructuralDamage(t *testing.T) {
 		le.PutUint32(data[m.poolLen:], 0xFFFFFFFF)
 		if _, err := ReadTwoHop(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
 			t.Fatalf("err = %v, want format error", err)
-		}
-	})
-}
-
-// FuzzReadTransitiveClosure feeds mutated closure images to
-// ReadTransitiveClosure with the checksum re-sealed. Every input must
-// fail with a typed error or load into a closure that writes back the
-// same bytes — the reader accepts nothing WriteTo would not produce.
-func FuzzReadTransitiveClosure(f *testing.F) {
-	g := randomGraph(rand.New(rand.NewSource(5)), 40, 160)
-	for _, hops := range []int{2, 4} {
-		var buf bytes.Buffer
-		if _, err := BuildTransitiveClosure(g, ClosureOptions{MaxHops: hops}).WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		data = bytes.Clone(data)
-		reseal(data)
-		tc, err := ReadTransitiveClosure(bytes.NewReader(data), g)
-		if err != nil {
-			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrGraphMismatch) {
-				t.Fatalf("untyped error %v", err)
-			}
-			return
-		}
-		var out bytes.Buffer
-		if _, err := tc.WriteTo(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("loaded closure writes %d bytes that differ from the %d it was read from", out.Len(), len(data))
 		}
 	})
 }

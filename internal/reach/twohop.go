@@ -27,17 +27,21 @@ import (
 //
 // Exactness note. Distances returned by Query are exact within the hop
 // bound (the standard PLL cover property). Followee sets can be
-// *under*-approximated in two corner cases inherited from the paper's
-// algorithm: (1) pairs whose every covering hub equals the source itself
-// are answered through in-labels, which Algorithm 2 (line 30) populates
-// only on strict distance improvement, and (2) equal-length alternative
-// shortest paths through pruned subtrees. We mitigate (1) by recording the
-// hub's first-hop followee set inside in-labels during the forward BFS,
-// which Eq. 5 then consumes for the hub = source case. The property tests
-// in reach_test.go and theorems_test.go assert distance exactness and
-// followee-subset behaviour against the naive oracle. On the bench world
-// R departs from Naive's on ≈ 1 % of reachable pairs at distance 2, 4 % at
-// distance 3 and 11 % at distance 4 (TestTwoHopDeviationOnBenchWorld).
+// *under*-approximated, by one mechanism with two faces: when the source
+// u is the top-ranked node of a shortest path through its followee f,
+// only a hub-u in-label at v can carry f, and the forward BFS (Algorithm
+// 2, line 30) writes an in-label only on strict distance improvement. So
+// if a higher-ranked hub already gives d(u, v) over another path, f is
+// lost — (1) v itself is reached at the equal distance and left
+// unlabelled, or (2) a node on the path is, and is not expanded, so the
+// BFS never reaches v. The backward BFS (lines 5–29, with 20–27's
+// equal-path case) loses no followee. Recording u's first-hop set inside
+// the in-labels it does write (our extension) covers the pairs answered
+// through them. TestTwoHopDeviationCounterexamples pins both faces on
+// 4- and 5-node graphs; DESIGN §5.3 gives the argument. On the bench
+// world R departs from Naive's on ≈ 1 % of reachable pairs at distance 2,
+// 4 % at distance 3 and 11 % at distance 4, every one without a hub-u
+// in-label at v (TestTwoHopDeviationOnBenchWorld).
 type TwoHop struct {
 	g     *graph.Graph
 	h     int

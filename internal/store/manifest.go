@@ -32,11 +32,10 @@ type Manifest struct {
 	// World is the parameters the world segment's dataset was generated
 	// from: provenance, not regenerated. Open reads the world segment.
 	World synth.Params `json:"world"`
-	// Reach names the persisted index kind: ReachClosure or
-	// ReachStreaming.
+	// Reach names the persisted index kind. ReachStreaming is the only
+	// one: "twohop" and "closure" directories are refused.
 	Reach string `json:"reach"`
-	// MaxHops is the bounded-reachability horizon the index was built
-	// with (0 for unbounded closure).
+	// MaxHops is the hop bound H the 2-hop arena was built with.
 	MaxHops int `json:"max_hops,omitempty"`
 	// Segments maps segment base names (world, graph, pending, ckb,
 	// tweets, reach) to file names inside the data directory. The world
@@ -65,10 +64,8 @@ func readManifest(path string) (*Manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: %s: version %d, want %d", ErrManifest, path, m.Version, manifestVersion)
 	}
-	switch m.Reach {
-	case ReachClosure, ReachStreaming:
-	default:
-		return nil, fmt.Errorf("%w: %s: unknown reach kind %q", ErrManifest, path, m.Reach)
+	if m.Reach != ReachStreaming {
+		return nil, fmt.Errorf("%w: %s: reach kind %q, want %q", ErrManifest, path, m.Reach, ReachStreaming)
 	}
 	if m.Seq == 0 || m.WALSeq == 0 {
 		return nil, fmt.Errorf("%w: %s: zero sequence numbers", ErrManifest, path)

@@ -15,8 +15,8 @@ import (
 // passes validation — supported version and reach kind, nonzero
 // sequence numbers, every required segment named — and that survives a
 // write/read round trip unchanged. Never a panic. The seeds are a
-// committed manifest and the same manifest naming the retired "twohop"
-// reach kind.
+// committed manifest and the same manifest naming each retired reach
+// kind, "twohop" and "closure".
 func FuzzReadManifest(f *testing.F) {
 	dir := f.TempDir()
 	s, err := Open(dir, Options{})
@@ -36,12 +36,14 @@ func FuzzReadManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	twohop := bytes.Replace(committed, []byte(`"reach": "streaming"`), []byte(`"reach": "twohop"`), 1)
-	if bytes.Equal(twohop, committed) {
-		f.Fatal("committed manifest does not name the streaming reach kind")
-	}
 	f.Add(committed)
-	f.Add(twohop)
+	for _, retired := range []string{"twohop", "closure"} {
+		b := bytes.Replace(committed, []byte(`"reach": "streaming"`), []byte(`"reach": "`+retired+`"`), 1)
+		if bytes.Equal(b, committed) {
+			f.Fatal("committed manifest does not name the streaming reach kind")
+		}
+		f.Add(b)
+	}
 
 	// One file, rewritten per input: a fuzz worker runs its inputs one at
 	// a time, so no input reads another's bytes.
@@ -60,7 +62,7 @@ func FuzzReadManifest(f *testing.F) {
 		if m == nil {
 			t.Fatal("existing MANIFEST read as absent")
 		}
-		if m.Version != manifestVersion || (m.Reach != ReachClosure && m.Reach != ReachStreaming) || m.Seq == 0 || m.WALSeq == 0 {
+		if m.Version != manifestVersion || m.Reach != ReachStreaming || m.Seq == 0 || m.WALSeq == 0 {
 			t.Fatalf("invalid manifest accepted: %+v", m)
 		}
 		for _, name := range []string{segGraphName, segCKBName, segTweetsName, segReachName} {

@@ -10,14 +10,15 @@
 // files that extend it:
 //
 //	MANIFEST                 JSON: version, seq, world params (provenance),
-//	                         reach kind, segment names, first WAL seq
+//	                         reach kind ("streaming"), hop bound, segment
+//	                         names, first WAL seq
 //	seg-<seq>-world.bin      the served dataset: base graph, KB, corpus,
 //	                         events, topics (written once per binding)
 //	seg-<seq>-graph.bin      the follow graph the arena was built from
 //	seg-<seq>-pending.bin    follow edges applied since, not in the arena
 //	seg-<seq>-ckb.bin        complemented-KB posting lists (Definition 5)
 //	seg-<seq>-tweets.bin     live (streamed) tweet corpus
-//	seg-<seq>-reach.bin      frozen reachability arena (reach MLRI format)
+//	seg-<seq>-reach.bin      frozen 2-hop arena (reach MLRI format)
 //	wal-<seq>.log            mutations applied after the snapshot barrier
 //
 // Segments are written once and never modified; a snapshot becomes
@@ -27,7 +28,9 @@
 // may be older than theirs). Nothing is regenerated on open: the
 // manifest's synth.Params record where the world came from, and a changed
 // generator does not change what an existing directory means. A version-1
-// manifest (from before the world segment) is ErrManifest.
+// manifest (from before the world segment), and one whose reach kind is
+// not "streaming" (the retired "twohop" and "closure" kinds), is
+// ErrManifest: such a directory is re-snapshotted from a cold Build.
 //
 // # Durability contract
 //
@@ -83,11 +86,9 @@ var (
 	ErrNoWorld = errors.New("store: first commit carries no world")
 )
 
-// Reach kind names recorded in the manifest.
-const (
-	ReachClosure   = "closure"
-	ReachStreaming = "streaming"
-)
+// ReachStreaming is the one reach kind a manifest records: the
+// streaming substrate's frozen 2-hop arena.
+const ReachStreaming = "streaming"
 
 // Options configures a Store.
 type Options struct {
@@ -289,9 +290,8 @@ type Snapshot struct {
 	Pending  [][2]graph.NodeID // sorted by (u, v); none of them in Graph
 	Postings [][]kb.Posting
 	Tweets   []tweets.Tweet
-	// Reach is the index kind (ReachClosure or ReachStreaming) and
-	// Index its serializer — the frozen arena's WriteTo.
-	Reach   string
+	// MaxHops is the arena's hop bound and Index its serializer — the
+	// frozen 2-hop arena's WriteTo.
 	MaxHops int
 	Index   io.WriterTo
 }
@@ -334,7 +334,7 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 		Version:     manifestVersion,
 		Seq:         seq,
 		CreatedUnix: start.Unix(),
-		Reach:       snap.Reach,
+		Reach:       ReachStreaming,
 		MaxHops:     snap.MaxHops,
 		WALSeq:      walSeq,
 		Segments:    map[string]string{segReachName: segName(seq, segReachName)},
@@ -443,8 +443,7 @@ func loadSegment[T any](s *Store, name string, kind uint8, decode func(*decoder)
 
 // OpenReach opens the committed reachability segment for reading. The
 // file is in the reach package's own serialized format (versioned,
-// fingerprinted, checksummed); feed it to reach.ReadTwoHop or
-// reach.ReadTransitiveClosure per the manifest's Reach kind.
+// fingerprinted, checksummed); feed it to reach.ReadTwoHop.
 func (s *Store) OpenReach() (io.ReadCloser, error) {
 	path, err := s.segPath(segReachName)
 	if err != nil {
@@ -477,8 +476,11 @@ type ReplayStats struct {
 // Replay streams every WAL record since the committed snapshot through
 // fn, in append order across files. A torn record at the tail of the
 // last file is the expected crash signature: it is truncated off (so
-// later passes see a clean file) and reported in the stats. A torn or
-// checksum-failing record anywhere else is ErrWALCorrupt. Replay is part
+// later passes see a clean file) and reported in the stats; so is a last
+// file torn inside its header (a crash between its create and its header
+// write), which holds no records and has its header rewritten. A torn or
+// checksum-failing record, or a torn header, anywhere else is
+// ErrWALCorrupt, and its file is left as found. Replay is part
 // of the single-threaded open protocol — it must not run concurrently
 // with Append or Rotate.
 func (s *Store) Replay(fn func(*Record) error) (ReplayStats, error) {
@@ -499,7 +501,7 @@ func (s *Store) Replay(fn func(*Record) error) (ReplayStats, error) {
 		if _, err := os.Stat(path); os.IsNotExist(err) {
 			continue
 		}
-		records, bytes, torn, err := replayWALFile(path, fn)
+		records, bytes, torn, err := replayWALFile(path, seq == last, fn)
 		stats.Files++
 		stats.Records += records
 		stats.Bytes += bytes

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -103,7 +104,6 @@ func sampleSnapshot() Snapshot {
 			{{Tweet: 3, User: 7, Time: 1003}},
 		},
 		Tweets:  []tweets.Tweet{sampleTweet(1), sampleTweet(2)},
-		Reach:   ReachStreaming,
 		MaxHops: 2,
 		Index:   fakeIndex{data: []byte("MLRI-stand-in arena bytes")},
 	}
@@ -709,6 +709,165 @@ func TestResumeReusesIdleWAL(t *testing.T) {
 	}
 }
 
+// TestReplayTornWALHeader: a crash between a WAL file's create and its
+// header write leaves 0–5 bytes and no records. As the newest file that
+// is a torn tail: Replay reports it, rewrites the header, and a second
+// reopen replays cleanly — also when the torn file is the manifest's own
+// barrier file, where records appended after the repair must replay.
+// Anywhere earlier in the sequence it is corruption, on every reopen.
+func TestReplayTornWALHeader(t *testing.T) {
+	header := walMagic + "\x01\x00"
+	// dirWithTornWAL commits a snapshot, appends one record to its WAL
+	// file and adds a torn successor; with mid set, a valid header-only
+	// file follows the torn one.
+	dirWithTornWAL := func(t *testing.T, torn string, mid bool) string {
+		t.Helper()
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		if err := s.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		commitSample(t, s)
+		if err := s.Append(sampleRecords()[2:3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seq := s.Manifest().WALSeq + 1
+		if err := os.WriteFile(filepath.Join(dir, walName(seq)), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if mid {
+			if err := os.WriteFile(filepath.Join(dir, walName(seq+1)), []byte(header), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	reopen := func(t *testing.T, dir string) (ReplayStats, error) {
+		t.Helper()
+		s := mustOpen(t, dir)
+		stats, err := s.Replay(func(*Record) error { return nil })
+		if err != nil {
+			return stats, err
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		return stats, s.Close()
+	}
+
+	for _, torn := range []string{"", header[:3]} {
+		t.Run(fmt.Sprintf("tail %d bytes", len(torn)), func(t *testing.T) {
+			dir := dirWithTornWAL(t, torn, false)
+			stats, err := reopen(t, dir)
+			if err != nil || !stats.TornTail || stats.Records != 1 {
+				t.Fatalf("first reopen: %+v, %v; want the torn tail reported and 1 record", stats, err)
+			}
+			wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range wals {
+				if fi, err := os.Stat(p); err != nil || fi.Size() < walHeaderSize {
+					t.Fatalf("WAL file %s left without a whole header: %v, %v", p, fi, err)
+				}
+			}
+			stats, err = reopen(t, dir)
+			if err != nil || stats.TornTail || stats.Records != 1 {
+				t.Fatalf("second reopen: %+v, %v; want a clean replay of 1 record", stats, err)
+			}
+		})
+		t.Run(fmt.Sprintf("barrier file %d bytes", len(torn)), func(t *testing.T) {
+			// Two commits leave the barrier at wal-000002.log and prune
+			// everything below it, so the torn file is the only WAL.
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			for i := 0; i < 2; i++ {
+				if err := s.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+				commitSample(t, s)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			barrier := s.Manifest().WALSeq
+			if barrier < 2 {
+				t.Fatalf("barrier WAL seq %d, want >= 2", barrier)
+			}
+			if err := os.WriteFile(filepath.Join(dir, walName(barrier)), []byte(torn), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s = mustOpen(t, dir)
+			if stats, err := s.Replay(func(*Record) error { return nil }); err != nil || !stats.TornTail || stats.Records != 0 {
+				t.Fatalf("first reopen: %+v, %v; want the torn tail reported and no records", stats, err)
+			}
+			if err := s.Resume(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(sampleRecords()[2:3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stats, err := reopen(t, dir)
+			if err != nil || stats.TornTail || stats.Records != 1 {
+				t.Fatalf("second reopen: %+v, %v; want a clean replay of the 1 record appended after the repair", stats, err)
+			}
+		})
+		t.Run(fmt.Sprintf("mid-sequence %d bytes", len(torn)), func(t *testing.T) {
+			dir := dirWithTornWAL(t, torn, true)
+			for i := 0; i < 2; i++ {
+				if _, err := reopen(t, dir); !errors.Is(err, ErrWALCorrupt) {
+					t.Fatalf("reopen %d: %v, want ErrWALCorrupt", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayTornRecordMidSequence: a record torn at the end of a WAL file
+// that is not the newest is corruption, and stays corruption: Replay
+// leaves the file as it found it, so a second reopen fails the same way
+// instead of replaying past the lost record.
+func TestReplayTornRecordMidSequence(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	commitSample(t, s)
+	if err := s.Append(sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, walName(s.Manifest().WALSeq))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s := mustOpen(t, dir)
+		if _, err := s.Replay(func(*Record) error { return nil }); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("reopen %d: %v, want ErrWALCorrupt", i, err)
+		}
+	}
+	if fi2, err := os.Stat(path); err != nil || fi2.Size() != fi.Size()-3 {
+		t.Fatalf("mid-sequence file changed by Replay: %v, %v", fi2, err)
+	}
+}
+
 func TestManifestDamage(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -725,14 +884,17 @@ func TestManifestDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A committed manifest naming the retired static 2-hop kind: the
-	// directory must be re-snapshotted from a cold Build.
-	twohop := bytes.Replace(committed, []byte(`"reach": "streaming"`), []byte(`"reach": "twohop"`), 1)
-	if err := os.WriteFile(path, twohop, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrManifest) || !bytes.Contains([]byte(err.Error()), []byte(`"twohop"`)) {
-		t.Fatalf("Open with reach kind twohop: got %v, want ErrManifest naming it", err)
+	// A committed manifest naming a retired kind, the static 2-hop cover
+	// or the transitive closure: the directory must be re-snapshotted
+	// from a cold Build.
+	for _, retired := range []string{"twohop", "closure"} {
+		b := bytes.Replace(committed, []byte(`"reach": "streaming"`), []byte(`"reach": "`+retired+`"`), 1)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrManifest) || !bytes.Contains([]byte(err.Error()), []byte(`"`+retired+`"`)) {
+			t.Fatalf("Open with reach kind %s: got %v, want ErrManifest naming it", retired, err)
+		}
 	}
 
 	// Corrupt JSON.

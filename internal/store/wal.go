@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
@@ -64,8 +65,13 @@ type walWriter struct {
 	scratch []byte
 }
 
-// createWAL creates path (which must not exist — sequence numbers never
-// repeat) and writes the header.
+// walHeader is the header every WAL file starts with.
+var walHeader = binary.LittleEndian.AppendUint16([]byte(walMagic), walVersion)
+
+// createWAL creates path (which must not exist) and writes the header. A
+// failed header write closes and removes the file; a crash before the
+// write completes leaves a torn header, which replay repairs when the
+// file is the newest.
 //
 // microlint:durable
 func createWAL(path string, fsync bool) (*walWriter, error) {
@@ -73,20 +79,10 @@ func createWAL(path string, fsync bool) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &walWriter{f: f, bw: bufio.NewWriter(f), fsync: fsync}
-	if _, err := w.bw.WriteString(walMagic); err != nil {
-		return nil, err
+	if _, err := f.Write(walHeader); err != nil {
+		return nil, errors.Join(err, f.Close(), os.Remove(path))
 	}
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], walVersion)
-	if _, err := w.bw.Write(v[:]); err != nil {
-		return nil, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return nil, err
-	}
-	w.bytes = walHeaderSize
-	return w, nil
+	return &walWriter{f: f, bw: bufio.NewWriter(f), fsync: fsync, bytes: walHeaderSize}, nil
 }
 
 // openWAL reopens path, a WAL file replay found holding only a valid
@@ -158,11 +154,15 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
-// replayWALFile streams every record of one WAL file through fn. A torn
-// frame at EOF is truncated off (the crash signature; later passes see a
-// clean file) and reported via torn; a frame that fails its checksum, or
-// tears before EOF within the buffered view, is ErrWALCorrupt.
-func replayWALFile(path string, fn func(*Record) error) (records, bytes int64, torn bool, err error) {
+// replayWALFile streams every record of one WAL file through fn and
+// reports via torn a file that ends mid-header or mid-frame, the crash
+// signature. When tail is set (the newest file) the damage is repaired
+// so later passes see a clean directory: a torn header, which holds no
+// records, is rewritten whole and synced (the file stays, so sequence
+// numbers never go backwards), and a torn frame is truncated off at the
+// last good frame boundary. Any other file is left as found. A frame
+// that fails its checksum is ErrWALCorrupt.
+func replayWALFile(path string, tail bool, fn func(*Record) error) (records, bytes int64, torn bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return 0, 0, false, err
@@ -171,8 +171,14 @@ func replayWALFile(path string, fn func(*Record) error) (records, bytes int64, t
 
 	br := bufio.NewReader(f)
 	hdr := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, 0, false, fmt.Errorf("%w: %s: short header", ErrWAL, path)
+	if n, rerr := io.ReadFull(br, hdr); rerr != nil {
+		if string(hdr[:n]) != string(walHeader[:n]) {
+			return 0, 0, false, fmt.Errorf("%w: %s: bad header %q", ErrWAL, path, hdr[:n])
+		}
+		if tail {
+			err = rewriteHeader(f)
+		}
+		return 0, 0, true, err
 	}
 	if string(hdr[:4]) != walMagic {
 		return 0, 0, false, fmt.Errorf("%w: %s: bad magic %q", ErrWAL, path, hdr[:4])
@@ -189,8 +195,7 @@ func replayWALFile(path string, fn func(*Record) error) (records, bytes int64, t
 			if err == io.EOF {
 				return records, bytes, false, nil
 			}
-			// Tore inside the frame prefix.
-			return records, bytes, true, truncateTail(f, offset)
+			break // tore inside the frame prefix
 		}
 		payloadLen := binary.LittleEndian.Uint32(prefix[1:])
 		if payloadLen > maxRecordPayload {
@@ -204,8 +209,7 @@ func replayWALFile(path string, fn func(*Record) error) (records, bytes int64, t
 		frame = frame[:frameLen]
 		copy(frame, prefix)
 		if _, err := io.ReadFull(br, frame[5:]); err != nil {
-			// Tore inside the payload or checksum.
-			return records, bytes, true, truncateTail(f, offset)
+			break // tore inside the payload or checksum
 		}
 		body := frame[:frameLen-8]
 		want := binary.LittleEndian.Uint64(frame[frameLen-8:])
@@ -224,10 +228,22 @@ func replayWALFile(path string, fn func(*Record) error) (records, bytes int64, t
 		bytes += int64(frameLen)
 		offset += int64(frameLen)
 	}
+	if tail {
+		err = f.Truncate(offset)
+	}
+	return records, bytes, true, err
 }
 
-// truncateTail chops a torn final record off at the last good frame
-// boundary, restoring the file to a cleanly-appendable state.
-func truncateTail(f *os.File, offset int64) error {
-	return f.Truncate(offset)
+// rewriteHeader restores a file torn inside its header to the
+// header-only file createWAL would have left.
+//
+// microlint:durable
+func rewriteHeader(f *os.File) error {
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(walHeader, 0); err != nil {
+		return err
+	}
+	return f.Sync()
 }

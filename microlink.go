@@ -137,15 +137,16 @@ type ReachKind int
 // Reachability substrates (§4.1.1).
 const (
 	// ReachClosure is the extended transitive closure (Algorithm 1):
-	// fastest queries, largest index.
+	// fastest queries, largest index, never persisted (Snapshot refuses
+	// it).
 	ReachClosure ReachKind = iota
 	// ReachStreaming is the extended 2-hop cover (Algorithm 2): a frozen
 	// arena serving queries lock-free — compact, slower queries than the
 	// closure — paired with a live edge set absorbing follow edges
 	// online; the ingest pipeline's rebuild manager periodically
 	// re-freezes the cover and copy-on-swaps it in. Required by
-	// System.Follow and System.StartIngest. A system that is never sent
-	// a follow serves the static 2-hop cover.
+	// System.Follow, System.StartIngest and System.Snapshot. A system
+	// that is never sent a follow serves the static 2-hop cover.
 	ReachStreaming
 )
 
@@ -325,8 +326,9 @@ func buildReach(w *World, opts Options) reach.Index {
 	return reach.BuildTransitiveClosure(w.Graph, reach.ClosureOptions{MaxHops: opts.MaxHops})
 }
 
-// ErrNotStreaming is returned by Follow and StartIngest when the system
-// was not built with ReachStreaming.
+// ErrNotStreaming is returned by Follow, StartIngest, RebuildReach and
+// Snapshot when the system does not serve the streaming substrate (built
+// with ReachStreaming, or reopened by Open).
 var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not streaming (build with Options{Reach: ReachStreaming})")
 
 // ErrIngestRunning is returned by StartIngest when a pipeline is already

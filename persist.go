@@ -31,10 +31,6 @@ var ErrNoStore = errors.New("microlink: no data directory attached (use Open or 
 // directory without a committed MANIFEST.
 var ErrNoSnapshot = store.ErrNoSnapshot
 
-// ErrNotSnapshottable is returned by Snapshot for a PrebuiltReach
-// substrate other than the two Build makes (closure, streaming).
-var ErrNotSnapshottable = fmt.Errorf("microlink: reach substrate is not snapshottable (use ReachClosure or ReachStreaming)")
-
 // SnapshotInfo summarises one committed snapshot.
 type SnapshotInfo struct {
 	Seq     uint64        // snapshot generation
@@ -80,30 +76,26 @@ type RestartReport struct {
 // With an ingest pipeline running, the whole capture happens inside the
 // pipeline's apply barrier, so the segment/WAL split is exact for every
 // kind of record: each one at or past the rotation point replays onto
-// state that does not include it. The closure, which is static, takes
-// the same path with no barrier and no pending edges.
+// state that does not include it.
 //
-// dir may be empty when the system is already bound (SnapshotNow).
+// Only the streaming substrate is persisted: any other returns
+// ErrNotStreaming. dir may be empty when the system is already bound
+// (SnapshotNow).
 func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	start := time.Now()
 
-	var snap store.Snapshot
-	var stream *reach.Streaming
-	switch idx := unwrapReach(s.Reach).(type) {
-	case *reach.Streaming:
-		snap.Reach, snap.MaxHops, stream = store.ReachStreaming, idx.MaxHops(), idx
-	case *reach.TransitiveClosure:
-		snap.Reach, snap.MaxHops, snap.Graph, snap.Index = store.ReachClosure, idx.MaxHops(), s.World.Graph, idx
-	default:
-		return SnapshotInfo{}, ErrNotSnapshottable
-	}
-
 	st := s.persist
-	switch {
-	case st == nil && dir == "":
+	if st == nil && dir == "" {
 		return SnapshotInfo{}, ErrNoStore
+	}
+	stream, ok := unwrapReach(s.Reach).(*reach.Streaming)
+	if !ok {
+		return SnapshotInfo{}, ErrNotStreaming
+	}
+	snap := store.Snapshot{MaxHops: stream.MaxHops()}
+	switch {
 	case st == nil:
 		var err error
 		st, err = store.Open(dir, store.Options{Fsync: s.fsync})
@@ -117,10 +109,8 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	}
 
 	capture := func() error {
-		if stream != nil {
-			th, g, pending := stream.Capture()
-			snap.Index, snap.Graph, snap.Pending = th, g, pending
-		}
+		th, g, pending := stream.Capture()
+		snap.Index, snap.Graph, snap.Pending = th, g, pending
 		snap.Postings = s.CKB.SnapshotPostings()
 		snap.Tweets = s.Live.All()
 		return st.Rotate()
@@ -225,21 +215,24 @@ func (s *System) RebuildReach() error {
 // and the WAL suffix replays on top through the ingest applier (see
 // replayer). Open runs no generator: the manifest's world parameters are
 // provenance only, so a changed generator leaves every existing
-// directory meaning what it meant. The manifest's reach kind and hop
-// bound override the corresponding opts fields; everything else (linker
-// weights, batch options, candidate generation) applies as in Build.
+// directory meaning what it meant. The returned System always serves the
+// streaming substrate, whatever opts.Reach says, with the manifest's hop
+// bound in place of opts.MaxHops; everything else (linker weights, batch
+// options, candidate generation) applies as in Build.
 //
 // Cold-start cost is segment load plus replay: the offline
 // complementation phase is skipped (postings come from the segment) and
-// no reachability index is built. A restored streaming substrate is the
-// loaded arena over the graph it was built from, with the pending edges
+// no reachability index is built. The restored substrate is the loaded
+// arena over the graph it was built from, with the pending edges
 // re-inserted on top — the reopened system serves the arena the
 // snapshotted one served and reports the same Staleness; the next
 // rebuild (RebuildReach, or an ingest pipeline's threshold) catches up.
-// A torn final WAL record (the kill -9 signature) is truncated away and
-// reported in the RestartReport, never an error. A directory written
-// before the world segment existed (manifest version 1) is refused with
-// store.ErrManifest; re-snapshot it from a cold Build.
+// A torn final WAL record, or a newest WAL file torn inside its header
+// (kill -9 signatures), is repaired and reported in the RestartReport,
+// never an error. A directory written
+// before the world segment existed (manifest version 1), or whose
+// manifest names a retired reach kind ("twohop", "closure"), is refused
+// with store.ErrManifest; re-snapshot it from a cold Build.
 func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	st, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
 	if err != nil {
@@ -278,17 +271,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var pre ReachIndex
-	switch man.Reach {
-	case store.ReachClosure:
-		pre, err = reach.ReadTransitiveClosure(rc, g)
-		opts.Reach = ReachClosure
-	case store.ReachStreaming:
-		pre, err = openStreaming(st, rc, g, man.MaxHops)
-		opts.Reach = ReachStreaming
-	default:
-		err = fmt.Errorf("%w: unknown reach kind %q", store.ErrManifest, man.Reach)
-	}
+	stream, err := openStreaming(st, rc, g, man.MaxHops)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}
@@ -318,7 +301,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 		return nil, nil, err
 	}
 	opts.MaxHops = man.MaxHops
-	opts.PrebuiltReach = pre
+	opts.PrebuiltReach = stream
 
 	sys := build(w, opts, ckb)
 	for i := range live {
@@ -368,13 +351,13 @@ func openStreaming(st *store.Store, rc io.Reader, g *graph.Graph, maxHops int) (
 	return idx, nil
 }
 
-// replayer returns the WAL replay callback: each record goes through
-// ingest's Deps.Apply, the pipeline's own applier, with linking off. A
-// record Apply refuses (a tweet without links, a follow naming an unknown
-// user or sent to a closure) is corruption. Counts accumulate into rep.
+// replayer returns the WAL replay callback of a streaming system (Open
+// builds no other): each record goes through ingest's Deps.Apply, the
+// pipeline's own applier, with linking off. A record Apply refuses (a
+// tweet without links, a follow naming an unknown user) is corruption.
+// Counts accumulate into rep.
 func (s *System) replayer(rep *RestartReport) func(*store.Record) error {
-	d := ingest.Deps{Linker: s.Linker, Live: s.Live}
-	d.Stream, _ = unwrapReach(s.Reach).(*reach.Streaming)
+	d := ingest.Deps{Linker: s.Linker, Stream: unwrapReach(s.Reach).(*reach.Streaming), Live: s.Live}
 	var in, out [1]store.Record
 	return func(r *store.Record) error {
 		in[0] = *r

@@ -448,12 +448,6 @@ func TestFollowUnknownUser(t *testing.T) {
 	if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
 		t.Fatalf("replayed bad follow = %v, want ErrWALCorrupt naming the IDs", err)
 	}
-
-	static := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
-	rec = store.FollowRecord(0, 1)
-	if err := static.replayer(&RestartReport{})(&rec); !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), "not streaming") {
-		t.Fatalf("follow record on a static substrate = %v, want ErrWALCorrupt saying why", err)
-	}
 }
 
 // TestOpenRejectsUnlinkedTweetRecord: the applier journals every tweet
@@ -518,43 +512,31 @@ func TestRebuildReachPublishesArena(t *testing.T) {
 	}
 }
 
-// TestSnapshotOpenClosure covers the pipeline-less substrate: a
-// transitive-closure system snapshots and reopens as a closure, with no
-// WAL traffic and identical answers — top-k and per-tweet links alike.
+// TestSnapshotOpenClosure: the transitive closure is never persisted.
+// Snapshot refuses a closure system with ErrNotStreaming before it
+// touches the directory, so the system stays unbound and Open finds no
+// snapshot there. (A directory whose manifest names the closure is
+// refused by TestOpenManifestDamage.)
 func TestSnapshotOpenClosure(t *testing.T) {
-	w := persistWorld()
 	dir := t.TempDir()
-	sys := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
-	if _, err := sys.Snapshot(dir); err != nil {
-		t.Fatal(err)
+	sys := Build(persistWorld(), Options{Reach: ReachClosure, TruthComplement: true})
+	if _, err := sys.Snapshot(dir); !errors.Is(err, ErrNotStreaming) {
+		t.Fatalf("closure snapshot: %v, want ErrNotStreaming", err)
 	}
-	sys2, rep, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if st := sys.Persist(); st.Enabled {
+		t.Fatalf("refused snapshot bound the system: %+v", st)
 	}
-	if rep.WALRecords != 0 {
-		t.Fatalf("snapshot replayed %d records", rep.WALRecords)
-	}
-	if _, ok := unwrapReach(sys2.Reach).(*reach.TransitiveClosure); !ok {
-		t.Fatalf("restored substrate %T, want *reach.TransitiveClosure", unwrapReach(sys2.Reach))
-	}
-	if got, want := topKDump(t, sys2, w), topKDump(t, sys, w); !bytes.Equal(got, want) {
-		t.Fatal("restored system serves different top-k")
-	}
-	test := sys.TestSet.All()
-	for i := 0; i < min(len(test), 40); i++ {
-		if a, b := sys.Linker.LinkTweet(&test[i]), sys2.Linker.LinkTweet(&test[i]); !slices.Equal(a, b) {
-			t.Fatalf("tweet %d links %v, restored %v", i, a, b)
-		}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("open after a refused snapshot: %v, want ErrNoSnapshot", err)
 	}
 }
 
 // TestSnapshotErrors covers the API edges: snapshotting with no
-// directory bound, rebinding to a different directory, and the
-// non-snapshottable PrebuiltReach.
+// directory bound, rebinding to a different directory, and a
+// PrebuiltReach that is not the streaming substrate.
 func TestSnapshotErrors(t *testing.T) {
 	w := persistWorld()
-	sys := Build(w, Options{Reach: ReachClosure, TruthComplement: true})
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
 	if _, err := sys.SnapshotNow(); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("SnapshotNow unbound: %v", err)
 	}
@@ -576,7 +558,7 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 
 	naive := Build(w, Options{PrebuiltReach: reach.NewNaive(w.Graph, reach.DefaultMaxHops), TruthComplement: true})
-	if _, err := naive.Snapshot(t.TempDir()); !errors.Is(err, ErrNotSnapshottable) {
+	if _, err := naive.Snapshot(t.TempDir()); !errors.Is(err, ErrNotStreaming) {
 		t.Fatalf("naive snapshot: %v", err)
 	}
 	if _, _, err := Open(t.TempDir(), Options{}); !errors.Is(err, ErrNoSnapshot) {
@@ -584,12 +566,12 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// snapshotClosureDir commits one closure snapshot of the shared world
-// and returns the directory and manifest, for the corruption matrix.
-func snapshotClosureDir(t *testing.T) (string, *store.Manifest) {
+// snapshotDir commits one snapshot of the shared world and returns the
+// directory and manifest, for the corruption matrix.
+func snapshotDir(t *testing.T) (string, *store.Manifest) {
 	t.Helper()
 	dir := t.TempDir()
-	sys := Build(persistWorld(), Options{Reach: ReachClosure, TruthComplement: true})
+	sys := Build(persistWorld(), Options{Reach: ReachStreaming, TruthComplement: true})
 	if _, err := sys.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +613,7 @@ func TestOpenReadsPersistedWorld(t *testing.T) {
 	w.Store = tweets.NewStore(slices.Delete(corpus, 10, 11))
 
 	dir := t.TempDir()
-	sys := Build(&w, Options{Reach: ReachClosure, TruthComplement: true})
+	sys := Build(&w, Options{Reach: ReachStreaming, TruthComplement: true})
 	if _, err := sys.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +686,7 @@ func TestOpenKeepsWALCountFlat(t *testing.T) {
 func TestOpenCorruptSegment(t *testing.T) {
 	for _, seg := range []string{"world", "graph", "ckb", "tweets", "reach"} {
 		t.Run(seg, func(t *testing.T) {
-			dir, man := snapshotClosureDir(t)
+			dir, man := snapshotDir(t)
 			path := filepath.Join(dir, man.Segments[seg])
 			b, err := os.ReadFile(path)
 			if err != nil {
@@ -734,25 +716,29 @@ func TestOpenCorruptSegment(t *testing.T) {
 // TestOpenManifestDamage requires a damaged manifest to surface
 // ErrManifest through the facade.
 func TestOpenManifestDamage(t *testing.T) {
-	dir, man := snapshotClosureDir(t)
-	// A data directory of the retired static 2-hop kind is refused; it
-	// is re-snapshotted from a cold Build.
-	man.Reach = "twohop"
-	b, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
-		t.Fatalf("open with reach kind twohop: %v", err)
+	dir, man := snapshotDir(t)
+	// A data directory of a retired kind, the static 2-hop cover or the
+	// transitive closure, is refused; it is re-snapshotted from a cold
+	// Build.
+	for _, retired := range []string{"twohop", "closure"} {
+		man.Reach = retired
+		b, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+			t.Fatalf("open with reach kind %s: %v", retired, err)
+		}
 	}
 	// A version-1 directory regenerated its world from the manifest's
 	// parameters; it is refused and re-snapshotted from a cold Build.
-	man.Reach = store.ReachClosure
+	man.Reach = store.ReachStreaming
 	man.Version = 1
-	if b, err = json.Marshal(man); err != nil {
+	b, err := json.Marshal(man)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
