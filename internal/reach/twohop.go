@@ -128,9 +128,6 @@ type TwoHopBuildInfo struct {
 // the FolRefs, FolPool and Partitions of the build that wrote it.
 func (th *TwoHop) BuildInfo() TwoHopBuildInfo { return th.info }
 
-// MaxHops returns the hop bound H the cover was built with.
-func (th *TwoHop) MaxHops() int { return th.h }
-
 // microlint:noalloc
 func (th *TwoHop) outLabels(u graph.NodeID) []thLabelFlat {
 	return th.outLab[th.outOff[u]:th.outOff[u+1]]

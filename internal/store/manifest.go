@@ -38,9 +38,12 @@ type Manifest struct {
 	// MaxHops is the hop bound H the 2-hop arena was built with.
 	MaxHops int `json:"max_hops,omitempty"`
 	// Segments maps segment base names (world, graph, pending, ckb,
-	// tweets, reach) to file names inside the data directory. The world
-	// entry may name an earlier generation's file: a binding writes its
-	// world once and later commits carry the entry forward.
+	// tweets, reach) to file names inside the data directory, each
+	// segName(s, name) for some generation 1 ≤ s ≤ Seq. An entry may name
+	// an earlier generation's file: a commit that leaves a payload nil
+	// carries the previous manifest's entry forward (the world for the
+	// whole binding, the graph and reach pair until a rebuild installs a
+	// new arena).
 	Segments map[string]string `json:"segments"`
 	// WALSeq is the first WAL file extending this snapshot: replay
 	// starts there and pruning deletes everything below it.
@@ -70,10 +73,21 @@ func readManifest(path string) (*Manifest, error) {
 	if m.Seq == 0 || m.WALSeq == 0 {
 		return nil, fmt.Errorf("%w: %s: zero sequence numbers", ErrManifest, path)
 	}
-	for _, name := range []string{segWorldName, segGraphName, segPendingName, segCKBName, segTweetsName, segReachName} {
-		if m.Segments[name] == "" {
+	// A carried segment names an older generation's file, so an entry
+	// may name any generation up to the manifest's own, but only a file
+	// of its own kind: never a path, nor another kind's file.
+	for _, name := range segNames {
+		file, ok := m.Segments[name]
+		if !ok {
 			return nil, fmt.Errorf("%w: %s: missing %s segment entry", ErrManifest, path, name)
 		}
+		if seq, ok := parseSegName(file, name); !ok || seq > m.Seq {
+			return nil, fmt.Errorf("%w: %s: %s segment entry %q is not a %s file of generation 1..%d",
+				ErrManifest, path, name, file, name, m.Seq)
+		}
+	}
+	if len(m.Segments) != len(segNames) {
+		return nil, fmt.Errorf("%w: %s: %d segment entries, want %d", ErrManifest, path, len(m.Segments), len(segNames))
 	}
 	return &m, nil
 }

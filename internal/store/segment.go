@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"microlink/internal/graph"
@@ -61,9 +62,30 @@ const (
 	segWorldName   = "world"
 )
 
+// segNames lists every segment base name a manifest must name.
+var segNames = [...]string{segWorldName, segGraphName, segPendingName, segCKBName, segTweetsName, segReachName}
+
 // segName formats the file name of a segment at generation seq.
 func segName(seq uint64, kind string) string {
 	return fmt.Sprintf("seg-%06d-%s.bin", seq, kind)
+}
+
+// parseSegName returns the generation of file, a segment of the given
+// kind, and false unless file is exactly segName(seq, kind) for some
+// seq ≥ 1.
+func parseSegName(file, kind string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(file, "seg-")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, "-"+kind+".bin"); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || seq == 0 || segName(seq, kind) != file {
+		return 0, false
+	}
+	return seq, true
 }
 
 // isSegName reports whether name looks like a segment file (for pruning).

@@ -15,17 +15,22 @@
 //	seg-<seq>-world.bin      the served dataset: base graph, KB, corpus,
 //	                         events, topics (written once per binding)
 //	seg-<seq>-graph.bin      the follow graph the arena was built from
+//	                         (written once per arena)
 //	seg-<seq>-pending.bin    follow edges applied since, not in the arena
 //	seg-<seq>-ckb.bin        complemented-KB posting lists (Definition 5)
 //	seg-<seq>-tweets.bin     live (streamed) tweet corpus
-//	seg-<seq>-reach.bin      frozen 2-hop arena (reach MLRI format)
+//	seg-<seq>-reach.bin      frozen 2-hop arena (reach MLRI format,
+//	                         written once per arena)
 //	wal-<seq>.log            mutations applied after the snapshot barrier
 //
 // Segments are written once and never modified; a snapshot becomes
-// visible atomically when MANIFEST is renamed into place. The world never
-// changes for the life of a binding, so its segment is written by the
-// binding's first commit and later manifests name that same file (its seq
-// may be older than theirs). Nothing is regenerated on open: the
+// visible atomically when MANIFEST is renamed into place. One rule covers
+// every segment: a commit writes the payloads that changed and names the
+// previous manifest's file for each one that did not, so a manifest may
+// name files of older generations than its own. The world never changes
+// for the life of a binding and the arena with its graph only when a
+// rebuild installs a new one, so those are the segments carried forward.
+// Nothing is regenerated on open: the
 // manifest's synth.Params record where the world came from, and a changed
 // generator does not change what an existing directory means. A version-1
 // manifest (from before the world segment), and one whose reach kind is
@@ -81,9 +86,10 @@ var (
 	ErrWALCorrupt = errors.New("store: WAL corruption")
 	// ErrNoWAL reports an Append before Rotate opened a WAL file.
 	ErrNoWAL = errors.New("store: WAL not started (call Rotate first)")
-	// ErrNoWorld reports a Commit without a world to a directory with no
-	// committed world segment to carry forward.
-	ErrNoWorld = errors.New("store: first commit carries no world")
+	// ErrNoCarry reports a Commit that leaves a payload nil (carries its
+	// segment forward) to a directory with no committed manifest to carry
+	// it from.
+	ErrNoCarry = errors.New("store: nothing committed to carry a segment forward from")
 )
 
 // ReachStreaming is the one reach kind a manifest records: the
@@ -280,11 +286,15 @@ func (s *Store) Close() error {
 // Snapshot is the captured system state Commit persists, all read at
 // the WAL rotation barrier: the frozen arena, the graph it was built
 // from, the follow edges applied since (Pending), the posting lists and
-// live tweets — plus, on a binding's first commit, the world they sit on.
+// live tweets, and the world they sit on.
+//
+// A nil payload means "unchanged since the last commit": the new
+// manifest names the previous manifest's file for that segment. The
+// world never changes for the life of a binding, so only the binding's
+// first commit sets it; the arena and its graph change only when a
+// rebuild installs a new arena, so Index and Graph are nil together
+// whenever the arena is the one the last commit wrote.
 type Snapshot struct {
-	// World is the dataset the system serves. It never changes for the
-	// life of a binding, so only the first commit carries it; nil carries
-	// the committed world segment forward into the new manifest.
 	World    *synth.Dataset
 	Graph    *graph.Graph
 	Pending  [][2]graph.NodeID // sorted by (u, v); none of them in Graph
@@ -296,12 +306,13 @@ type Snapshot struct {
 	Index   io.WriterTo
 }
 
-// Commit writes snap as the next snapshot generation: the segment
-// files (the world only when snap carries one), then the manifest
-// (atomically, via rename), then prunes obsolete segments and WAL files
-// older than the rotation barrier. The caller must have rotated the WAL
-// while capturing snap, so the manifest's WALSeq points at records
-// applied after the capture.
+// Commit writes snap as the next snapshot generation: a segment file for
+// each payload snap carries, then the manifest (atomically, via rename),
+// naming the previous manifest's file for each payload snap leaves nil,
+// then prunes segments no manifest names and WAL files older than the
+// rotation barrier. A nil payload with no previous manifest is
+// ErrNoCarry. The caller must have rotated the WAL while capturing snap,
+// so the manifest's WALSeq points at records applied after the capture.
 func (s *Store) Commit(snap Snapshot) (uint64, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -311,24 +322,28 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 	if walSeq == 0 {
 		return 0, ErrNoWAL
 	}
+	if (snap.Graph == nil) != (snap.Index == nil) {
+		return 0, errors.New("store: Snapshot.Graph and Snapshot.Index are written or carried together")
+	}
+	if prev == nil && (snap.World == nil || snap.Index == nil) {
+		return 0, ErrNoCarry
+	}
 	seq := uint64(1)
 	if prev != nil {
 		seq = prev.Seq + 1
 	}
-	if snap.World == nil && prev == nil {
-		return 0, ErrNoWorld
-	}
 
 	type segment struct {
-		name    string
-		kind    uint8
-		payload func(io.Writer) error
+		name  string
+		write func(path string) error
+	}
+	framed := func(name string, kind uint8, payload func(io.Writer) error) segment {
+		return segment{name, func(path string) error { return writeSegment(path, kind, payload) }}
 	}
 	segs := []segment{
-		{segGraphName, segKindGraph, func(w io.Writer) error { return writeGraphPayload(w, snap.Graph) }},
-		{segPendingName, segKindPending, func(w io.Writer) error { return writePendingPayload(w, snap.Pending) }},
-		{segCKBName, segKindCKB, func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) }},
-		{segTweetsName, segKindTweets, func(w io.Writer) error { return writeTweetsPayload(w, snap.Tweets) }},
+		framed(segPendingName, segKindPending, func(w io.Writer) error { return writePendingPayload(w, snap.Pending) }),
+		framed(segCKBName, segKindCKB, func(w io.Writer) error { return writePostingsPayload(w, snap.Postings) }),
+		framed(segTweetsName, segKindTweets, func(w io.Writer) error { return writeTweetsPayload(w, snap.Tweets) }),
 	}
 	man := &Manifest{
 		Version:     manifestVersion,
@@ -337,25 +352,34 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 		Reach:       ReachStreaming,
 		MaxHops:     snap.MaxHops,
 		WALSeq:      walSeq,
-		Segments:    map[string]string{segReachName: segName(seq, segReachName)},
+		Segments:    make(map[string]string, len(segNames)),
+	}
+	carry := func(names ...string) {
+		for _, name := range names {
+			man.Segments[name] = prev.Segments[name]
+		}
 	}
 	if snap.World != nil {
 		man.World = snap.World.Params
-		segs = append(segs, segment{segWorldName, segKindWorld, func(w io.Writer) error { return writeWorldPayload(w, snap.World) }})
+		segs = append(segs, framed(segWorldName, segKindWorld, func(w io.Writer) error { return writeWorldPayload(w, snap.World) }))
 	} else {
 		man.World = prev.World
-		man.Segments[segWorldName] = prev.Segments[segWorldName]
+		carry(segWorldName)
+	}
+	if snap.Index != nil {
+		segs = append(segs,
+			framed(segGraphName, segKindGraph, func(w io.Writer) error { return writeGraphPayload(w, snap.Graph) }),
+			segment{segReachName, func(path string) error { return writeRawSegment(path, snap.Index) }})
+	} else {
+		carry(segGraphName, segReachName)
 	}
 	// Segment writes run off the store lock: they are pure file IO on
 	// fresh names no reader can see until the manifest commits.
 	for _, sg := range segs {
 		man.Segments[sg.name] = segName(seq, sg.name)
-		if err := writeSegment(filepath.Join(s.dir, man.Segments[sg.name]), sg.kind, sg.payload); err != nil {
+		if err := sg.write(filepath.Join(s.dir, man.Segments[sg.name])); err != nil {
 			return 0, err
 		}
-	}
-	if err := writeRawSegment(filepath.Join(s.dir, man.Segments[segReachName]), snap.Index); err != nil {
-		return 0, err
 	}
 	if err := writeManifest(s.dir, man); err != nil {
 		return 0, err

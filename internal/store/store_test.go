@@ -597,8 +597,8 @@ func TestCommitCarriesWorldForward(t *testing.T) {
 	}
 	snap := sampleSnapshot()
 	snap.World = nil
-	if _, err := s.Commit(snap); !errors.Is(err, ErrNoWorld) {
-		t.Fatalf("first commit without a world: got %v, want ErrNoWorld", err)
+	if _, err := s.Commit(snap); !errors.Is(err, ErrNoCarry) {
+		t.Fatalf("first commit without a world: got %v, want ErrNoCarry", err)
 	}
 	commitSample(t, s)
 	first := s.Manifest().Segments[segWorldName]
@@ -619,6 +619,70 @@ func TestCommitCarriesWorldForward(t *testing.T) {
 	}
 	if !reflect.DeepEqual(w, sampleWorld()) {
 		t.Fatal("carried-forward world differs")
+	}
+}
+
+// TestCommitCarriesArenaForward: a commit with a nil Index carries the
+// committed graph and reach files forward together and writes the other
+// segments; a commit with one prunes the carried pair. A carry with
+// nothing committed, or a Graph without its Index, is refused.
+func TestCommitCarriesArenaForward(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sampleSnapshot()
+	snap.Graph, snap.Index = nil, nil
+	if _, err := s.Commit(snap); !errors.Is(err, ErrNoCarry) {
+		t.Fatalf("first commit without an arena: got %v, want ErrNoCarry", err)
+	}
+	half := sampleSnapshot()
+	half.Index = nil
+	if _, err := s.Commit(half); err == nil || errors.Is(err, ErrNoCarry) {
+		t.Fatalf("commit with a graph but no arena: got %v, want a refusal", err)
+	}
+	commitSample(t, s)
+	snap.World = nil
+	snap.Pending = snap.Pending[:1]
+	if _, err := s.Commit(snap); err != nil {
+		t.Fatal(err)
+	}
+	man := s.Manifest()
+	for name, want := range map[string]uint64{segWorldName: 1, segGraphName: 1, segReachName: 1, segPendingName: 2, segCKBName: 2, segTweetsName: 2} {
+		if got := man.Segments[name]; got != segName(want, name) {
+			t.Errorf("commit 2 names %s segment %q, want %q", name, got, segName(want, name))
+		}
+	}
+	if g, err := s.LoadGraph(); err != nil || !reflect.DeepEqual(g, sampleGraph()) {
+		t.Fatalf("carried graph: %v", err)
+	}
+	if p, err := s.LoadPending(); err != nil || len(p) != 1 {
+		t.Fatalf("commit 2's pending edges: %v, %v", p, err)
+	}
+	rc, err := s.OpenReach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || !bytes.Equal(b, sampleSnapshot().Index.(fakeIndex).data) {
+		t.Fatalf("carried arena: %q, %v", b, err)
+	}
+
+	snap.Graph, snap.Index = sampleGraph(), sampleSnapshot().Index
+	if _, err := s.Commit(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{segGraphName, segReachName} {
+		if _, err := os.Stat(filepath.Join(dir, segName(1, name))); !os.IsNotExist(err) {
+			t.Errorf("%s: %v after a commit wrote a new arena, want it pruned", segName(1, name), err)
+		}
+		if got := s.Manifest().Segments[name]; got != segName(3, name) {
+			t.Errorf("commit 3 names %s segment %q, want %q", name, got, segName(3, name))
+		}
 	}
 }
 

@@ -227,8 +227,9 @@ type System struct {
 	// microlint:lock-order sys-persist < ckb
 	// microlint:lock-order sys-persist < reach-stream
 	// microlint:lock-order sys-persist < tweets-live
-	persistMu sync.Mutex   // microlint:lock-order sys-persist
-	persist   *store.Store // microlint:guarded-by persistMu — nil until Open/Snapshot binds a directory
+	persistMu sync.Mutex    // microlint:lock-order sys-persist
+	persist   *store.Store  // microlint:guarded-by persistMu — nil until Open/Snapshot binds a directory
+	persisted *reach.TwoHop // microlint:guarded-by persistMu — the arena persist's manifest names
 	fsync     bool
 
 	textOnce sync.Once

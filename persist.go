@@ -16,12 +16,12 @@ import (
 // This file is the unified persistence API (DESIGN.md §8): one data
 // directory per system, holding a committed snapshot (immutable segment
 // files) plus a checksummed write-ahead log the ingest applier tees
-// into. System.Snapshot commits a new generation; the first commit of a
-// binding also writes the world segment, which later commits carry
-// forward. Open warm-restarts a whole System from the directory — read
-// the world and the other segments, replay the WAL — without running
-// the generator, rebuilding the 2-hop arena or re-running offline
-// complementation.
+// into. System.Snapshot commits a new generation, writing the segments
+// that changed and carrying the rest (the world, and the arena with its
+// graph until a rebuild replaces it) forward. Open warm-restarts a whole
+// System from the directory — read the world and the other segments,
+// replay the WAL — without running the generator, rebuilding the 2-hop
+// arena or re-running offline complementation.
 
 // ErrNoStore reports a persistence call on a system with no data
 // directory attached (bind one with Open or System.Snapshot).
@@ -64,9 +64,14 @@ type RestartReport struct {
 // pipeline's WAL tee is attached (or re-pointed) to it atomically with
 // the capture.
 //
-// The world never changes for the life of a System, so only the commit
-// that binds the directory writes the world segment; later commits, and
-// every commit of a System that Open returned, carry it forward.
+// A commit writes only the segments that changed since the last one and
+// carries the rest forward. The world never changes for the life of a
+// System, so only the commit that binds the directory writes it. The
+// arena and the graph it was built from change only when a rebuild
+// installs a new arena, so a commit writes them only when the installed
+// arena is not the one the directory already holds: the one the last
+// commit wrote or, on a System that Open returned, the one Open read.
+// Pending edges, postings and live tweets are written every time.
 //
 // Snapshot builds nothing. It persists the arena that is serving, stale
 // or not, and records the gap as pending edges, so a reopened system
@@ -108,9 +113,15 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 		return SnapshotInfo{}, fmt.Errorf("microlink: system already bound to data directory %s", st.Dir())
 	}
 
+	var th *reach.TwoHop
 	capture := func() error {
-		th, g, pending := stream.Capture()
-		snap.Index, snap.Graph, snap.Pending = th, g, pending
+		var g *graph.Graph
+		th, g, snap.Pending = stream.Capture()
+		// A published arena is immutable, so the same pointer is the same
+		// bytes: the bound directory already holds it and its graph.
+		if s.persist == nil || th != s.persisted {
+			snap.Index, snap.Graph = th, g
+		}
 		snap.Postings = s.CKB.SnapshotPostings()
 		snap.Tweets = s.Live.All()
 		return st.Rotate()
@@ -133,7 +144,7 @@ func (s *System) Snapshot(dir string) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	s.persist = st
+	s.persist, s.persisted = st, th
 	return SnapshotInfo{Seq: seq, Dir: st.Dir(), Elapsed: time.Since(start)}, nil
 }
 
@@ -325,7 +336,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	}
 	st.Instrument(sys.Metrics)
 	sys.persistMu.Lock()
-	sys.persist = st
+	sys.persist, sys.persisted = st, stream.Frozen()
 	sys.persistMu.Unlock()
 	return sys, rep, nil
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -566,15 +567,24 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// snapshotDir commits one snapshot of the shared world and returns the
-// directory and manifest, for the corruption matrix.
-func snapshotDir(t *testing.T) (string, *store.Manifest) {
+// snapshotDir commits snaps snapshots of the shared world, with no
+// rebuild between them, and returns the directory and the last manifest,
+// for the corruption matrix.
+func snapshotDir(t *testing.T, snaps int) (string, *store.Manifest) {
 	t.Helper()
 	dir := t.TempDir()
 	sys := Build(persistWorld(), Options{Reach: ReachStreaming, TruthComplement: true})
-	if _, err := sys.Snapshot(dir); err != nil {
-		t.Fatal(err)
+	for i := 0; i < snaps; i++ {
+		if _, err := sys.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return dir, readManifestFile(t, dir)
+}
+
+// readManifestFile decodes dir's committed MANIFEST.
+func readManifestFile(t *testing.T, dir string) *store.Manifest {
+	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +593,124 @@ func snapshotDir(t *testing.T) (string, *store.Manifest) {
 	if err := json.Unmarshal(b, &man); err != nil {
 		t.Fatal(err)
 	}
-	return dir, &man
+	return &man
+}
+
+// snapshotArenaAt snapshots sys into dir ("" for the bound one) and
+// requires the commit to be generation seq and its manifest to name the
+// graph and reach files of generation arena, the only such files left in
+// the directory.
+func snapshotArenaAt(t *testing.T, sys *System, dir string, seq, arena uint64) {
+	t.Helper()
+	info, err := sys.Snapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fmt.Sprintf("seg-%06d-graph.bin", arena), fmt.Sprintf("seg-%06d-reach.bin", arena)}
+	var files []string
+	for _, seg := range []string{"graph", "reach"} {
+		names, err := filepath.Glob(filepath.Join(info.Dir, "seg-*-"+seg+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			files = append(files, filepath.Base(name))
+		}
+	}
+	man := readManifestFile(t, info.Dir)
+	if info.Seq != seq || man.Seq != seq || man.Segments["graph"] != want[0] || man.Segments["reach"] != want[1] || !slices.Equal(files, want) {
+		t.Fatalf("commit %d names graph %q and reach %q, directory holds %v; want commit %d naming %v and nothing else",
+			man.Seq, man.Segments["graph"], man.Segments["reach"], files, seq, want)
+	}
+}
+
+// TestSnapshotCarriesArenaForward: a snapshot with no rebuild since the
+// last one writes no second arena or graph file, and names the first
+// ones; the pending edges applied between them are written, and the
+// directory reopens serving the same top-k with the same staleness.
+func TestSnapshotCarriesArenaForward(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	snapshotArenaAt(t, sys, dir, 1, 1)
+	n := UserID(w.Graph.NumNodes())
+	for u := UserID(0); u < 20; u++ {
+		if err := sys.Follow(u, (u*37+11)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshotArenaAt(t, sys, dir, 2, 1)
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := unwrapReach(sys2.Reach).(*reach.Streaming).Staleness(), unwrapReach(sys.Reach).(*reach.Streaming).Staleness(); got != want || want == 0 {
+		t.Fatalf("reopened staleness %d, live %d (want equal and nonzero)", got, want)
+	}
+	if !bytes.Equal(topKDump(t, sys2, w), topKDump(t, sys, w)) {
+		t.Fatal("reopened system serves different top-k")
+	}
+}
+
+// TestSnapshotAfterRebuildWritesArena: RebuildReach between two
+// snapshots installs a new arena, so the second writes a new graph and
+// reach pair and prune removes the old pair; a third carries the new one.
+func TestSnapshotAfterRebuildWritesArena(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	snapshotArenaAt(t, sys, dir, 1, 1)
+	n := UserID(w.Graph.NumNodes())
+	for u := UserID(0); u < 20; u++ {
+		if err := sys.Follow(u, (u*37+11)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.RebuildReach(); err != nil {
+		t.Fatal(err)
+	}
+	snapshotArenaAt(t, sys, dir, 2, 2)
+	snapshotArenaAt(t, sys, dir, 3, 2)
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(topKDump(t, sys2, w), topKDump(t, sys, w)) {
+		t.Fatal("reopened system serves different top-k")
+	}
+}
+
+// TestOpenThenSnapshotCarriesArena: a System that Open returned serves
+// the arena Open read, so its first snapshot carries that file forward.
+func TestOpenThenSnapshotCarriesArena(t *testing.T) {
+	dir := t.TempDir()
+	w := persistWorld()
+	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
+	snapshotArenaAt(t, sys, dir, 1, 1)
+	if err := sys.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotArenaAt(t, sys2, "", 2, 1)
+	if err := sys2.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	sys3, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(topKDump(t, sys3, w), topKDump(t, sys, w)) {
+		t.Fatal("reopened system serves different top-k")
+	}
 }
 
 // TestOpenReadsPersistedWorld proves Open runs no generator. The world
@@ -682,12 +809,27 @@ func TestOpenKeepsWALCountFlat(t *testing.T) {
 }
 
 // TestOpenCorruptSegment flips one payload byte in each segment kind and
-// requires Open to surface the store's typed errors.
+// requires Open to surface the store's typed errors. carried_reach
+// flips it in the arena file a generation-3 manifest carries from the
+// first commit.
 func TestOpenCorruptSegment(t *testing.T) {
-	for _, seg := range []string{"world", "graph", "ckb", "tweets", "reach"} {
-		t.Run(seg, func(t *testing.T) {
-			dir, man := snapshotDir(t)
-			path := filepath.Join(dir, man.Segments[seg])
+	for _, tc := range []struct {
+		name, seg string
+		snaps     int
+	}{
+		{"world", "world", 1},
+		{"graph", "graph", 1},
+		{"ckb", "ckb", 1},
+		{"tweets", "tweets", 1},
+		{"reach", "reach", 1},
+		{"carried_reach", "reach", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, man := snapshotDir(t, tc.snaps)
+			if want := "seg-000001-" + tc.seg + ".bin"; man.Seq != uint64(tc.snaps) || man.Segments[tc.seg] != want {
+				t.Fatalf("commit %d names %s segment %q, want commit %d naming %q", man.Seq, tc.seg, man.Segments[tc.seg], tc.snaps, want)
+			}
+			path := filepath.Join(dir, man.Segments[tc.seg])
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -702,12 +844,12 @@ func TestOpenCorruptSegment(t *testing.T) {
 			}
 			// The reach segment uses the reach package's own framing and
 			// surfaces its typed error; the rest are store segments.
-			if seg == "reach" {
+			if tc.seg == "reach" {
 				if !errors.Is(err, reach.ErrFormat) && !errors.Is(err, reach.ErrGraphMismatch) {
 					t.Fatalf("reach corruption: %v", err)
 				}
 			} else if !errors.Is(err, store.ErrSegment) {
-				t.Fatalf("%s corruption: %v", seg, err)
+				t.Fatalf("%s corruption: %v", tc.seg, err)
 			}
 		})
 	}
@@ -716,20 +858,37 @@ func TestOpenCorruptSegment(t *testing.T) {
 // TestOpenManifestDamage requires a damaged manifest to surface
 // ErrManifest through the facade.
 func TestOpenManifestDamage(t *testing.T) {
-	dir, man := snapshotDir(t)
+	dir, man := snapshotDir(t, 1)
+	path := filepath.Join(dir, "MANIFEST")
+	open := func(m *store.Manifest) error {
+		t.Helper()
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Open(dir, Options{})
+		return err
+	}
+	// An entry may name an older generation's file (a carried segment),
+	// but only a segment file of its own kind and of a generation no
+	// newer than the manifest's.
+	for _, bad := range []string{"../x", "seg-000001-ckb.bin", "seg-000002-reach.bin"} {
+		damaged := *man
+		damaged.Segments = maps.Clone(man.Segments)
+		damaged.Segments["reach"] = bad
+		if err := open(&damaged); !errors.Is(err, store.ErrManifest) {
+			t.Fatalf("open with reach entry %q: %v", bad, err)
+		}
+	}
 	// A data directory of a retired kind, the static 2-hop cover or the
 	// transitive closure, is refused; it is re-snapshotted from a cold
 	// Build.
 	for _, retired := range []string{"twohop", "closure"} {
 		man.Reach = retired
-		b, err := json.Marshal(man)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+		if err := open(man); !errors.Is(err, store.ErrManifest) {
 			t.Fatalf("open with reach kind %s: %v", retired, err)
 		}
 	}
@@ -737,17 +896,10 @@ func TestOpenManifestDamage(t *testing.T) {
 	// parameters; it is refused and re-snapshotted from a cold Build.
 	man.Reach = store.ReachStreaming
 	man.Version = 1
-	b, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
+	if err := open(man); !errors.Is(err, store.ErrManifest) {
 		t.Fatalf("open version-1 manifest: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrManifest) {
