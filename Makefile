@@ -42,7 +42,7 @@ fmt-check:
 
 # Mirror of .github/workflows/ci.yml: `ci` is the fast lane, `race` the
 # separate race-detector lane (run both before merging concurrency work).
-ci: build vet lint fmt-check test bench-smoke bench-vet index-smoke fuzz-smoke
+ci: build vet lint fmt-check test bench-smoke bench-vet index-smoke fuzz-smoke examples
 
 test:
 	$(GO) test -vet=all ./...
@@ -124,6 +124,8 @@ repro:
 repro-quick:
 	$(GO) run ./cmd/linkbench -quick all
 
+# Run the four example programs end to end; CI's "Examples" step runs
+# this target, since no test compiles or runs a main package.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/personalized

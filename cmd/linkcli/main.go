@@ -1,7 +1,8 @@
 // Command linkcli is an interactive console over the linking stack:
 // generate (or load the spec of) a synthetic world and explore it — link
 // mentions as different users, run personalized searches, inspect burst
-// events, and feed tweets back into the knowledgebase.
+// events, and feed tweets back into the knowledgebase through the ingest
+// pipeline.
 //
 //	linkcli [-seed N] [-users N] [-spec world.json] [-save]
 //
@@ -70,7 +71,12 @@ func main() {
 		fmt.Printf("corpus (%d tweets) written to %s\n", world.Store.Len(), *export)
 		return
 	}
-	sys := microlink.Build(world, microlink.Options{})
+	sys := microlink.Build(world, microlink.Options{Reach: microlink.ReachStreaming})
+	// The console writes only through Pipeline.Apply, which queues
+	// nothing, so exit needs no drain.
+	if _, err := sys.StartIngest(microlink.IngestConfig{}); err != nil {
+		fatal("start ingest: %v", err)
+	}
 	fmt.Printf("ready in %v — %s\n", time.Since(start).Round(time.Millisecond), sys.Describe())
 	fmt.Println(`type "help" for commands`)
 

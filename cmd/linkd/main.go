@@ -9,10 +9,10 @@
 //	POST /v1/link/batch                         score up to 256 mention queries concurrently
 //	GET  /v1/topk?user=U&mention=M&k=K[&now=T]  top-k above the β+γ threshold
 //	GET  /v1/search?user=U&q=QUERY&k=K          personalized microblog search
-//	POST /v1/tweet                              NER + link (+feedback) a raw tweet
-//	POST /v1/confirm                            interactive feedback: confirm a link
-//	POST /v1/ingest/tweet                       enqueue a tweet on the firehose pipeline (-ingest)
-//	POST /v1/ingest/follow                      enqueue a follow edge on the firehose pipeline (-ingest)
+//	POST /v1/tweet                              NER + link (+feedback, applied and journaled) a raw tweet
+//	POST /v1/confirm                            interactive feedback: confirm a link (applied and journaled)
+//	POST /v1/ingest/tweet                       enqueue a tweet on the firehose pipeline
+//	POST /v1/ingest/follow                      enqueue a follow edge on the firehose pipeline
 //	GET  /v1/stats
 //	POST /v1/admin/snapshot                     commit a durable snapshot to the -data directory
 //	GET  /v1/admin/status                       persistence + ingest freshness (staleness, swaps, WAL)
@@ -20,12 +20,14 @@
 //	GET  /debug/pprof/*                         live profiling (opt-in via -pprof)
 //
 // The reachability substrate is the streaming 2-hop arena, the one that
-// takes follow edges and the one a data directory persists. With -data
-// DIR the server is durable: boot warm-restarts from the directory's
-// snapshot + WAL when one exists (the directory's world overrides
-// -seed/-users) and commits an initial snapshot otherwise; applied
-// firehose events tee into the WAL, and kill -9 loses at most the events
-// not yet applied.
+// takes follow edges and the one a data directory persists, and the
+// ingest pipeline is always attached: it is the server's one write path.
+// With -data DIR the server is durable: boot warm-restarts from the
+// directory's snapshot + WAL when one exists (the directory's world
+// overrides -seed/-users) and commits an initial snapshot otherwise;
+// every applied write tees into the WAL. A confirm or a fed-back tweet is
+// answered only after its record is in the WAL, and kill -9 loses at most
+// the firehose events not yet applied.
 //
 // Errors use the structured envelope documented in internal/httpapi. The
 // -request-timeout flag bounds each request with a context deadline that
@@ -56,7 +58,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "world seed")
 	users := flag.Int("users", 800, "world size")
-	ingestOn := flag.Bool("ingest", false, "attach the streaming firehose pipeline")
 	ingestQueue := flag.Int("ingest-queue", 0, "ingest queue capacity (0 selects the default)")
 	rebuildAfter := flag.Int("rebuild-after", 0, "rebuild the frozen reach arena after this many new follow edges (0 selects the default)")
 	rebuildEvery := flag.Duration("rebuild-interval", 0, "additionally rebuild on this interval when stale (0 disables)")
@@ -116,18 +117,13 @@ func main() {
 	}
 	log.Print("linkd: ", sys.Describe())
 
-	var pipe *microlink.IngestPipeline
-	if *ingestOn {
-		p, err := sys.StartIngest(microlink.IngestConfig{
-			Queue:             *ingestQueue,
-			RebuildAfterEdges: *rebuildAfter,
-			RebuildInterval:   *rebuildEvery,
-		})
-		if err != nil {
-			log.Fatalf("linkd: start ingest: %v", err)
-		}
-		pipe = p
-		log.Print("linkd: firehose ingest pipeline attached (/v1/ingest/*)")
+	pipe, err := sys.StartIngest(microlink.IngestConfig{
+		Queue:             *ingestQueue,
+		RebuildAfterEdges: *rebuildAfter,
+		RebuildInterval:   *rebuildEvery,
+	})
+	if err != nil {
+		log.Fatalf("linkd: start ingest: %v", err)
 	}
 
 	// Runtime health gauges (goroutines, heap, GC) sampled into /metrics.
@@ -168,14 +164,12 @@ func main() {
 		}
 		// Intake is fed by handlers, so stop the pipeline only after the
 		// listener has drained; Close then applies everything buffered.
-		if pipe != nil {
-			if err := pipe.Close(ctx); err != nil {
-				log.Printf("linkd: ingest drain: %v", err)
-			} else {
-				st := pipe.Stats()
-				log.Printf("linkd: ingest drained (%d tweets, %d follows, %d rebuilds)",
-					st.AppliedTweets, st.AppliedFollows, st.Rebuilds)
-			}
+		if err := pipe.Close(ctx); err != nil {
+			log.Printf("linkd: ingest drain: %v", err)
+		} else {
+			st := pipe.Stats()
+			log.Printf("linkd: ingest drained (%d tweets, %d follows, %d feedback, %d rebuilds)",
+				st.AppliedTweets, st.AppliedFollows, st.AppliedFeedback, st.Rebuilds)
 		}
 		// The WAL closes last: every drained event is already teed, so
 		// this is a flush, not a data-loss window.

@@ -1,14 +1,16 @@
 // Streamfeed: the online half of the framework (§3.2.2) — tweets arrive
-// as raw text, mentions are extracted with the longest-cover NER, linked
-// on the fly, and confirmed links feed back into the complemented
-// knowledgebase, updating communities, popularity and recency windows as
-// the stream advances. Mentions whose top-k is empty are flagged as
-// potential new entities (Appendix D) and, once "confirmed" by the oracle,
-// warm the knowledgebase up so later mentions resolve.
+// on a stream, their mentions are linked on the fly, and confirmed links
+// feed back into the complemented knowledgebase through the ingest
+// pipeline, updating communities, popularity and recency windows as the
+// stream advances. Mentions whose top-k is empty are flagged as potential
+// new entities (Appendix D) and, once "confirmed" by the oracle, warm the
+// knowledgebase up so later mentions resolve.
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"microlink"
 )
@@ -22,7 +24,11 @@ func main() {
 		Days:             30,
 	})
 	// TruthComplement keeps the demo focused on the streaming loop.
-	sys := microlink.Build(world, microlink.Options{TruthComplement: true})
+	sys := microlink.Build(world, microlink.Options{TruthComplement: true, Reach: microlink.ReachStreaming})
+	pipe, err := sys.StartIngest(microlink.IngestConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Replay the last slice of the corpus as a live stream.
 	all := world.Store.All()
@@ -36,12 +42,6 @@ func main() {
 		if len(tw.Mentions) == 0 {
 			continue
 		}
-		// Raw-text path: re-extract mentions with NER (misspelled surfaces
-		// fall back to the stored mention list, as a production ingester
-		// would keep its extractor's output).
-		spans := sys.NER.Extract(tw.Text)
-		_ = spans
-
 		links := make([]microlink.EntityID, len(tw.Mentions))
 		for mi, m := range tw.Mentions {
 			top := sys.Linker.TopK(tw.User, tw.Time, m.Surface, 1)
@@ -59,10 +59,16 @@ func main() {
 				correct++
 			}
 		}
-		// Confirmed links are fed back: postings append to the
-		// complemented KB and influential-user caches invalidate.
-		sys.Linker.Feedback(tw, links)
+		// Confirmed links are fed back through the pipeline: postings
+		// append to the complemented KB and influential-user caches
+		// invalidate before Apply returns.
+		if _, err := pipe.Apply(microlink.FeedbackEvent(tw, links)); err != nil {
+			log.Fatal(err)
+		}
 		fed += len(links)
+	}
+	if err := pipe.Close(context.Background()); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("stream replay: %d tweets\n", len(stream))

@@ -202,9 +202,18 @@ func TestFollowUpdatesInterest(t *testing.T) {
 		t.Skip("not enough candidates")
 	}
 	loser := before[len(before)-1].Entity
+	pipe, err := sys.StartIngest(IngestConfig{RebuildAfterEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := pipe.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
 	// Follow every influential member of the loser's community directly.
 	for _, v := range sys.Influence.TopInfluential(loser, cands, 5) {
-		if err := sys.Follow(user, v); err != nil {
+		if _, err := pipe.Apply(FollowEvent(user, v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,10 +241,10 @@ func TestFollowUpdatesInterest(t *testing.T) {
 		t.Fatalf("interest in the loser did not rise after following its community: %f → %f", bi, ai)
 	}
 
-	// A static system refuses Follow.
+	// A static system has no write path for follows.
 	static := Build(w, Options{TruthComplement: true})
-	if err := static.Follow(user, 0); !errors.Is(err, ErrNotStreaming) {
-		t.Fatalf("static reach: Follow = %v, want ErrNotStreaming", err)
+	if _, err := static.StartIngest(IngestConfig{}); !errors.Is(err, ErrNotStreaming) {
+		t.Fatalf("static reach: StartIngest = %v, want ErrNotStreaming", err)
 	}
 }
 

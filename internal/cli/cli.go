@@ -14,7 +14,8 @@ import (
 )
 
 // Run drives the console: it reads commands from in and writes results to
-// out until EOF or the quit command.
+// out until EOF or the quit command. sys must have an ingest pipeline
+// (System.StartIngest): the tweet command writes through it.
 func Run(sys *microlink.System, in io.Reader, out io.Writer) {
 	world := sys.World
 	user := microlink.UserID(world.Graph.NumNodes() - 1)
@@ -89,15 +90,18 @@ func Run(sys *microlink.System, in io.Reader, out io.Writer) {
 			for _, sp := range spans {
 				tw.Mentions = append(tw.Mentions, microlink.Mention{Surface: sp.Surface, Truth: microlink.NoEntity})
 			}
-			links := sys.Linker.LinkTweet(&tw)
-			for i, e := range links {
+			rec, err := sys.Ingest().Apply(microlink.TweetEvent(&tw, nil))
+			if err != nil {
+				fmt.Fprintf(out, "tweet not applied: %v\n", err)
+				break
+			}
+			for i, e := range rec.Links {
 				if e == microlink.NoEntity {
 					fmt.Fprintf(out, "  %q → (unlinkable)\n", tw.Mentions[i].Surface)
 				} else {
 					fmt.Fprintf(out, "  %q → %s\n", tw.Mentions[i].Surface, world.KB.Entity(e).Name)
 				}
 			}
-			sys.Linker.Feedback(&tw, links)
 			fmt.Fprintln(out, "  (fed back into the knowledgebase)")
 		case "search":
 			hits := sys.Search(user, now, rest, 2)

@@ -19,7 +19,10 @@ func testSys(t *testing.T) *microlink.System {
 		w := microlink.Generate(microlink.WorldParams{
 			Seed: 5, Users: 400, Topics: 6, EntitiesPerTopic: 10, Days: 20,
 		})
-		sys = microlink.Build(w, microlink.Options{TruthComplement: true})
+		sys = microlink.Build(w, microlink.Options{TruthComplement: true, Reach: microlink.ReachStreaming})
+		if _, err := sys.StartIngest(microlink.IngestConfig{}); err != nil {
+			panic(err)
+		}
 	})
 	return sys
 }
@@ -109,6 +112,27 @@ func TestTweetFeedbackLoop(t *testing.T) {
 	out = run(t, "tweet no mentions whatsoever here\nquit\n")
 	if !strings.Contains(out, "no mentions found") {
 		t.Fatalf("mention-free tweet output: %s", out)
+	}
+}
+
+// TestTweetThenSearch: a tweet fed back through the pipeline joins the
+// live corpus, so a search that returns its posting shows its text.
+func TestTweetThenSearch(t *testing.T) {
+	s := ambiguousSurface(t)
+	sys := testSys(t)
+	user := 0
+	for len(sys.Linker.TopK(microlink.UserID(user), sys.World.Horizon(), s, 1)) == 0 {
+		if user++; user == sys.World.Graph.NumNodes() {
+			t.Fatalf("no user's top-k for %q clears the new-entity threshold", s)
+		}
+	}
+	text := "fresh take on " + s + " tonight"
+	out := run(t, "user "+itoa(int64(user))+"\ntweet "+text+"\nsearch "+s+"\nquit\n")
+	if !strings.Contains(out, "fed back") {
+		t.Fatalf("tweet output: %s", out)
+	}
+	if !strings.Contains(out, "] "+text+"\n") {
+		t.Fatalf("search does not show the tweet's text %q: %s", text, out)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestLinkBatchRaceWithFeedbackAndFollow(t *testing.T) {
 	go func() { // follow writer: new chords, never duplicating seed edges
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			f.st.InsertEdge(kb.UserID((r*13)%64), kb.UserID((r*13+17+r%3)%64))
+			f.st.InsertEdges([][2]kb.UserID{{kb.UserID((r * 13) % 64), kb.UserID((r*13 + 17 + r%3) % 64)}})
 			if r%5 == 4 {
 				th, at := f.st.Rebuild()
 				l.UpdateReachability(func() { f.st.Install(th, at) })

@@ -24,7 +24,7 @@
 //	batch_too_large    400  batch request exceeds MaxBatchQueries
 //	unknown_user       404  user ID outside the world
 //	unknown_entity     404  entity ID outside the knowledgebase
-//	ingest_disabled    503  no ingest pipeline attached (start linkd with -ingest)
+//	ingest_disabled    503  no ingest pipeline attached (/v1/ingest/*, /v1/confirm, feedback tweets)
 //	queue_full         503  ingest queue full; shed by backpressure, retry later
 //	persistence_disabled 503  no data directory bound (start linkd with -data)
 //	snapshot_failed    500  snapshot commit failed (disk error, etc.)
@@ -483,12 +483,20 @@ func (s *Server) handleTweet(w http.ResponseWriter, r *http.Request) {
 		aerr.send(s, w)
 		return
 	}
-	spans := s.sys.NER.Extract(req.Text)
 	tw := microlink.Tweet{ID: req.ID, User: req.User, Time: s.timeOrHorizon(req.Time), Text: req.Text}
-	for _, sp := range spans {
+	for _, sp := range s.sys.NER.Extract(req.Text) {
 		tw.Mentions = append(tw.Mentions, microlink.Mention{Surface: sp.Surface, Truth: microlink.NoEntity})
 	}
-	links := s.sys.Linker.LinkTweet(&tw)
+	var links []microlink.EntityID
+	if req.Feedback {
+		rec, ok := s.apply(w, microlink.TweetEvent(&tw, nil))
+		if !ok {
+			return
+		}
+		links = rec.Links
+	} else {
+		links = s.sys.Linker.LinkTweet(&tw)
+	}
 	resp := TweetResponse{Mentions: make([]TweetMention, len(links))}
 	for i, e := range links {
 		m := TweetMention{Surface: tw.Mentions[i].Surface, Entity: e}
@@ -496,9 +504,6 @@ func (s *Server) handleTweet(w http.ResponseWriter, r *http.Request) {
 			m.Name = s.sys.World.KB.Entity(e).Name
 		}
 		resp.Mentions[i] = m
-	}
-	if req.Feedback {
-		s.sys.Linker.Feedback(&tw, links)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -531,8 +536,9 @@ func (s *Server) handleConfirm(w http.ResponseWriter, r *http.Request) {
 	}
 	tw := microlink.Tweet{ID: req.Tweet, User: req.User, Time: s.timeOrHorizon(req.Time),
 		Mentions: []microlink.Mention{{Truth: microlink.NoEntity}}}
-	s.sys.Linker.Feedback(&tw, []microlink.EntityID{req.Entity})
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "linked"})
+	if _, ok := s.apply(w, microlink.FeedbackEvent(&tw, []microlink.EntityID{req.Entity})); ok {
+		s.writeJSON(w, http.StatusOK, map[string]string{"status": "linked"})
+	}
 }
 
 // SearchResponse is the body of /v1/search.

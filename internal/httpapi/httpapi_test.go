@@ -2,10 +2,13 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -169,18 +172,161 @@ func TestTweetEndpoint(t *testing.T) {
 }
 
 func TestTweetFeedback(t *testing.T) {
-	s := testServer(t)
-	surface := ambiguousSurface(t)
-	before := sys.CKB.TotalCount()
-	body, _ := json.Marshal(TweetRequest{ID: 10000, User: 51, Text: surface, Feedback: true})
-	req := httptest.NewRequest("POST", "/v1/tweet", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	s := ingestServer(t)
+	surface := ambiguousIngestSurface(t)
+	before := ingestSys.CKB.TotalCount()
+	rec := postJSON(t, s, "/v1/tweet", TweetRequest{ID: 10000, User: 51, Text: surface, Feedback: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if sys.CKB.TotalCount() <= before {
+	if ingestSys.CKB.TotalCount() <= before {
 		t.Fatal("feedback did not append postings")
+	}
+}
+
+// TestFeedbackTweetSearchable: a fed-back tweet joins the live corpus
+// with its postings, so a search that returns one of them shows the
+// tweet's text. (The handler once linked and fed back by itself and
+// never appended the tweet, so search answered it with empty text.)
+func TestFeedbackTweetSearchable(t *testing.T) {
+	s := ingestServer(t)
+	user, surface := linkableIngestMention(t)
+	const id = 777001
+	text := "searchable " + surface + " feedback"
+	rec := postJSON(t, s, "/v1/tweet", TweetRequest{ID: id, User: int32(user), Text: text, Feedback: true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp SearchResponse
+	if rec := get(t, s, fmt.Sprintf("/v1/search?user=%d&k=1&limit=100000&q=%s", user, url.QueryEscape(surface)), &resp); rec.Code != http.StatusOK {
+		t.Fatalf("search status = %d", rec.Code)
+	}
+	for _, r := range resp.Results {
+		if r.Tweet == id {
+			if r.Text != text {
+				t.Fatalf("search answers tweet %d with text %q, want %q", id, r.Text, text)
+			}
+			return
+		}
+	}
+	t.Fatalf("search for %q as user %d does not return tweet %d: %+v", surface, user, id, resp.Results)
+}
+
+// linkableIngestMention finds a user and a surface whose top-1 clears
+// the new-entity threshold on the ingest fixture, so a tweet of that
+// user mentioning it links to the entity a search for it returns.
+func linkableIngestMention(t *testing.T) (microlink.UserID, string) {
+	t.Helper()
+	ingestServer(t)
+	var surfaces []string
+	ingestSys.World.KB.EachSurface(func(form string, cs []microlink.EntityID) {
+		if len(cs) >= 2 {
+			surfaces = append(surfaces, form)
+		}
+	})
+	sort.Strings(surfaces)
+	now := ingestSys.World.Horizon()
+	for u := microlink.UserID(0); u < microlink.UserID(ingestSys.World.Graph.NumNodes()); u += 7 {
+		for _, sf := range surfaces {
+			if len(ingestSys.Linker.TopK(u, now, sf, 1)) == 1 {
+				return u, sf
+			}
+		}
+	}
+	t.Fatal("no user has a linkable ambiguous mention")
+	return 0, ""
+}
+
+// TestWritesWithoutPipeline: with no ingest pipeline attached, the two
+// interactive writes answer 503 ingest_disabled, as /v1/ingest/* do,
+// and change nothing; a tweet without feedback still links.
+func TestWritesWithoutPipeline(t *testing.T) {
+	s := testServer(t)
+	before := sys.CKB.TotalCount()
+	rec := postJSON(t, s, "/v1/confirm", ConfirmRequest{Tweet: 1, User: 10, Entity: 0})
+	decodeError(t, rec, http.StatusServiceUnavailable, CodeIngestDisabled)
+	surface := ambiguousSurface(t)
+	rec = postJSON(t, s, "/v1/tweet", TweetRequest{ID: 2, User: 10, Text: surface, Feedback: true})
+	decodeError(t, rec, http.StatusServiceUnavailable, CodeIngestDisabled)
+	if rec := postJSON(t, s, "/v1/tweet", TweetRequest{ID: 3, User: 10, Text: surface}); rec.Code != http.StatusOK {
+		t.Fatalf("tweet without feedback: status = %d", rec.Code)
+	}
+	if got := sys.CKB.TotalCount(); got != before || sys.Live.Len() != 0 {
+		t.Fatalf("refused writes changed state: postings %d → %d, live %d", before, got, sys.Live.Len())
+	}
+}
+
+// TestAcknowledgedWritesSurviveReopen: a confirm and a feedback tweet
+// answered 200 by a server bound to a data directory are in the WAL, so
+// the directory reopens with both postings and the tweet's text — no
+// snapshot and no pipeline drain in between. Once the WAL is closed the
+// same confirm is a 500: an answer is never sent for an unjournaled
+// write.
+func TestAcknowledgedWritesSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	w := microlink.Generate(microlink.WorldParams{Seed: 7, Users: 200, Topics: 4, EntitiesPerTopic: 8, Days: 10})
+	live := microlink.Build(w, microlink.Options{Reach: microlink.ReachStreaming, TruthComplement: true})
+	if _, err := live.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := live.StartIngest(microlink.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := pipe.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	s := New(live, WithLogger(func(string, ...any) {}))
+	surface := ""
+	w.KB.EachSurface(func(form string, cs []microlink.EntityID) {
+		if surface == "" || form < surface {
+			surface = form
+		}
+	})
+	const confirmID, tweetID = 900001, 900002
+	text := "durable " + surface
+	if rec := postJSON(t, s, "/v1/confirm", ConfirmRequest{Tweet: confirmID, User: 10, Entity: 3}); rec.Code != http.StatusOK {
+		t.Fatalf("confirm: status = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := postJSON(t, s, "/v1/tweet", TweetRequest{ID: tweetID, User: 11, Text: text, Feedback: true})
+	var resp TweetResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Mentions) == 0 || resp.Mentions[0].Entity == microlink.NoEntity {
+		t.Fatalf("feedback tweet: status = %d, body %s; want a linked mention", rec.Code, rec.Body.String())
+	}
+	linked := resp.Mentions[0].Entity
+	if err := live.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	rec = postJSON(t, s, "/v1/confirm", ConfirmRequest{Tweet: confirmID + 10, User: 10, Entity: 3})
+	decodeError(t, rec, http.StatusInternalServerError, CodeInternal)
+
+	reopened, _, err := microlink.Open(dir, microlink.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := reopened.ClosePersist(); err != nil {
+			t.Error(err)
+		}
+	}()
+	has := func(e microlink.EntityID, id int64) bool {
+		for _, p := range reopened.CKB.Postings(e) {
+			if p.Tweet == id {
+				return true
+			}
+		}
+		return false
+	}
+	if !has(3, confirmID) || !has(linked, tweetID) {
+		t.Fatalf("reopened postings: confirm %v, feedback tweet %v; want both", has(3, confirmID), has(linked, tweetID))
+	}
+	if has(3, confirmID+10) {
+		t.Fatal("the confirm answered 500 is in the reopened directory")
+	}
+	if got := reopened.Live.All(); len(got) != 1 || got[0].ID != tweetID || got[0].Text != text {
+		t.Fatalf("reopened live corpus = %+v, want tweet %d with text %q", got, tweetID, text)
 	}
 }
 
@@ -204,7 +350,7 @@ func TestTweetValidation(t *testing.T) {
 // pointer switch both decoded to int64(0) and were rewritten to the
 // horizon.
 func TestTimeZeroNotConflatedWithUnset(t *testing.T) {
-	s := testServer(t)
+	s := ingestServer(t)
 	post := func(req ConfirmRequest) {
 		t.Helper()
 		b, _ := json.Marshal(req)
@@ -216,7 +362,7 @@ func TestTimeZeroNotConflatedWithUnset(t *testing.T) {
 	}
 	byTweet := func(id int64) microlink.Posting {
 		t.Helper()
-		for _, p := range sys.CKB.Postings(1) {
+		for _, p := range ingestSys.CKB.Postings(1) {
 			if p.Tweet == id {
 				return p
 			}
@@ -230,8 +376,8 @@ func TestTimeZeroNotConflatedWithUnset(t *testing.T) {
 		t.Fatalf("explicit time=0 stored as %d (conflated with unset)", p.Time)
 	}
 	post(ConfirmRequest{Tweet: 31338, User: 10, Entity: 1})
-	if p := byTweet(31338); p.Time != sys.World.Horizon() {
-		t.Fatalf("unset time stored as %d, want horizon %d", p.Time, sys.World.Horizon())
+	if p := byTweet(31338); p.Time != ingestSys.World.Horizon() {
+		t.Fatalf("unset time stored as %d, want horizon %d", p.Time, ingestSys.World.Horizon())
 	}
 }
 
@@ -259,8 +405,8 @@ func TestLoggerInjection(t *testing.T) {
 }
 
 func TestConfirmEndpoint(t *testing.T) {
-	s := testServer(t)
-	before := sys.CKB.Count(0)
+	s := ingestServer(t)
+	before := ingestSys.CKB.Count(0)
 	body, _ := json.Marshal(ConfirmRequest{Tweet: 777, User: 10, Time: i64(500), Entity: 0})
 	req := httptest.NewRequest("POST", "/v1/confirm", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
@@ -268,7 +414,7 @@ func TestConfirmEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if sys.CKB.Count(0) != before+1 {
+	if ingestSys.CKB.Count(0) != before+1 {
 		t.Fatal("confirm did not complement the KB")
 	}
 	// Unknown IDs are 404 with the matching code.

@@ -6,13 +6,15 @@ import (
 	"microlink"
 )
 
-// The firehose endpoints differ from their synchronous cousins
-// (/v1/tweet, the System.Follow path) in their contract: the request is
-// validated, converted into a pipeline event and enqueued, and the
-// response is 202 Accepted before any linking or index maintenance has
-// happened. A full queue is surfaced as 503 queue_full — the client-side
-// half of the pipeline's backpressure policy — and a server running
-// without a pipeline rejects both endpoints with 503 ingest_disabled.
+// Every write goes through the attached ingest pipeline, in one of two
+// contracts. The firehose endpoints validate the request, convert it into
+// a pipeline event and enqueue it: the response is 202 Accepted before
+// any linking or index maintenance has happened, and a full queue is
+// surfaced as 503 queue_full — the client-side half of the pipeline's
+// backpressure policy. /v1/confirm and /v1/tweet with feedback apply
+// their event through Pipeline.Apply instead and answer 200 only after
+// the WAL tee has taken it, 500 internal when it failed. A server running
+// without a pipeline rejects all of them with 503 ingest_disabled.
 
 // pipeline fetches the attached ingest pipeline, writing the
 // ingest_disabled envelope when there is none.
@@ -23,6 +25,21 @@ func (s *Server) pipeline(w http.ResponseWriter) *microlink.IngestPipeline {
 			"no ingest pipeline attached to this server")
 	}
 	return p
+}
+
+// apply runs ev through Pipeline.Apply and returns the journaled record,
+// or writes the 503 or 500 response and reports false.
+func (s *Server) apply(w http.ResponseWriter, ev microlink.IngestEvent) (microlink.IngestEvent, bool) {
+	p := s.pipeline(w)
+	if p == nil {
+		return ev, false
+	}
+	rec, err := p.Apply(ev)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return rec, false
+	}
+	return rec, true
 }
 
 // IngestAccepted is the 202 body of both firehose endpoints.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,14 +151,16 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 
 // TestFeedbackRace is the -race regression test for the interactive
 // feedback path: writers hammer POST /v1/tweet with feedback enabled and
-// POST /v1/confirm (both mutate the complemented KB and invalidate the
-// influence cache through Linker.Feedback) while readers score the same
-// entities through GET /v1/link and GET /v1/search. Before the linker
+// POST /v1/confirm (both apply through the ingest pipeline, mutating the
+// complemented KB and invalidating the influence cache through
+// Linker.Feedback) while readers score the same entities through GET
+// /v1/link and GET /v1/search. Before the linker
 // held an RWMutex across the multi-substrate update, this interleaving
 // raced on the influence cache contents vs the KB postings.
 func TestFeedbackRace(t *testing.T) {
-	s := testServer(t)
-	surface := ambiguousSurface(t)
+	s := ingestServer(t)
+	surface := ambiguousIngestSurface(t)
+	q := url.QueryEscape(surface)
 	const workers, iters = 4, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -191,13 +194,13 @@ func TestFeedbackRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/link?user="+strconv.Itoa(80+w)+"&mention="+surface, nil))
+				s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/link?user="+strconv.Itoa(80+w)+"&mention="+q, nil))
 				if rec.Code != http.StatusOK {
 					t.Errorf("link: status = %d", rec.Code)
 					return
 				}
 				rec = httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?user=90&q="+surface, nil))
+				s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?user=90&q="+q, nil))
 				if rec.Code != http.StatusOK {
 					t.Errorf("search: status = %d", rec.Code)
 					return

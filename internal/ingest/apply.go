@@ -15,8 +15,8 @@ type Tally struct {
 	Inserted int // follow edges that were new to the live graph
 }
 
-// check is the intake test Offer and Submit apply, so Apply only ever
-// sees a known kind, and tweet and feedback records with their tweet
+// check is the intake test of Offer, Submit and Pipeline.Apply, so
+// Deps.Apply only ever sees a known kind, and tweet and feedback records with their tweet
 // (the WAL decoder guarantees the same of replayed records).
 func check(r *store.Record) error {
 	switch r.Kind {

@@ -7,14 +7,17 @@
 //
 // It is also the stack's one write path: an event is a store.Record, the
 // WAL's record type, and Deps.Apply and Deps.Rebuild are the only apply
-// and rebuild, shared with WAL replay and System.RebuildReach.
+// and rebuild, shared with WAL replay and System.RebuildReach. Every
+// mutation of a serving stack — firehose events, confirmed links,
+// fed-back tweets — runs through a pipeline and its WAL tee.
 //
 // # Stages
 //
 // Events enter through Offer (non-blocking; drops with a counter when the
 // queue is full) or Submit (blocks with context cancellation) into one
-// bounded channel; both refuse a malformed event (ErrInvalidEvent)
-// before it is queued. A single applier goroutine drains the channel,
+// bounded channel, or through Apply, which applies on the caller's
+// goroutine and returns after the WAL tee; all three refuse a malformed
+// event (ErrInvalidEvent). A single applier goroutine drains the channel,
 // coalescing up to Config.MaxBatch pending events per round so follow
 // edges amortise one lock acquisition across the batch, and applies each
 // kind to its mutation path:
@@ -96,10 +99,11 @@ type Journal interface {
 	Append(recs []store.Record) error
 }
 
-// Deps wires a Pipeline into a serving stack. Linker and Stream are
-// required; Live defaults to a fresh store, Metrics may be nil (all
-// instruments become no-ops), and Journal may be nil (no durable tee; a
-// persistence layer can attach one later via Barrier).
+// Deps wires a Pipeline into a serving stack. Linker, Stream and Live are
+// required (the stack's own live corpus: tweets applied anywhere else are
+// invisible to search); Metrics may be nil (all instruments become
+// no-ops), and Journal may be nil (no durable tee; a persistence layer
+// can attach one later via Barrier).
 // Apply and Rebuild also run on a Deps without a pipeline (WAL replay,
 // System.RebuildReach).
 type Deps struct {
@@ -110,18 +114,18 @@ type Deps struct {
 	Journal Journal
 }
 
-// ErrClosed is returned by Submit and Close after the pipeline has been
-// closed.
+// ErrClosed is returned by Submit, Apply and Close after the pipeline
+// has been closed.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
-// ErrInvalidEvent is returned (wrapped, saying why) by Submit for an
-// event the applier cannot apply: an unknown kind, or a tweet or
+// ErrInvalidEvent is returned (wrapped, saying why) by Submit and Apply
+// for an event the applier cannot apply: an unknown kind, or a tweet or
 // feedback event without its tweet. Offer reports such an event as not
 // accepted.
 var ErrInvalidEvent = errors.New("ingest: invalid event")
 
 // errDeps reports a New call missing a required dependency.
-var errDeps = errors.New("ingest: Deps.Linker and Deps.Stream are required")
+var errDeps = errors.New("ingest: Deps.Linker, Deps.Stream and Deps.Live are required")
 
 // Stats is a point-in-time snapshot of pipeline progress.
 type Stats struct {

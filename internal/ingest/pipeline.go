@@ -8,19 +8,20 @@ import (
 
 	"microlink/internal/obs"
 	"microlink/internal/store"
-	"microlink/internal/tweets"
 )
 
 // Pipeline is the staged firehose conduit described in the package
 // comment. Construct with New; events enter via Offer/Submit/Run and are
-// applied by a single background goroutine, so all mutation paths see a
+// applied by a single background goroutine, or via Apply on the caller's
+// goroutine; both apply under one lock, so all mutation paths see a
 // serialised event order. Close drains and stops both background
 // goroutines.
 //
 // Locking. sendMu protects the intake channel against send-on-closed
 // races: every sender holds the read side for the duration of its send,
 // and Close flips closed and closes the channel under the write side, so
-// no send can be in flight when the channel closes. rebuildMu serialises
+// no send can be in flight when the channel closes; Apply holds the read
+// side across its apply, so none runs after Close. rebuildMu serialises
 // rebuilds (threshold kick, timer and ForceRebuild can race) and sits
 // above every lock a rebuild takes: the streaming substrate's snapshot
 // lock, the builder pool, and the linker's write lock for the install.
@@ -29,6 +30,7 @@ import (
 // and Barrier holds it while capturing live state and rotating the WAL,
 // so a snapshot never splits a batch between segments and log.
 //
+// microlint:lock-order ingest-send < ingest-apply
 // microlint:lock-order ingest-rebuild < linker
 // microlint:lock-order ingest-rebuild < reach-stream
 // microlint:lock-order ingest-rebuild < reach-build
@@ -69,11 +71,8 @@ type Pipeline struct {
 // New validates deps, fills cfg defaults, and starts the applier and
 // rebuild-manager goroutines. The pipeline runs until Close.
 func New(deps Deps, cfg Config) (*Pipeline, error) {
-	if deps.Linker == nil || deps.Stream == nil {
+	if deps.Linker == nil || deps.Stream == nil || deps.Live == nil {
 		return nil, errDeps
-	}
-	if deps.Live == nil {
-		deps.Live = tweets.NewLiveStore()
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueue
@@ -225,7 +224,7 @@ func (p *Pipeline) Stats() Stats {
 func (p *Pipeline) applier() {
 	defer close(p.done)
 	batch := make([]store.Record, 0, p.cfg.MaxBatch)
-	for {
+	for open := true; open; {
 		ev, ok := <-p.in
 		if !ok {
 			return
@@ -236,22 +235,45 @@ func (p *Pipeline) applier() {
 			select {
 			case ev, ok := <-p.in:
 				if !ok {
-					p.apply(batch)
-					p.met.queueDepth.Set(0)
-					return
+					open = false
+					break coalesce
 				}
 				batch = append(batch, ev)
 			default:
 				break coalesce
 			}
 		}
+		//nolint:microlint/errdrop -- a queued event has no caller to answer: Apply refuses only follows naming a user outside the graph (consumed, not journaled, counted as applied follows), and a failed tee is counted in microlink_ingest_journal_failures_total
 		p.apply(batch)
 		p.met.queueDepth.Set(float64(len(p.in)))
 	}
 }
 
-// apply runs one coalesced batch through Deps.Apply, tees the records
-// it returns into the journal, and publishes the counts.
+// Apply applies ev on the caller's goroutine as a batch of one, under the
+// applier's lock and WAL tee, and returns after the journal append: the
+// journaled record (a tweet carries the links it resolved and fed back)
+// and ErrInvalidEvent, ErrClosed, Deps.Apply's rejection, or the
+// journal's error (the state has changed). It takes no queue slot, so it
+// may overtake queued events; the journal keeps the applied order.
+func (p *Pipeline) Apply(ev store.Record) (store.Record, error) {
+	if err := check(&ev); err != nil {
+		return store.Record{}, err
+	}
+	p.sendMu.RLock()
+	defer p.sendMu.RUnlock()
+	if p.closed {
+		return store.Record{}, ErrClosed
+	}
+	recs, err := p.apply([]store.Record{ev})
+	if len(recs) == 0 {
+		return store.Record{}, err
+	}
+	return recs[0], err
+}
+
+// apply runs one batch through Deps.Apply, tees the records it returns
+// into the journal, publishes the counts, and returns the records with
+// the journal's error, else Deps.Apply's rejection.
 //
 // The whole batch — mutations plus the WAL tee — runs under applyMu, so
 // a snapshot barrier observes batches whole: every mutation it captures
@@ -259,32 +281,32 @@ func (p *Pipeline) applier() {
 // ahead of it replays onto state that does not contain it yet. Tweet
 // records carry the links actually fed back, so replay reapplies the
 // stream without re-running the linker.
-func (p *Pipeline) apply(batch []store.Record) {
+func (p *Pipeline) apply(batch []store.Record) ([]store.Record, error) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
-	//nolint:microlint/errdrop -- intake checked every event, so Apply refuses only follows naming a user outside the graph: consumed, not journaled, counted as applied follows
-	recs, t, _ := p.deps.Apply(batch, true, make([]store.Record, 0, len(batch)))
+	recs, t, err := p.deps.Apply(batch, true, make([]store.Record, 0, len(batch)))
 	if p.journal != nil && len(recs) > 0 {
 		// A failed append loses durability for this batch, not liveness:
-		// serving state is already updated, so count and continue.
-		if err := p.journal.Append(recs); err != nil {
+		// serving state is already updated, so count it and report it.
+		if jerr := p.journal.Append(recs); jerr != nil {
 			p.journalFails.Add(1)
 			p.met.journalFails.Inc()
+			err = jerr
 		}
 	}
 	p.appliedTweets.Add(int64(t.Tweets))
 	p.met.evTweet.Add(uint64(t.Tweets))
 	p.appliedFeedback.Add(int64(t.Feedback))
 	p.met.evFeedback.Add(uint64(t.Feedback))
-	if t.Follows == 0 {
-		return
+	if t.Follows > 0 {
+		p.insertedEdges.Add(int64(t.Inserted))
+		p.appliedFollows.Add(int64(t.Follows))
+		p.met.evFollow.Add(uint64(t.Follows))
+		st := p.deps.Stream.Staleness()
+		p.met.staleness.Set(float64(st))
+		p.kickIfStale(st)
 	}
-	p.insertedEdges.Add(int64(t.Inserted))
-	p.appliedFollows.Add(int64(t.Follows))
-	p.met.evFollow.Add(uint64(t.Follows))
-	st := p.deps.Stream.Staleness()
-	p.met.staleness.Set(float64(st))
-	p.kickIfStale(st)
+	return recs, err
 }
 
 // kickIfStale wakes the rebuild manager when staleness has reached the

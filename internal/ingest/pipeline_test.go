@@ -94,8 +94,11 @@ func streamTweet(id int64, user kb.UserID) *tweets.Tweet {
 }
 
 func TestNewRejectsMissingDeps(t *testing.T) {
-	if _, err := New(Deps{}, Config{}); err == nil {
-		t.Fatal("New accepted empty deps")
+	f := newFixture(t)
+	for _, d := range []Deps{{}, {Linker: f.linker, Stream: f.stream}} {
+		if _, err := New(d, Config{}); !errors.Is(err, errDeps) {
+			t.Fatalf("New(%+v) = %v, want errDeps", d, err)
+		}
 	}
 }
 
@@ -517,5 +520,72 @@ func TestTweetJournaledWithResolvedLinks(t *testing.T) {
 		if r.Kind != store.RecTweet || r.Tweet != tws[i] || r.Links == nil || !slices.Equal(r.Links, want[i]) {
 			t.Errorf("record %d = %+v, want tweet %d with links %v (non-nil)", i, r, tws[i].ID, want[i])
 		}
+	}
+}
+
+// failingJournal refuses every append.
+type failingJournal struct{ err error }
+
+func (j failingJournal) Append([]store.Record) error { return j.err }
+
+// TestApplyReturnsAfterJournal: Apply runs on the caller's goroutine and
+// returns the journaled record — a tweet with the links it resolved —
+// after the tee, with the state already changed; a follow outside the
+// graph comes back as Deps.Apply's rejection, a malformed event as
+// ErrInvalidEvent, and every call after Close as ErrClosed.
+func TestApplyReturnsAfterJournal(t *testing.T) {
+	f := newFixture(t)
+	tw := streamTweet(1, 3)
+	want := f.linker.LinkTweet(tw)
+	j := &recordingJournal{}
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Metrics: f.reg, Journal: j}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.Apply(store.TweetRecord(tw, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Kind != store.RecTweet || rec.Tweet != tw || !slices.Equal(rec.Links, want) {
+		t.Fatalf("Apply returned %+v, want tweet 1 with links %v", rec, want)
+	}
+	if len(j.recs) != 1 || !slices.Equal(j.recs[0].Links, want) || f.live.Len() != 1 {
+		t.Fatalf("after Apply: journal %+v, live %d; want the tweet in both", j.recs, f.live.Len())
+	}
+	if _, err := p.Apply(store.FeedbackRecord(streamTweet(2, 4), []kb.EntityID{1})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Apply(store.FollowRecord(2, 32)); err == nil || !strings.Contains(err.Error(), "2 → 32") {
+		t.Fatalf("follow outside the graph: %v, want the rejection naming it", err)
+	}
+	if _, err := p.Apply(store.FeedbackRecord(nil, nil)); !errors.Is(err, ErrInvalidEvent) {
+		t.Fatalf("malformed event: %v, want ErrInvalidEvent", err)
+	}
+	closePipeline(t, p)
+	if _, err := p.Apply(store.FollowRecord(2, 19)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Apply after Close: %v, want ErrClosed", err)
+	}
+	st := p.Stats()
+	if st.AppliedTweets != 1 || st.AppliedFeedback != 1 || st.AppliedFollows != 1 || len(j.recs) != 2 {
+		t.Fatalf("stats %+v, journal %d records; want 1/1/1 applied and 2 journaled", st, len(j.recs))
+	}
+}
+
+// TestApplyReturnsJournalError: a failed WAL tee is Apply's error, not
+// only a counter; the state has changed all the same.
+func TestApplyReturnsJournalError(t *testing.T) {
+	f := newFixture(t)
+	disk := errors.New("disk full")
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: failingJournal{disk}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closePipeline(t, p)
+	rec, err := p.Apply(store.TweetRecord(streamTweet(1, 3), nil))
+	if !errors.Is(err, disk) {
+		t.Fatalf("Apply with a failing journal: %v, want %v", err, disk)
+	}
+	if st := p.Stats(); rec.Kind != store.RecTweet || rec.Links == nil || f.live.Len() != 1 || st.AppliedTweets != 1 || st.JournalFailures != 1 {
+		t.Fatalf("record %+v, live %d, stats %+v; want the tweet applied with its links and one journal failure", rec, f.live.Len(), st)
 	}
 }

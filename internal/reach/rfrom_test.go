@@ -82,7 +82,7 @@ func rfromSubstrates(r *rand.Rand, g *graph.Graph, h int) []namedIndex {
 	moved := NewStreaming(g, TwoHopOptions{MaxHops: h})
 	n := g.NumNodes()
 	for i := 0; i < 8; i++ {
-		moved.InsertEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)))
+		insertOne(moved, graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)))
 	}
 	moved.Install(moved.Rebuild())
 	return append(out, namedIndex{"streaming/after-install", moved})
@@ -157,7 +157,7 @@ func FuzzRFromMatchesR(f *testing.F) {
 			vs[i] = graph.NodeID(int(b) % nodes)
 		}
 		st := NewStreaming(g, TwoHopOptions{MaxHops: hops})
-		st.InsertEdge(u, graph.NodeID(r.Intn(nodes)))
+		insertOne(st, u, graph.NodeID(r.Intn(nodes)))
 		st.Install(st.Rebuild())
 		for _, batch := range []int{1, DefaultTwoHopBatch} {
 			ref, th := frozenWithRef(g, hops, batch)

@@ -22,7 +22,7 @@ import (
 //
 // Concurrency contract. Query/R/BuildStats read only the frozen arena
 // (atomic load, no lock). The mutable half — base, tail and the
-// applied-edge counter — sits behind mu; InsertEdge/InsertEdges and
+// applied-edge counter — sits behind mu; InsertEdges and
 // SnapshotGraph take the write side, Staleness/Applied/Capture the read
 // side.
 // Install performs no locking at all: callers run it under the linker's
@@ -106,20 +106,12 @@ func (st *Streaming) insertLocked(u, v graph.NodeID) bool {
 	return true
 }
 
-// InsertEdge adds one follow edge u → v to the live graph, reporting
-// whether it was new. Self-loops and endpoints outside the graph are
-// dropped here, synchronously, so they never reach a rebuild. The frozen
-// arena is untouched: staleness grows by one per inserted edge until the
-// next Install.
-func (st *Streaming) InsertEdge(u, v graph.NodeID) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.insertLocked(u, v)
-}
-
-// InsertEdges applies a batch of follow edges under one lock acquisition —
-// the payoff of the ingest pipeline's batch coalescing — and returns the
-// number of edges that were new.
+// InsertEdges adds a batch of follow edges to the live graph under one
+// lock acquisition — the payoff of the ingest pipeline's batch
+// coalescing — and returns the number of edges that were new.
+// Self-loops and endpoints outside the graph are dropped here,
+// synchronously, so they never reach a rebuild. The frozen arena is
+// untouched: staleness grows by one per new edge until the next Install.
 func (st *Streaming) InsertEdges(pairs [][2]graph.NodeID) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -11,6 +11,11 @@ import (
 	"microlink/internal/graph"
 )
 
+// insertOne adds u → v through InsertEdges, reporting whether it was new.
+func insertOne(st *Streaming, u, v graph.NodeID) bool {
+	return st.InsertEdges([][2]graph.NodeID{{u, v}}) == 1
+}
+
 // edgeOracle is the dumbest possible model of Streaming's live graph: a
 // set of edges.
 type edgeOracle struct {
@@ -105,8 +110,8 @@ func TestCaptureAcrossUninstalledFold(t *testing.T) {
 	insert := func(k int) {
 		for i := 0; i < k; i++ {
 			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
-			if want := o.insert(u, v); st.InsertEdge(u, v) != want {
-				t.Fatalf("InsertEdge(%d,%d) disagrees with the oracle", u, v)
+			if want := o.insert(u, v); insertOne(st, u, v) != want {
+				t.Fatalf("insert(%d,%d) disagrees with the oracle", u, v)
 			}
 		}
 	}
@@ -150,8 +155,8 @@ func TestStreamingMatchesEdgeOracle(t *testing.T) {
 			case op < 4:
 				u, v := node(), node()
 				want := o.insert(u, v)
-				if got := st.InsertEdge(u, v); got != want {
-					t.Fatalf("seed %d step %d: InsertEdge(%d,%d) = %v, oracle %v", seed, step, u, v, got, want)
+				if got := insertOne(st, u, v); got != want {
+					t.Fatalf("seed %d step %d: insert(%d,%d) = %v, oracle %v", seed, step, u, v, got, want)
 				}
 				if want {
 					applied++
@@ -209,8 +214,8 @@ func TestStreamingRejectsBadEndpoints(t *testing.T) {
 	st := NewStreaming(g, TwoHopOptions{MaxHops: 3})
 	bad := [][2]graph.NodeID{{2, 2}, {-1, 0}, {0, -1}, {6, 0}, {0, 6}, {1 << 30, -(1 << 30)}}
 	for _, p := range bad {
-		if st.InsertEdge(p[0], p[1]) {
-			t.Fatalf("InsertEdge(%d,%d) accepted", p[0], p[1])
+		if insertOne(st, p[0], p[1]) {
+			t.Fatalf("insert(%d,%d) accepted", p[0], p[1])
 		}
 	}
 	if n := st.InsertEdges(append(bad, [2]graph.NodeID{3, 0})); n != 1 {
@@ -236,7 +241,7 @@ func TestStreamingSizeBytesCountsWhatIsHeld(t *testing.T) {
 		t.Fatalf("SizeBytes at rest = %d, want arena + graph = %d", rest, want)
 	}
 	for v := graph.NodeID(1); v < 50; v++ {
-		st.InsertEdge(0, v)
+		insertOne(st, 0, v)
 	}
 	if st.Applied() == 0 || st.SizeBytes() <= rest {
 		t.Fatalf("SizeBytes with %d tail edges = %d, at rest %d", st.Applied(), st.SizeBytes(), rest)
@@ -333,7 +338,7 @@ func TestQuickStreamingMatchesRebuild(t *testing.T) {
 		h := 1 + r.Intn(4)
 		st := NewStreaming(randomGraph(r, n, n), TwoHopOptions{MaxHops: h})
 		for k := 0; k < 12; k++ {
-			st.InsertEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)))
+			insertOne(st, graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)))
 		}
 		th, at := st.Rebuild()
 		st.Install(th, at)

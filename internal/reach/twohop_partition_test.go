@@ -196,7 +196,7 @@ func TestStreamingBuildConcurrentWithQueriesRace(t *testing.T) {
 				// Nodes from [-5, 255): some endpoints are out of range.
 				u, v := graph.NodeID(ir.Intn(260)-5), graph.NodeID(ir.Intn(260)-5)
 				if ir.Intn(2) == 0 {
-					if st.InsertEdge(u, v) {
+					if insertOne(st, u, v) {
 						inserted.Add(1)
 					}
 				} else {

@@ -145,8 +145,8 @@ const (
 	// closure — paired with a live edge set absorbing follow edges
 	// online; the ingest pipeline's rebuild manager periodically
 	// re-freezes the cover and copy-on-swaps it in. Required by
-	// System.Follow, System.StartIngest and System.Snapshot. A system
-	// that is never sent a follow serves the static 2-hop cover.
+	// System.StartIngest, and so by every write, and by System.Snapshot.
+	// A system that is never sent a follow serves the static 2-hop cover.
 	ReachStreaming
 )
 
@@ -311,8 +311,8 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 }
 
 // unwrapReach peels the metrics wrapper off an index, returning the raw
-// substrate for type-dependent operations (serialisation, follow-edge
-// inserts).
+// substrate for type-dependent operations (serialisation, the ingest
+// pipeline).
 func unwrapReach(idx reach.Index) reach.Index {
 	if x, ok := idx.(*reach.Instrumented); ok {
 		return x.Unwrap()
@@ -327,8 +327,8 @@ func buildReach(w *World, opts Options) reach.Index {
 	return reach.BuildTransitiveClosure(w.Graph, reach.ClosureOptions{MaxHops: opts.MaxHops})
 }
 
-// ErrNotStreaming is returned by Follow, StartIngest, RebuildReach and
-// Snapshot when the system does not serve the streaming substrate (built
+// ErrNotStreaming is returned by StartIngest, RebuildReach and Snapshot
+// when the system does not serve the streaming substrate (built
 // with ReachStreaming, or reopened by Open).
 var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not streaming (build with Options{Reach: ReachStreaming})")
 
@@ -337,37 +337,15 @@ var ErrNotStreaming = fmt.Errorf("microlink: reachability substrate is not strea
 var ErrIngestRunning = fmt.Errorf("microlink: ingest pipeline already started")
 
 // ErrInvalidEvent is returned (wrapped, saying why) by
-// IngestPipeline.Submit for an event of unknown kind, or a tweet or
+// IngestPipeline.Submit and IngestPipeline.Apply for an event of unknown kind, or a tweet or
 // feedback event without its tweet; Offer refuses such an event.
 var ErrInvalidEvent = ingest.ErrInvalidEvent
 
-// ErrUnknownUser is returned (wrapped, with the offending IDs) by Follow
-// when an endpoint is not a user of the system's follow graph.
-var ErrUnknownUser = fmt.Errorf("microlink: unknown user")
-
-// Follow records a new follow edge u → v — the social half of the online
-// feedback loop (tweets arrive via Linker.Feedback; follows arrive here).
-// It requires ReachStreaming: the edge joins the live graph's edge tail
-// under the substrate's own lock, with no linker lock and no cache
-// invalidation. Scorers read only the frozen arena, which per-edge
-// inserts never touch, so answers and cached scores stay exactly right
-// until the next copy-on-swap rebuild (RebuildReach or the ingest
-// pipeline's rebuild manager), which installs the edge and invalidates
-// then.
-func (s *System) Follow(u, v UserID) error {
-	if n := UserID(s.World.Graph.NumNodes()); u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("%w: follow %d → %d in a graph of %d users", ErrUnknownUser, u, v, n)
-	}
-	st, ok := unwrapReach(s.Reach).(*reach.Streaming)
-	if !ok {
-		return ErrNotStreaming
-	}
-	st.InsertEdge(u, v)
-	return nil
-}
-
 // StartIngest attaches a streaming firehose pipeline to the system and
-// starts its applier and rebuild-manager goroutines. Requires
+// starts its applier and rebuild-manager goroutines. The pipeline is the
+// system's one write path: firehose events go through Offer and Submit,
+// and a write whose caller answers from the result (a confirmed link, a
+// fed-back tweet) through Apply, which returns after the WAL tee. Requires
 // Options.Reach = ReachStreaming (the pipeline's copy-on-swap rebuilds
 // need the frozen-arena + live-graph pairing); at most one pipeline
 // per system. Stop it with Pipeline.Close.

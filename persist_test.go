@@ -424,30 +424,62 @@ func TestOpenRejectsPendingEdgeInGraph(t *testing.T) {
 	}
 }
 
-// TestFollowUnknownUser: an endpoint outside the follow graph is a typed
-// error from System.Follow — not a panic later in a rebuild — and a WAL
-// follow record carrying one fails replay as corruption, naming the IDs.
+// TestFollowUnknownUser: a follow naming an endpoint outside the follow
+// graph is refused by the write path, naming the IDs — not a panic later
+// in a rebuild — and a WAL follow record carrying one fails replay as
+// corruption.
 func TestFollowUnknownUser(t *testing.T) {
 	w := persistWorld()
 	n := UserID(w.Graph.NumNodes())
 	sys := Build(w, Options{Reach: ReachStreaming, MaxHops: 2, TruthComplement: true})
+	pipe, err := sys.StartIngest(IngestConfig{RebuildAfterEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := pipe.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
 	for _, e := range [][2]UserID{{-1, 0}, {0, n}, {n + 7, -3}} {
-		err := sys.Follow(e[0], e[1])
-		if !errors.Is(err, ErrUnknownUser) || !strings.Contains(err.Error(), fmt.Sprintf("%d → %d", e[0], e[1])) {
-			t.Fatalf("Follow(%d, %d) = %v, want ErrUnknownUser naming both", e[0], e[1], err)
+		_, err := pipe.Apply(FollowEvent(e[0], e[1]))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d → %d", e[0], e[1])) {
+			t.Fatalf("follow %d → %d = %v, want a rejection naming both", e[0], e[1], err)
 		}
 	}
-	if err := sys.Follow(0, n-1); err != nil {
-		t.Fatalf("valid Follow: %v", err)
+	if _, err := pipe.Apply(FollowEvent(0, n-1)); err != nil {
+		t.Fatalf("valid follow: %v", err)
 	}
 	if err := sys.RebuildReach(); err != nil {
 		t.Fatal(err)
 	}
 
 	rec := store.FollowRecord(n+7, 3)
-	err := sys.replayer(&RestartReport{})(&rec)
+	err = sys.replayer(&RestartReport{})(&rec)
 	if !errors.Is(err, store.ErrWALCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d → 3", n+7)) {
 		t.Fatalf("replayed bad follow = %v, want ErrWALCorrupt naming the IDs", err)
+	}
+}
+
+// applyFollows applies the follow edges u → (u*37+11) mod n, u < count,
+// through a pipeline started on sys with no rebuild threshold, and closes
+// the pipeline when the test ends.
+func applyFollows(t *testing.T, sys *System, count int) {
+	t.Helper()
+	pipe, err := sys.StartIngest(IngestConfig{RebuildAfterEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := pipe.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	n := UserID(sys.World.Graph.NumNodes())
+	for u := UserID(0); u < UserID(count); u++ {
+		if _, err := pipe.Apply(FollowEvent(u, (u*37+11)%n)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -486,7 +518,8 @@ func TestOpenRejectsUnlinkedTweetRecord(t *testing.T) {
 
 // TestRebuildReachPublishesArena: RebuildReach on a system without a
 // pipeline runs the ingest rebuild, gauges included, so
-// microlink_reach_twohop_labels describes the arena that serves.
+// microlink_reach_twohop_labels describes the arena that serves. The
+// follows arrive the way such a system gets them: replayed from a WAL.
 func TestRebuildReachPublishesArena(t *testing.T) {
 	w := persistWorld()
 	sys := Build(w, Options{Reach: ReachStreaming, MaxHops: 2, TruthComplement: true})
@@ -496,8 +529,10 @@ func TestRebuildReachPublishesArena(t *testing.T) {
 	}
 	_, before := labels()
 	n := UserID(w.Graph.NumNodes())
+	replay := sys.replayer(&RestartReport{})
 	for u := UserID(0); u < 60; u++ {
-		if err := sys.Follow(u, (u*37+11)%n); err != nil {
+		rec := FollowEvent(u, (u*37+11)%n)
+		if err := replay(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -633,12 +668,7 @@ func TestSnapshotCarriesArenaForward(t *testing.T) {
 	w := persistWorld()
 	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
 	snapshotArenaAt(t, sys, dir, 1, 1)
-	n := UserID(w.Graph.NumNodes())
-	for u := UserID(0); u < 20; u++ {
-		if err := sys.Follow(u, (u*37+11)%n); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyFollows(t, sys, 20)
 	snapshotArenaAt(t, sys, dir, 2, 1)
 	if err := sys.ClosePersist(); err != nil {
 		t.Fatal(err)
@@ -663,12 +693,7 @@ func TestSnapshotAfterRebuildWritesArena(t *testing.T) {
 	w := persistWorld()
 	sys := Build(w, Options{Reach: ReachStreaming, TruthComplement: true})
 	snapshotArenaAt(t, sys, dir, 1, 1)
-	n := UserID(w.Graph.NumNodes())
-	for u := UserID(0); u < 20; u++ {
-		if err := sys.Follow(u, (u*37+11)%n); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyFollows(t, sys, 20)
 	if err := sys.RebuildReach(); err != nil {
 		t.Fatal(err)
 	}
@@ -958,9 +983,22 @@ func TestOpenTornWAL(t *testing.T) {
 // crashChildEnv points the re-exec'd crash child at its data directory.
 const crashChildEnv = "MICROLINK_CRASH_DIR"
 
+// crashAck is one write the crash child applied synchronously and
+// acknowledged on stdout: a fed-back tweet or a confirm, with the links
+// it fed back.
+type crashAck struct {
+	Kind  string     // "tweet" or "confirm"
+	Tweet int64      // tweet ID
+	Text  string     // the tweet's text ("" for a confirm)
+	Links []EntityID // links fed back, parallel to the tweet's mentions
+}
+
 // TestCrashChild is the helper process of TestCrashRecovery: it
 // snapshots an empty streaming system, then ingests a firehose forever,
-// printing applied-event progress until the parent SIGKILLs it.
+// printing applied-event progress until the parent SIGKILLs it. Every
+// 25th event goes through the synchronous write path instead of the
+// queue — a stream tweet as a fed-back tweet, and beside it a confirm —
+// and is acknowledged on stdout once Apply has returned.
 func TestCrashChild(t *testing.T) {
 	dir := os.Getenv(crashChildEnv)
 	if dir == "" {
@@ -980,7 +1018,30 @@ func TestCrashChild(t *testing.T) {
 	fmt.Println("snapshotted")
 	stream := synth.GenerateStream(w, synth.StreamParams{Seed: 11, Events: 20000, FollowFraction: 0.3})
 	ctx := context.Background()
+	ack := func(kind string, ev IngestEvent) bool {
+		rec, err := pipe.Apply(ev)
+		if err != nil {
+			fmt.Printf("child-error: %v\n", err)
+			return false
+		}
+		b, err := json.Marshal(crashAck{Kind: kind, Tweet: rec.Tweet.ID, Text: rec.Tweet.Text, Links: rec.Links})
+		if err != nil {
+			fmt.Printf("child-error: %v\n", err)
+			return false
+		}
+		fmt.Printf("ack %s\n", b)
+		return true
+	}
 	for i, ev := range stream {
+		if ev.Tweet != nil && i%25 == 12 {
+			confirm := &Tweet{ID: 1<<45 + int64(i), User: ev.Tweet.User, Time: ev.Tweet.Time,
+				Mentions: []Mention{{Truth: NoEntity}}}
+			if !ack("tweet", TweetEvent(ev.Tweet, nil)) ||
+				!ack("confirm", FeedbackEvent(confirm, []EntityID{EntityID(i % w.KB.NumEntities())})) {
+				return
+			}
+			continue
+		}
 		var e IngestEvent
 		if ev.Tweet != nil {
 			e = TweetEvent(ev.Tweet, nil)
@@ -1005,7 +1066,9 @@ func TestCrashChild(t *testing.T) {
 // firehose, Open its data directory, and require answers byte-identical
 // to a reference system built fresh and fed the surviving WAL records
 // directly. The WAL is the acknowledgement boundary — whatever it holds
-// after the kill is exactly what the recovered system must serve.
+// after the kill is exactly what the recovered system must serve — and
+// every write the child acknowledged before the kill is in it: each
+// acknowledged posting and fed-back tweet is in the recovered system.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec crash test skipped in -short")
@@ -1031,11 +1094,19 @@ func TestCrashRecovery(t *testing.T) {
 	timer := time.AfterFunc(90*time.Second, func() { _ = cmd.Process.Kill() })
 	defer timer.Stop()
 
+	var acks []crashAck
 	sc := bufio.NewScanner(out)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "child-error:") {
 			t.Fatalf("crash child failed: %s", line)
+		}
+		if js, ok := strings.CutPrefix(line, "ack "); ok {
+			var a crashAck
+			if err := json.Unmarshal([]byte(js), &a); err != nil {
+				t.Fatalf("bad ack line %q: %v", line, err)
+			}
+			acks = append(acks, a)
 		}
 		if n, ok := strings.CutPrefix(line, "applied "); ok {
 			applied, err := strconv.ParseInt(n, 10, 64)
@@ -1063,8 +1134,21 @@ func TestCrashRecovery(t *testing.T) {
 	if rep.WALRecords == 0 {
 		t.Fatal("kill landed before any WAL append; nothing recovered")
 	}
-	t.Logf("recovered seq %d: %d records (%d tweets, %d follows), torn=%v, world=%v load=%v replay=%v",
-		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.TornTail, rep.World, rep.Load, rep.Replay)
+	t.Logf("recovered seq %d: %d records (%d tweets, %d follows, %d feedback), torn=%v, world=%v load=%v replay=%v; %d acknowledged writes",
+		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.Feedback, rep.TornTail, rep.World, rep.Load, rep.Replay, len(acks))
+	if len(acks) == 0 {
+		t.Fatal("the child acknowledged no synchronous write before the kill")
+	}
+	for _, a := range acks {
+		for _, e := range a.Links {
+			if e != NoEntity && !slices.ContainsFunc(sys2.CKB.Postings(e), func(p Posting) bool { return p.Tweet == a.Tweet }) {
+				t.Fatalf("acknowledged %s %d → entity %d is missing after recovery", a.Kind, a.Tweet, e)
+			}
+		}
+		if text, _ := sys2.Live.Text(a.Tweet); a.Kind == "tweet" && text != a.Text {
+			t.Fatalf("acknowledged tweet %d recovered with text %q, want %q", a.Tweet, text, a.Text)
+		}
+	}
 
 	// Reference: a fresh build of the same (pre-stream) state, fed the
 	// surviving WAL records verbatim.
