@@ -438,7 +438,7 @@ func BenchmarkAblationInfluenceCache(b *testing.B) {
 func BenchmarkRecencyScores(b *testing.B) {
 	w := microlink.Generate(microlink.WorldParams{Seed: 42, Users: 2000, Topics: 12, EntitiesPerTopic: 20, Days: 60})
 	rec := recency.NewScorer(w.ComplementTruth(w.Store.FilterByActivity(10, 0)),
-		recency.BuildPropNet(w.KB, 0.6), recency.Options{})
+		recency.BuildPropNet(w.KB, 0.6), recency.Options{}, nil)
 	type query struct {
 		now   int64
 		cands []microlink.EntityID

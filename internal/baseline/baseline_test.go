@@ -147,7 +147,7 @@ func historyStore() *tweets.Store {
 func TestCollectiveUsesUserHistory(t *testing.T) {
 	k := fixtureKB()
 	store := historyStore()
-	l := NewCollective(k, fixtureIndex(k), store, CollectiveOptions{})
+	l := NewCollective(k, fixtureIndex(k), store)
 	if l.Name() != "collective" {
 		t.Fatal("name")
 	}
@@ -175,7 +175,7 @@ func TestCollectiveUsesUserHistory(t *testing.T) {
 func TestCollectiveInactiveUserFallsBackToPrior(t *testing.T) {
 	k := fixtureKB()
 	store := historyStore()
-	l := NewCollective(k, fixtureIndex(k), store, CollectiveOptions{})
+	l := NewCollective(k, fixtureIndex(k), store)
 	// User 3 has a single bare tweet: nothing to propagate, the popularity
 	// prior decides — the weakness our framework targets.
 	tw := store.ByUser(3)[0]
@@ -187,7 +187,7 @@ func TestCollectiveInactiveUserFallsBackToPrior(t *testing.T) {
 func TestCollectiveUnknownTweetSingleton(t *testing.T) {
 	k := fixtureKB()
 	store := historyStore()
-	l := NewCollective(k, fixtureIndex(k), store, CollectiveOptions{})
+	l := NewCollective(k, fixtureIndex(k), store)
 	fresh := &tweets.Tweet{ID: 999, User: 42, Text: "jordan", Mentions: []tweets.Mention{mention("jordan")}}
 	got := l.LinkTweet(fresh)
 	if len(got) != 1 || got[0] != eMJBB {
@@ -198,7 +198,7 @@ func TestCollectiveUnknownTweetSingleton(t *testing.T) {
 func TestCollectiveLinkUserShape(t *testing.T) {
 	k := fixtureKB()
 	store := historyStore()
-	l := NewCollective(k, fixtureIndex(k), store, CollectiveOptions{})
+	l := NewCollective(k, fixtureIndex(k), store)
 	res := l.LinkUser(1)
 	if len(res) != len(store.ByUser(1)) {
 		t.Fatalf("result rows = %d", len(res))

@@ -8,32 +8,17 @@ import (
 	"microlink/internal/tweets"
 )
 
-// CollectiveOptions tunes the Shen et al. [2]-style batch linker.
-type CollectiveOptions struct {
-	// Lambda trades off the initial intra-tweet score against propagated
-	// user interest in the PageRank-like iteration (default 0.4).
-	Lambda float64
-	// Iterations bounds the propagation loop (default 10).
-	Iterations int
-	// MinRelatedness prunes candidate-graph edges below this WLM value
-	// (default 0.05) to keep the per-user graph sparse.
-	MinRelatedness float64
-	// Intra configures the intra-tweet seed scores.
-	Intra OnTheFlyOptions
-}
-
-func (o *CollectiveOptions) fill() {
-	if o.Lambda <= 0 {
-		o.Lambda = 0.4
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 10
-	}
-	if o.MinRelatedness <= 0 {
-		o.MinRelatedness = 0.05
-	}
-	o.Intra.fill()
-}
+// Parameters of the Shen et al. [2]-style batch linker.
+const (
+	// collectiveLambda trades off the initial intra-tweet score against
+	// propagated user interest in the PageRank-like iteration.
+	collectiveLambda = 0.4
+	// collectiveIterations bounds the propagation loop.
+	collectiveIterations = 10
+	// minRelatedness prunes candidate-graph edges below this WLM value to
+	// keep the per-user graph sparse.
+	minRelatedness = 0.05
+)
 
 // Collective is the batch linker of [2]: it assumes each user has an
 // underlying interest distribution over entities, scattered across her
@@ -46,18 +31,16 @@ type Collective struct {
 	cand  *candidate.Index
 	store *tweets.Store
 	intra *OnTheFly
-	opts  CollectiveOptions
 }
 
-// NewCollective returns the collective baseline over a tweet corpus.
-func NewCollective(k *kb.KB, cand *candidate.Index, store *tweets.Store, opts CollectiveOptions) *Collective {
-	opts.fill()
+// NewCollective returns the collective baseline over a tweet corpus; its
+// intra-tweet seed scores are the default on-the-fly linker's.
+func NewCollective(k *kb.KB, cand *candidate.Index, store *tweets.Store) *Collective {
 	return &Collective{
 		kb:    k,
 		cand:  cand,
 		store: store,
-		intra: NewOnTheFly(k, cand, opts.Intra),
-		opts:  opts,
+		intra: NewOnTheFly(k, cand, OnTheFlyOptions{}),
 	}
 }
 
@@ -163,7 +146,7 @@ func (l *Collective) propagate(nodes []node) {
 				continue // same mention: candidates compete, never support
 			}
 			w := l.kb.Relatedness(nodes[i].ent, nodes[j].ent)
-			if w < l.opts.MinRelatedness {
+			if w < minRelatedness {
 				continue
 			}
 			adj[i] = append(adj[i], edge{to: j, w: w})
@@ -184,8 +167,8 @@ func (l *Collective) propagate(nodes []node) {
 		cur[i] = nd.score
 	}
 	nxt := make([]float64, n)
-	lam := l.opts.Lambda
-	for it := 0; it < l.opts.Iterations; it++ {
+	const lam = collectiveLambda
+	for it := 0; it < collectiveIterations; it++ {
 		for i := 0; i < n; i++ {
 			acc := 0.0
 			for _, e := range adj[i] {

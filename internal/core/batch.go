@@ -64,7 +64,7 @@ type BatchResult struct {
 // entirely inside one read-locked critical section).
 func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchResult {
 	res := make([]BatchResult, len(queries))
-	l.metrics().batchSize.Observe(float64(len(queries)))
+	l.met.batchSize.Observe(float64(len(queries)))
 	if len(queries) == 0 {
 		return res
 	}
@@ -132,9 +132,9 @@ func (l *Linker) LinkBatch(ctx context.Context, queries []MentionQuery) []BatchR
 		go func() {
 			defer wg.Done()
 			for g := range ch {
-				l.metrics().batchWorkers.Inc()
+				l.met.batchWorkers.Inc()
 				l.scoreNow(ctx, g, queries, res)
-				l.metrics().batchWorkers.Dec()
+				l.met.batchWorkers.Dec()
 			}
 		}()
 	}
@@ -194,12 +194,12 @@ func (l *Linker) scoreSurface(ctx context.Context, at *recency.View, sg surfaceG
 		return
 	}
 	for _, i := range sg.idxs {
-		l.metrics().mentions.Inc()
+		l.met.mentions.Inc()
 		switch {
 		case ctx.Err() != nil:
 			res[i] = BatchResult{Entity: kb.NoEntity, Err: ctx.Err()}
 		case sh == nil:
-			l.metrics().misses.Inc()
+			l.met.misses.Inc()
 			res[i] = BatchResult{Entity: kb.NoEntity}
 		default:
 			i := i
@@ -211,7 +211,7 @@ func (l *Linker) scoreSurface(ctx context.Context, at *recency.View, sg surfaceG
 }
 
 func (l *Linker) scoreItem(ctx context.Context, u kb.UserID, sh *sharedScores) BatchResult {
-	span := obs.StartSpan(l.metrics().link)
+	span := obs.StartSpan(l.met.link)
 	scored, err := l.finishLocked(ctx, u, sh)
 	span.Stop()
 	if err != nil {

@@ -75,7 +75,7 @@ func TestLinkBatchMatchesSerial(t *testing.T) {
 	if len(clusters) < 2 || !unclustered {
 		t.Fatalf("s0 spans %d clusters (unclustered candidate: %v), want ≥ 2 and one", len(clusters), unclustered)
 	}
-	noProp := recency.NewScorer(f.ckb, nil, recency.Options{Tau: 100, Theta1: 3, NoPropagation: true})
+	noProp := recency.NewScorer(f.ckb, nil, recency.Options{Tau: 100, Theta1: 3, NoPropagation: true}, nil)
 	type variant struct {
 		name string
 		rec  *recency.Scorer
@@ -91,12 +91,12 @@ func TestLinkBatchMatchesSerial(t *testing.T) {
 	} {
 		for _, shape := range batchShapes() {
 			name, qs := v.name+"/"+shape.name, shape.qs
-			serial := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt})
+			serial := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt}, nil)
 			want := make([][]Scored, len(qs))
 			for i, q := range qs {
 				want[i] = serial.ScoreCandidates(q.User, q.Now, q.Surface)
 			}
-			batch := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt})
+			batch := New(f.ckb, f.cand, f.st, f.inf, v.rec, Config{Batch: v.opt}, nil)
 			got := batch.LinkBatch(context.Background(), qs)
 			if len(got) != len(qs) {
 				t.Fatalf("%s: %d results for %d queries", name, len(got), len(qs))

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"microlink/internal/candidate"
@@ -154,7 +157,7 @@ func identityQueries() []MentionQuery {
 // TestScoreCandidatesMatchesReference: ScoreCandidates equals the
 // test-side Eq. 1 to the bit with the interest cache on (scored twice:
 // misses, then hits) and off, over the influential users and over the
-// whole community.
+// whole community. CacheStats equals its /metrics lines.
 func TestScoreCandidatesMatchesReference(t *testing.T) {
 	f := newRaceFixture()
 	for _, cfg := range []Config{
@@ -163,8 +166,8 @@ func TestScoreCandidatesMatchesReference(t *testing.T) {
 		{WholeCommunity: true},
 		{WholeCommunity: true, Batch: BatchOptions{DisableInterestCache: true}},
 	} {
-		l := f.linker(cfg)
-		l.Instrument(obs.NewRegistry())
+		reg := obs.NewRegistry()
+		l := New(f.ckb, f.cand, f.st, f.inf, f.rec, cfg, reg)
 		name := fmt.Sprintf("whole=%v nocache=%v", cfg.WholeCommunity, cfg.Batch.DisableInterestCache)
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range identityQueries() {
@@ -176,6 +179,10 @@ func TestScoreCandidatesMatchesReference(t *testing.T) {
 		if cached := !cfg.Batch.DisableInterestCache; cached != (hits > 0 && misses > 0) {
 			t.Fatalf("%s: cache hits %d, misses %d", name, hits, misses)
 		}
+		if h, m := exposed(t, reg, "microlink_linker_interest_cache_hits_total"),
+			exposed(t, reg, "microlink_linker_interest_cache_misses_total"); h != hits || m != misses {
+			t.Fatalf("%s: exposition reads %d hits, %d misses; CacheStats %d, %d", name, h, m, hits, misses)
+		}
 	}
 }
 
@@ -185,7 +192,6 @@ func TestScoreCandidatesMatchesReference(t *testing.T) {
 func TestLinkBatchMixedCacheMatchesReference(t *testing.T) {
 	f := newRaceFixture()
 	l := f.linker(Config{Batch: BatchOptions{Workers: 4}})
-	l.Instrument(obs.NewRegistry())
 	qs := identityQueries()
 	for i, q := range qs {
 		if i%3 == 0 { // warm every third item
@@ -205,4 +211,24 @@ func TestLinkBatchMixedCacheMatchesReference(t *testing.T) {
 		}
 		sameScored(t, fmt.Sprintf("item %d %+v", i, qs[i]), r.Scored, f.refScores(l.Config(), qs[i].User, qs[i].Now, qs[i].Surface))
 	}
+}
+
+// exposed returns the value of one series of reg's Prometheus exposition.
+func exposed(t *testing.T, reg *obs.Registry, series string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not exposed", series)
+	return 0
 }

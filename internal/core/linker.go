@@ -30,7 +30,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"microlink/internal/candidate"
 	"microlink/internal/influence"
@@ -121,15 +120,17 @@ type Linker struct {
 	// microlint:lock-order linker < influence
 	mu sync.RWMutex // microlint:lock-order linker
 
-	// met is the instrumentation set, published atomically by Instrument
-	// so hot-path readers never race the one-time wiring. Nil until
-	// Instrument runs; read through metrics(), never directly.
-	met atomic.Pointer[linkerMetrics]
+	// met is the hot-path instrumentation, registered by New and
+	// immutable after it; every field is nil (each update a no-op) when
+	// New got a nil registry.
+	met linkerMetrics
 }
 
-// linkerMetrics holds the hot-path instrumentation. All fields are nil
-// until Instrument wires a registry; the obs types are nil-safe, so the
-// scoring path records unconditionally.
+// linkerMetrics holds the hot-path instrumentation: per-stage latency
+// histograms for the four Eq. 1 sections (candidate, popularity,
+// recency, interest), the end-to-end per-mention latency,
+// mention/tweet/feedback counters, interest-cache hit/miss counters, the
+// batch-size histogram, and the batch pool-depth gauge.
 type linkerMetrics struct {
 	stage        *obs.HistogramVec // microlink_linker_stage_seconds{stage}
 	link         *obs.Histogram    // microlink_linker_link_seconds
@@ -143,29 +144,8 @@ type linkerMetrics struct {
 	batchWorkers *obs.Gauge        // microlink_linker_batch_workers_active
 }
 
-// New assembles a Linker from its substrates.
-func New(ckb *kb.Complemented, cand *candidate.Index, rx reach.Index, inf *influence.Estimator, rec *recency.Scorer, cfg Config) *Linker {
-	cfg.fill()
-	l := &Linker{ckb: ckb, cand: cand, reach: rx, inf: inf, rec: rec, cfg: cfg}
-	if !cfg.Batch.DisableInterestCache {
-		l.cache = newInterestCache(ckb.KB().NumEntities(), cacheEntriesPerShard)
-	}
-	return l
-}
-
-// Name implements the eval.Linker convention.
-func (l *Linker) Name() string { return "social-temporal" }
-
-// Config returns the effective configuration.
-func (l *Linker) Config() Config { return l.cfg }
-
-// Instrument registers the linker's hot-path metrics in reg and starts
-// recording: per-stage latency histograms for the four Eq. 1 sections
-// (candidate, popularity, recency, interest), the end-to-end per-mention
-// latency, mention/tweet/feedback counters, interest-cache hit/miss
-// counters, the batch-size histogram, and the batch pool-depth gauge.
-func (l *Linker) Instrument(reg *obs.Registry) {
-	l.met.Store(&linkerMetrics{
+func newLinkerMetrics(reg *obs.Registry) linkerMetrics {
+	return linkerMetrics{
 		stage: reg.HistogramVec("microlink_linker_stage_seconds",
 			"Per-stage Eq. 1 scoring latency.", nil, "stage"),
 		link: reg.Histogram("microlink_linker_link_seconds",
@@ -186,33 +166,39 @@ func (l *Linker) Instrument(reg *obs.Registry) {
 			"Queries per LinkBatch call.", obs.ExpBuckets(1, 2, 12)),
 		batchWorkers: reg.Gauge("microlink_linker_batch_workers_active",
 			"Batch pool workers currently scoring a now-group."),
-	})
-}
-
-// metrics returns the active instrumentation, or a shared zero value
-// before Instrument runs — the obs types are nil-safe, so callers
-// record unconditionally either way.
-func (l *Linker) metrics() *linkerMetrics {
-	if m := l.met.Load(); m != nil {
-		return m
 	}
-	return &zeroLinkerMetrics
 }
 
-// zeroLinkerMetrics backs metrics() on uninstrumented linkers.
-var zeroLinkerMetrics linkerMetrics
+// New assembles a Linker from its substrates and registers its metrics
+// in reg; a nil reg leaves the linker uninstrumented.
+func New(ckb *kb.Complemented, cand *candidate.Index, rx reach.Index, inf *influence.Estimator, rec *recency.Scorer, cfg Config, reg *obs.Registry) *Linker {
+	cfg.fill()
+	l := &Linker{ckb: ckb, cand: cand, reach: rx, inf: inf, rec: rec, cfg: cfg, met: newLinkerMetrics(reg)}
+	if !cfg.Batch.DisableInterestCache {
+		l.cache = newInterestCache(ckb.KB().NumEntities(), cacheEntriesPerShard)
+	}
+	return l
+}
+
+// Name implements the eval.Linker convention.
+func (l *Linker) Name() string { return "social-temporal" }
+
+// Config returns the effective configuration.
+func (l *Linker) Config() Config { return l.cfg }
 
 // StageStats returns a snapshot of the per-stage latency histograms keyed
 // by stage name (candidate, popularity, recency, interest), or nil when
 // the linker is uninstrumented.
 func (l *Linker) StageStats() map[string]obs.HistogramSnapshot {
-	return l.metrics().stage.Snapshots()
+	return l.met.stage.Snapshots()
 }
 
-// CacheStats returns the interest cache's hit/miss counts since
-// Instrument. Both are zero on an uninstrumented or cache-disabled linker.
+// CacheStats returns the interest cache's hit/miss counts: the
+// microlink_linker_interest_cache_{hits,misses}_total counters of the
+// registry New was given. Both are zero on an uninstrumented or
+// cache-disabled linker.
 func (l *Linker) CacheStats() (hits, misses uint64) {
-	return l.metrics().cacheHits.Value(), l.metrics().cacheMisses.Value()
+	return l.met.cacheHits.Value(), l.met.cacheMisses.Value()
 }
 
 // sharedScores is the user-independent part of one Eq. 1 evaluation: the
@@ -231,7 +217,7 @@ type sharedScores struct {
 // recency through at. Returns nil when the surface has no candidates.
 // Callers hold mu.RLock.
 func (l *Linker) sharedLocked(at *recency.View, surface string) *sharedScores {
-	sw := obs.StartStopwatch(l.metrics().stage)
+	sw := obs.StartStopwatch(l.met.stage)
 
 	cands := l.cand.Candidates(surface)
 	sw.Stage("candidate")
@@ -265,7 +251,7 @@ func (l *Linker) sharedLocked(at *recency.View, surface string) *sharedScores {
 // combines Eq. 1, sorted by descending score (ties by ascending entity
 // ID). Callers hold mu.RLock.
 func (l *Linker) finishLocked(ctx context.Context, u kb.UserID, sh *sharedScores) ([]Scored, error) {
-	sw := obs.StartStopwatch(l.metrics().stage)
+	sw := obs.StartStopwatch(l.met.stage)
 	ints, err := l.interests(ctx, u, sh)
 	if err != nil {
 		return nil, err
@@ -321,7 +307,7 @@ func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) (
 			}
 		}
 		if v, ok := l.cache.get(u, e, sh.setHash); ok {
-			l.metrics().cacheHits.Inc()
+			l.met.cacheHits.Inc()
 			ints[i] = v
 			continue
 		}
@@ -352,7 +338,7 @@ func (l *Linker) interests(ctx context.Context, u kb.UserID, sh *sharedScores) (
 		ints[m.cand] = v
 		if l.cache != nil {
 			l.cache.put(u, sh.ents[m.cand], sh.setHash, v)
-			l.metrics().cacheMisses.Inc()
+			l.met.cacheMisses.Inc()
 		}
 	}
 	var sum float64
@@ -400,13 +386,13 @@ func (l *Linker) ScoreCandidatesCtx(ctx context.Context, u kb.UserID, now int64,
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	l.metrics().mentions.Inc()
-	total := obs.StartSpan(l.metrics().link)
+	l.met.mentions.Inc()
+	total := obs.StartSpan(l.met.link)
 	defer total.Stop()
 
 	sh := l.sharedLocked(l.rec.At(now), surface)
 	if sh == nil {
-		l.metrics().misses.Inc()
+		l.met.misses.Inc()
 		return nil, nil
 	}
 	return l.finishLocked(ctx, u, sh)
@@ -475,7 +461,7 @@ func (l *Linker) TopK(u kb.UserID, now int64, surface string, k int) []Scored {
 // LinkTweet links every mention of tw independently (§1.1's third
 // difference: no joint inference), returning one entity per mention.
 func (l *Linker) LinkTweet(tw *tweets.Tweet) []kb.EntityID {
-	l.metrics().tweets.Inc()
+	l.met.tweets.Inc()
 	out := make([]kb.EntityID, len(tw.Mentions))
 	for i, m := range tw.Mentions {
 		e, ok := l.LinkMention(tw.User, tw.Time, m.Surface)
@@ -504,7 +490,7 @@ func (l *Linker) Feedback(tw *tweets.Tweet, links []kb.EntityID) {
 		for _, x := range l.inf.Invalidate(e) {
 			l.cache.invalidateEntity(x)
 		}
-		l.metrics().feedback.Inc()
+		l.met.feedback.Inc()
 	}
 }
 

@@ -77,12 +77,12 @@ func newFixture(popBB, popML int) *fixture {
 		cand: candidate.NewIndex(k, candidate.Options{MaxEdit: 1}),
 	}
 	f.inf = influence.New(ckb, influence.Entropy)
-	f.rec = recency.NewScorer(ckb, recency.BuildPropNet(k, 0.3), recency.Options{Tau: 100, Theta1: 3})
+	f.rec = recency.NewScorer(ckb, recency.BuildPropNet(k, 0.3), recency.Options{Tau: 100, Theta1: 3}, nil)
 	return f
 }
 
 func (f *fixture) linker(cfg Config) *Linker {
-	return New(f.ckb, f.cand, f.rx, f.inf, f.rec, cfg)
+	return New(f.ckb, f.cand, f.rx, f.inf, f.rec, cfg, nil)
 }
 
 func TestInterestOnlyFollowsSocialSignal(t *testing.T) {
@@ -259,7 +259,7 @@ func TestFeedbackRefreshesSiblingCandidates(t *testing.T) {
 	l.Feedback(&tweets.Tweet{ID: 900, User: 2, Time: 100}, []kb.EntityID{0})
 
 	got := l.ScoreCandidates(0, 100, "jordan")
-	fresh := New(f.ckb, f.cand, f.rx, influence.New(f.ckb, influence.Entropy), f.rec, cfg)
+	fresh := New(f.ckb, f.cand, f.rx, influence.New(f.ckb, influence.Entropy), f.rec, cfg, nil)
 	want := fresh.ScoreCandidates(0, 100, "jordan")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Feedback: live %+v, fresh linker %+v", got, want)

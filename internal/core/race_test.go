@@ -11,6 +11,7 @@ import (
 	"microlink/internal/graph"
 	"microlink/internal/influence"
 	"microlink/internal/kb"
+	"microlink/internal/obs"
 	"microlink/internal/reach"
 	"microlink/internal/recency"
 	"microlink/internal/tweets"
@@ -79,12 +80,14 @@ func newRaceFixture() *raceFixture {
 		st:   reach.NewStreaming(g, reach.TwoHopOptions{MaxHops: 3}),
 		inf:  influence.New(ckb, influence.Entropy),
 		net:  net,
-		rec:  recency.NewScorer(ckb, net, recency.Options{Tau: 100, Theta1: 3}),
+		rec:  recency.NewScorer(ckb, net, recency.Options{Tau: 100, Theta1: 3}, obs.NewRegistry()),
 	}
 }
 
+// linker builds a linker over the fixture, instrumented into a registry
+// of its own.
 func (f *raceFixture) linker(cfg Config) *Linker {
-	return New(f.ckb, f.cand, f.st, f.inf, f.rec, cfg)
+	return New(f.ckb, f.cand, f.st, f.inf, f.rec, cfg, obs.NewRegistry())
 }
 
 // TestLinkBatchRaceWithFeedbackAndFollow is the -race stress test for the

@@ -51,7 +51,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"microlink"
@@ -104,10 +103,7 @@ type Server struct {
 	logf func(format string, args ...any)
 
 	started time.Time
-	nLink   atomic.Int64
-	nBatch  atomic.Int64
-	nTweet  atomic.Int64
-	nSearch atomic.Int64
+	mw      *obs.HTTPMetrics // the middleware's instruments; /v1/stats reads its counts
 }
 
 // Option customises a Server.
@@ -125,9 +121,9 @@ func New(sys *microlink.System, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	mw := obs.NewHTTPMetrics(sys.Metrics, "microlink")
+	s.mw = obs.NewHTTPMetrics(sys.Metrics, "microlink")
 	handle := func(pattern, endpoint string, h http.HandlerFunc) {
-		s.mux.Handle(pattern, mw.WrapFunc(endpoint, h))
+		s.mux.Handle(pattern, s.mw.WrapFunc(endpoint, h))
 	}
 	handle("GET /healthz", "/healthz", s.handleHealth)
 	handle("GET /v1/link", "/v1/link", s.handleLink)
@@ -293,7 +289,6 @@ type LinkResponse struct {
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
-	s.nLink.Add(1)
 	user, aerr := s.parseUser(r)
 	if aerr != nil {
 		aerr.send(s, w)
@@ -345,7 +340,6 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleLinkBatch(w http.ResponseWriter, r *http.Request) {
-	s.nBatch.Add(1)
 	var req BatchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -414,7 +408,6 @@ type TopKResponse struct {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.nLink.Add(1)
 	user, aerr := s.parseUser(r)
 	if aerr != nil {
 		aerr.send(s, w)
@@ -474,7 +467,6 @@ func (s *Server) timeOrHorizon(t *int64) int64 {
 }
 
 func (s *Server) handleTweet(w http.ResponseWriter, r *http.Request) {
-	s.nTweet.Add(1)
 	var req TweetRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -554,11 +546,14 @@ type SearchResult struct {
 	Tweet  int64              `json:"tweet"`
 	User   int32              `json:"user"`
 	Time   int64              `json:"time"`
-	Text   string             `json:"text"`
+	// Text is the tweet's text, absent when the server never stored the
+	// tweet: a /v1/tweet without feedback is read-only, so a later
+	// /v1/confirm of it posts a searchable link with no text. Post with
+	// feedback: true for searchable text.
+	Text string `json:"text,omitempty"`
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.nSearch.Add(1)
 	user, aerr := s.parseUser(r)
 	if aerr != nil {
 		aerr.send(s, w)
@@ -595,7 +590,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// StatsResponse is the body of /v1/stats.
+// StatsResponse is the body of /v1/stats. The request counts are the
+// HTTP middleware's, read from microlink_http_request_seconds{endpoint}:
+// a request is counted when it completes, so a /v1/stats response never
+// counts itself or any request still in flight. LinkRequests sums
+// /v1/link and /v1/topk.
 type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Users         int     `json:"users"`
@@ -614,10 +613,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Users:         s.sys.World.Graph.NumNodes(),
 		Entities:      s.sys.World.KB.NumEntities(),
 		Postings:      s.sys.CKB.TotalCount(),
-		LinkRequests:  s.nLink.Load(),
-		BatchRequests: s.nBatch.Load(),
-		TweetIngests:  s.nTweet.Load(),
-		Searches:      s.nSearch.Load(),
+		LinkRequests:  int64(s.mw.Requests("/v1/link") + s.mw.Requests("/v1/topk")),
+		BatchRequests: int64(s.mw.Requests("/v1/link/batch")),
+		TweetIngests:  int64(s.mw.Requests("/v1/tweet")),
+		Searches:      int64(s.mw.Requests("/v1/search")),
 		ReachIndexMB:  float64(s.sys.Reach.SizeBytes()) / (1 << 20),
 	})
 }

@@ -212,6 +212,41 @@ func TestFeedbackTweetSearchable(t *testing.T) {
 	t.Fatalf("search for %q as user %d does not return tweet %d: %+v", surface, user, id, resp.Results)
 }
 
+// TestUnstoredTweetSearchableWithoutText replays the read-only tweet
+// case: a /v1/tweet without feedback stores nothing, so a later confirm
+// of it posts a searchable link to a tweet the server has no text for,
+// and the search result carries no text key (not "text":"").
+func TestUnstoredTweetSearchableWithoutText(t *testing.T) {
+	s := ingestServer(t)
+	user, surface := linkableIngestMention(t)
+	const id = 666001
+	rec := postJSON(t, s, "/v1/tweet", TweetRequest{ID: id, User: int32(user), Text: "read-only " + surface})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tweet status = %d: %s", rec.Code, rec.Body.String())
+	}
+	top := ingestSys.Linker.TopK(user, ingestSys.World.Horizon(), surface, 1)
+	rec = postJSON(t, s, "/v1/confirm", ConfirmRequest{Tweet: id, User: int32(user), Entity: top[0].Entity})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("confirm status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp struct {
+		Results []map[string]json.RawMessage `json:"results"`
+	}
+	if rec := get(t, s, fmt.Sprintf("/v1/search?user=%d&k=1&limit=100000&q=%s", user, url.QueryEscape(surface)), &resp); rec.Code != http.StatusOK {
+		t.Fatalf("search status = %d", rec.Code)
+	}
+	for _, r := range resp.Results {
+		if string(r["tweet"]) != fmt.Sprint(id) {
+			continue
+		}
+		if text, ok := r["text"]; ok {
+			t.Fatalf("search answers unstored tweet %d with text %s, want no text key", id, text)
+		}
+		return
+	}
+	t.Fatalf("search for %q as user %d does not return tweet %d", surface, user, id)
+}
+
 // linkableIngestMention finds a user and a surface whose top-1 clears
 // the new-entity threshold on the ingest fixture, so a tweet of that
 // user mentioning it links to the entity a search for it returns.

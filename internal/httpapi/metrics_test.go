@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +17,8 @@ import (
 // is valid Prometheus text exposition (every sample line parses) and that
 // the catalogue promised by the observability subsystem is present:
 // per-endpoint HTTP latency histograms and the linker's per-stage
-// timings.
+// timings. /v1/stats taken just before the scrape reads the same
+// per-endpoint counts as the exposition's _count lines.
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t)
 	surface := ambiguousSurface(t)
@@ -25,6 +27,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		get(t, s, "/v1/link?user=100&mention="+surface, nil)
 	}
 	get(t, s, "/v1/link?mention=nouser", nil) // a 4xx
+	get(t, s, "/v1/topk?user=100&mention="+surface, nil)
+	get(t, s, "/v1/search?user=100&q="+surface, nil)
+	postBatch(t, s, BatchRequest{Queries: []BatchQuery{{User: 100, Mention: surface}}}, context.Background())
+	postJSON(t, s, "/v1/tweet", TweetRequest{ID: 1, User: 100, Text: surface})
+	var stats StatsResponse
+	get(t, s, "/v1/stats", &stats)
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
@@ -54,6 +62,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+
+	count := func(endpoint string) int64 {
+		return int64(parseValue(t, body, `microlink_http_request_seconds_count{endpoint="`+endpoint+`"}`))
+	}
+	for _, c := range []struct {
+		field string
+		got   int64
+		want  int64
+	}{
+		{"link_requests", stats.LinkRequests, count("/v1/link") + count("/v1/topk")},
+		{"batch_requests", stats.BatchRequests, count("/v1/link/batch")},
+		{"tweet_ingests", stats.TweetIngests, count("/v1/tweet")},
+		{"searches", stats.Searches, count("/v1/search")},
+	} {
+		if c.got != c.want || c.got == 0 {
+			t.Errorf("/v1/stats %s = %d, exposition _count lines sum to %d", c.field, c.got, c.want)
 		}
 	}
 

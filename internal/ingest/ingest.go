@@ -99,13 +99,13 @@ type Journal interface {
 	Append(recs []store.Record) error
 }
 
-// Deps wires a Pipeline into a serving stack. Linker, Stream and Live are
-// required (the stack's own live corpus: tweets applied anywhere else are
-// invisible to search); Metrics may be nil (all instruments become
-// no-ops), and Journal may be nil (no durable tee; a persistence layer
+// Deps wires a Pipeline into a serving stack. New requires Linker,
+// Stream, Live (the stack's own live corpus: tweets applied anywhere else
+// are invisible to search) and Metrics (the registry holding the counts
+// Stats reads); Journal may be nil (no durable tee; a persistence layer
 // can attach one later via Barrier).
 // Apply and Rebuild also run on a Deps without a pipeline (WAL replay,
-// System.RebuildReach).
+// System.RebuildReach), where Metrics may be nil.
 type Deps struct {
 	Linker  *core.Linker
 	Stream  *reach.Streaming
@@ -125,18 +125,19 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 var ErrInvalidEvent = errors.New("ingest: invalid event")
 
 // errDeps reports a New call missing a required dependency.
-var errDeps = errors.New("ingest: Deps.Linker, Deps.Stream and Deps.Live are required")
+var errDeps = errors.New("ingest: Deps.Linker, Deps.Stream, Deps.Live and Deps.Metrics are required")
 
-// Stats is a point-in-time snapshot of pipeline progress.
+// Stats is a point-in-time snapshot of pipeline progress. The counts are
+// the microlink_ingest_* counters of Deps.Metrics, named beside each.
 type Stats struct {
-	AppliedTweets   int64 // tweets appended to the live corpus
-	AppliedFollows  int64 // follow events applied, including duplicates and those rejected for an unknown user
-	AppliedFeedback int64 // explicit feedback events applied
-	InsertedEdges   int64 // follow edges that were new to the live graph
-	Dropped         int64 // events shed at intake (Offer on a full queue)
-	Rebuilds        int64 // background arena rebuilds completed
+	AppliedTweets   int64 // tweets appended to the live corpus (events_total{kind="tweet"})
+	AppliedFollows  int64 // follow events applied, including duplicates and those rejected for an unknown user (events_total{kind="follow"})
+	AppliedFeedback int64 // explicit feedback events applied (events_total{kind="feedback"})
+	InsertedEdges   int64 // follow edges that were new to the live graph (edges_inserted_total)
+	Dropped         int64 // events shed at intake, Offer on a full queue (dropped_total)
+	Rebuilds        int64 // background arena rebuilds completed (rebuilds_total)
 	Swaps           int64 // arenas installed by copy-on-swap (normally equal to Rebuilds)
 	QueueDepth      int   // events currently buffered
 	Staleness       int64 // edges applied but not yet in the frozen arena
-	JournalFailures int64 // batches whose WAL tee failed (state applied, durability lost)
+	JournalFailures int64 // batches whose WAL tee failed, state applied and durability lost (journal_failures_total)
 }

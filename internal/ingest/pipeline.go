@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"microlink/internal/obs"
 	"microlink/internal/store"
@@ -57,21 +56,14 @@ type Pipeline struct {
 	done        chan struct{}
 	rebuildDone chan struct{}
 
-	appliedTweets   atomic.Int64
-	appliedFollows  atomic.Int64
-	appliedFeedback atomic.Int64
-	insertedEdges   atomic.Int64
-	dropped         atomic.Int64
-	rebuilds        atomic.Int64
-	journalFails    atomic.Int64
-
 	met metrics
 }
 
-// New validates deps, fills cfg defaults, and starts the applier and
-// rebuild-manager goroutines. The pipeline runs until Close.
+// New validates deps, fills cfg defaults, registers the pipeline's
+// metrics in deps.Metrics, and starts the applier and rebuild-manager
+// goroutines. The pipeline runs until Close.
 func New(deps Deps, cfg Config) (*Pipeline, error) {
-	if deps.Linker == nil || deps.Stream == nil || deps.Live == nil {
+	if deps.Linker == nil || deps.Stream == nil || deps.Live == nil || deps.Metrics == nil {
 		return nil, errDeps
 	}
 	if cfg.Queue <= 0 {
@@ -122,7 +114,6 @@ func (p *Pipeline) Offer(ev store.Record) bool {
 	case p.in <- ev:
 		return true
 	default:
-		p.dropped.Add(1)
 		p.met.dropped.Inc()
 		return false
 	}
@@ -200,19 +191,21 @@ func (p *Pipeline) Close(ctx context.Context) error {
 	return nil
 }
 
-// Stats snapshots pipeline progress.
+// Stats snapshots pipeline progress. Its counts are the
+// microlink_ingest_* counters of Deps.Metrics, read back: what /metrics
+// exports, shared by every pipeline on that registry.
 func (p *Pipeline) Stats() Stats {
 	return Stats{
-		AppliedTweets:   p.appliedTweets.Load(),
-		AppliedFollows:  p.appliedFollows.Load(),
-		AppliedFeedback: p.appliedFeedback.Load(),
-		InsertedEdges:   p.insertedEdges.Load(),
-		Dropped:         p.dropped.Load(),
-		Rebuilds:        p.rebuilds.Load(),
+		AppliedTweets:   int64(p.met.evTweet.Value()),
+		AppliedFollows:  int64(p.met.evFollow.Value()),
+		AppliedFeedback: int64(p.met.evFeedback.Value()),
+		InsertedEdges:   int64(p.met.inserted.Value()),
+		Dropped:         int64(p.met.dropped.Value()),
+		Rebuilds:        int64(p.met.rebuilds.Value()),
 		Swaps:           p.deps.Stream.Swaps(),
 		QueueDepth:      len(p.in),
 		Staleness:       p.deps.Stream.Staleness(),
-		JournalFailures: p.journalFails.Load(),
+		JournalFailures: int64(p.met.journalFails.Value()),
 	}
 }
 
@@ -289,18 +282,14 @@ func (p *Pipeline) apply(batch []store.Record) ([]store.Record, error) {
 		// A failed append loses durability for this batch, not liveness:
 		// serving state is already updated, so count it and report it.
 		if jerr := p.journal.Append(recs); jerr != nil {
-			p.journalFails.Add(1)
 			p.met.journalFails.Inc()
 			err = jerr
 		}
 	}
-	p.appliedTweets.Add(int64(t.Tweets))
 	p.met.evTweet.Add(uint64(t.Tweets))
-	p.appliedFeedback.Add(int64(t.Feedback))
 	p.met.evFeedback.Add(uint64(t.Feedback))
 	if t.Follows > 0 {
-		p.insertedEdges.Add(int64(t.Inserted))
-		p.appliedFollows.Add(int64(t.Follows))
+		p.met.inserted.Add(uint64(t.Inserted))
 		p.met.evFollow.Add(uint64(t.Follows))
 		st := p.deps.Stream.Staleness()
 		p.met.staleness.Set(float64(st))
@@ -331,15 +320,16 @@ func (p *Pipeline) Barrier(fn func(setJournal func(Journal))) {
 	fn(func(j Journal) { p.journal = j })
 }
 
-// metrics are the pipeline's instruments (satellite of DESIGN.md §7).
-// All fields stay nil — and every update a no-op — when Deps.Metrics is
-// nil. The per-kind counters are resolved once here so the applier's hot
-// path never touches the registry.
+// metrics are the pipeline's instruments (satellite of DESIGN.md §7)
+// and the only copy of its counts: Stats reads them back. The per-kind
+// counters are resolved once here so the applier's hot path never
+// touches the registry.
 type metrics struct {
 	queueDepth     *obs.Gauge
 	evTweet        *obs.Counter
 	evFollow       *obs.Counter
 	evFeedback     *obs.Counter
+	inserted       *obs.Counter
 	dropped        *obs.Counter
 	rebuilds       *obs.Counter
 	rebuildSeconds *obs.Histogram
@@ -348,9 +338,6 @@ type metrics struct {
 }
 
 func newMetrics(reg *obs.Registry) metrics {
-	if reg == nil {
-		return metrics{}
-	}
 	ev := reg.CounterVec("microlink_ingest_events_total",
 		"Firehose events applied, by kind.", "kind")
 	return metrics{
@@ -359,6 +346,8 @@ func newMetrics(reg *obs.Registry) metrics {
 		evTweet:    ev.With(store.RecTweet.String()),
 		evFollow:   ev.With(store.RecFollow.String()),
 		evFeedback: ev.With(store.RecFeedback.String()),
+		inserted: reg.Counter("microlink_ingest_edges_inserted_total",
+			"Applied follow edges that were new to the live graph."),
 		dropped: reg.Counter("microlink_ingest_dropped_total",
 			"Events shed at intake because the queue was full."),
 		rebuilds: reg.Counter("microlink_ingest_rebuilds_total",

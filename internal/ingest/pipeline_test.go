@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -59,12 +60,13 @@ func newFixture(t *testing.T) *fixture {
 	}
 	st := reach.NewStreaming(gb.Build(), reach.TwoHopOptions{MaxHops: 3})
 	inf := influence.New(ckb, influence.Entropy)
-	rec := recency.NewScorer(ckb, nil, recency.Options{Tau: 100, Theta1: 3, NoPropagation: true})
+	reg := obs.NewRegistry()
+	rec := recency.NewScorer(ckb, nil, recency.Options{Tau: 100, Theta1: 3, NoPropagation: true}, reg)
 	return &fixture{
 		stream: st,
-		linker: core.New(ckb, candidate.NewIndex(k, candidate.Options{}), st, inf, rec, core.Config{}),
+		linker: core.New(ckb, candidate.NewIndex(k, candidate.Options{}), st, inf, rec, core.Config{}, reg),
 		live:   tweets.NewLiveStore(),
-		reg:    obs.NewRegistry(),
+		reg:    reg,
 	}
 }
 
@@ -95,7 +97,11 @@ func streamTweet(id int64, user kb.UserID) *tweets.Tweet {
 
 func TestNewRejectsMissingDeps(t *testing.T) {
 	f := newFixture(t)
-	for _, d := range []Deps{{}, {Linker: f.linker, Stream: f.stream}} {
+	for _, d := range []Deps{
+		{},
+		{Linker: f.linker, Stream: f.stream, Metrics: f.reg},
+		{Linker: f.linker, Stream: f.stream, Live: f.live},
+	} {
 		if _, err := New(d, Config{}); !errors.Is(err, errDeps) {
 			t.Fatalf("New(%+v) = %v, want errDeps", d, err)
 		}
@@ -374,28 +380,74 @@ func TestRun(t *testing.T) {
 	})
 }
 
-// TestMetricsRegistered checks the satellite metric names all exist in
-// the registry after a burst of traffic.
+// TestMetricsRegistered drives every counted path — tweets; follows, one
+// a duplicate and one outside the graph; feedback; a shed Offer; a
+// ForceRebuild; a failing journal — and checks that every Stats counter
+// holds the expected count and equals its /metrics line: Stats reads the
+// exported counters, it keeps no copy of its own.
 func TestMetricsRegistered(t *testing.T) {
 	f := newFixture(t)
-	p := f.pipeline(t, Config{})
+	p := f.pipeline(t, Config{Queue: 1, MaxBatch: 1})
 	ctx := context.Background()
-	if err := p.Submit(ctx, store.FollowRecord(1, 14)); err != nil {
-		t.Fatal(err)
+	for _, ev := range []store.Record{
+		store.TweetRecord(streamTweet(1, 2), nil),
+		store.TweetRecord(streamTweet(2, 5), nil),
+		store.FollowRecord(1, 14),
+		store.FollowRecord(1, 14), // duplicate
+		store.FollowRecord(2, 32), // outside the graph
+		store.FeedbackRecord(streamTweet(3, 4), []kb.EntityID{1}),
+	} {
+		if err := p.Submit(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Submit(ctx, store.TweetRecord(streamTweet(1, 2), nil)); err != nil {
-		t.Fatal(err)
+	release := holdApplier(p)
+	accepted := int64(0)
+	for p.Offer(store.FollowRecord(1, 14)) { // until one is shed
+		accepted++
+	}
+	release()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().AppliedFollows < 3+accepted {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued follows never applied: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.ForceRebuild()
+	disk := errors.New("disk full")
+	p.Barrier(func(set func(Journal)) { set(failingJournal{disk}) })
+	if _, err := p.Apply(store.TweetRecord(streamTweet(4, 6), nil)); !errors.Is(err, disk) {
+		t.Fatalf("Apply with a failing journal: %v, want %v", err, disk)
 	}
 	closePipeline(t, p)
-	p.ForceRebuild()
 
+	st := p.Stats()
+	for _, c := range []struct {
+		field  string
+		got    int64
+		want   int64
+		series string
+	}{
+		{"AppliedTweets", st.AppliedTweets, 3, `microlink_ingest_events_total{kind="tweet"}`},
+		{"AppliedFollows", st.AppliedFollows, 3 + accepted, `microlink_ingest_events_total{kind="follow"}`},
+		{"AppliedFeedback", st.AppliedFeedback, 1, `microlink_ingest_events_total{kind="feedback"}`},
+		{"InsertedEdges", st.InsertedEdges, 1, "microlink_ingest_edges_inserted_total"},
+		{"Dropped", st.Dropped, 1, "microlink_ingest_dropped_total"},
+		{"Rebuilds", st.Rebuilds, 1, "microlink_ingest_rebuilds_total"},
+		{"JournalFailures", st.JournalFailures, 1, "microlink_ingest_journal_failures_total"},
+	} {
+		if c.got != c.want {
+			t.Errorf("Stats.%s = %d, want %d", c.field, c.got, c.want)
+		}
+		if line := exposed(t, f.reg, c.series); line != c.got {
+			t.Errorf("Stats.%s = %d, but /metrics exposes %s %d", c.field, c.got, c.series, line)
+		}
+	}
 	for _, name := range []string{
 		"microlink_ingest_queue_depth",
-		"microlink_ingest_events_total",
-		"microlink_ingest_dropped_total",
 		"microlink_ingest_rebuild_seconds",
 		"microlink_ingest_staleness_events",
-		"microlink_ingest_rebuilds_total",
 	} {
 		if !registryHas(f.reg, name) {
 			t.Errorf("metric %s not registered", name)
@@ -418,7 +470,7 @@ func (j *recordingJournal) Append(recs []store.Record) error {
 func TestFollowOutsideGraphIsConsumed(t *testing.T) {
 	f := newFixture(t)
 	j := &recordingJournal{}
-	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: j}, Config{})
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Metrics: f.reg, Journal: j}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +498,26 @@ func registryHas(reg *obs.Registry, name string) bool {
 		return false
 	}
 	return strings.Contains(buf.String(), name)
+}
+
+// exposed returns the value of one series of reg's Prometheus exposition.
+func exposed(t *testing.T, reg *obs.Registry, series string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not exposed", series)
+	return 0
 }
 
 // TestIntakeRejectsMalformedEvents: an event the applier cannot apply —
@@ -502,7 +574,7 @@ func TestTweetJournaledWithResolvedLinks(t *testing.T) {
 		want[i] = f.linker.LinkTweet(tw) // nothing applied yet: the applier sees this state
 	}
 	j := &recordingJournal{}
-	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: j}, Config{})
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Metrics: f.reg, Journal: j}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +648,7 @@ func TestApplyReturnsAfterJournal(t *testing.T) {
 func TestApplyReturnsJournalError(t *testing.T) {
 	f := newFixture(t)
 	disk := errors.New("disk full")
-	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Journal: failingJournal{disk}}, Config{})
+	p, err := New(Deps{Linker: f.linker, Stream: f.stream, Live: f.live, Metrics: f.reg, Journal: failingJournal{disk}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,25 +48,22 @@ func (p *Pipeline) rebuild(force bool) {
 	sp := obs.StartSpan(p.met.rebuildSeconds)
 	p.deps.Rebuild()
 	sp.Stop()
-	p.rebuilds.Add(1)
 	p.met.rebuilds.Inc()
 	p.met.staleness.Set(float64(p.deps.Stream.Staleness()))
 }
 
 // Rebuild re-freezes the 2-hop arena from the live graph and
 // copy-on-swaps it into the serving path, then publishes the new
-// arena's build gauges to Metrics (when set). The expensive build runs
-// outside every serving lock — the snapshot briefly holds the streaming
-// substrate's read side, nothing more — and only the Install runs under
-// the linker's write lock (via UpdateReachability), which flushes the
-// interest cache in the same critical section so scorers atomically move
-// from the old arena to the new one.
+// arena's build gauges to Metrics (nothing when it is nil). The
+// expensive build runs outside every serving lock — the snapshot briefly
+// holds the streaming substrate's read side, nothing more — and only the
+// Install runs under the linker's write lock (via UpdateReachability),
+// which flushes the interest cache in the same critical section so
+// scorers atomically move from the old arena to the new one.
 func (d Deps) Rebuild() {
 	th, at := d.Stream.Rebuild()
 	d.Linker.UpdateReachability(func() {
 		d.Stream.Install(th, at)
 	})
-	if d.Metrics != nil {
-		reach.PublishTwoHopBuild(th, d.Metrics)
-	}
+	reach.PublishTwoHopBuild(th, d.Metrics)
 }

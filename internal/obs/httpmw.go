@@ -45,6 +45,13 @@ func (m *HTTPMetrics) Wrap(endpoint string, next http.Handler) http.Handler {
 	})
 }
 
+// Requests returns how many requests to endpoint have completed: the
+// count of its latency histogram, which the middleware observes after the
+// handler returns, so a request in flight is not yet counted.
+func (m *HTTPMetrics) Requests(endpoint string) uint64 {
+	return m.seconds.With(endpoint).Count()
+}
+
 // WrapFunc is Wrap for http.HandlerFunc.
 func (m *HTTPMetrics) WrapFunc(endpoint string, next http.HandlerFunc) http.Handler {
 	return m.Wrap(endpoint, next)

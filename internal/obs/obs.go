@@ -23,8 +23,9 @@
 // one or two atomic operations and never allocates; label resolution
 // (Vec.With) is a read-locked map lookup, so resolve children once and
 // retain them where nanoseconds matter. All types are safe for concurrent
-// use. Metric methods are nil-receiver-safe so instrumentation can be
-// compiled in unconditionally and enabled by wiring a registry.
+// use. Metric methods are nil-receiver-safe, and a nil registry hands out
+// nil instruments, so instrumentation is compiled in unconditionally and
+// enabled by passing a registry to the component's constructor.
 package obs
 
 import (
@@ -183,23 +184,38 @@ func (f *family) sortedChildren() []*child {
 	return out
 }
 
-// Counter returns the label-less counter registered under name.
+// Counter returns the label-less counter registered under name. This and
+// the five constructors below return a nil (no-op) instrument on a nil
+// registry, so a component built without one records nothing and needs
+// no branch of its own.
 func (r *Registry) Counter(name, help string) *Counter {
+	if r == nil {
+		return nil
+	}
 	return r.lookup(name, help, typeCounter, nil, nil).childFor(nil).c
 }
 
 // CounterVec returns the counter family with the given label names.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
 	return &CounterVec{fam: r.lookup(name, help, typeCounter, nil, labels)}
 }
 
 // Gauge returns the label-less gauge registered under name.
 func (r *Registry) Gauge(name, help string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	return r.lookup(name, help, typeGauge, nil, nil).childFor(nil).g
 }
 
 // GaugeVec returns the gauge family with the given label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
 	return &GaugeVec{fam: r.lookup(name, help, typeGauge, nil, labels)}
 }
 
@@ -207,11 +223,17 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // buckets are the upper bounds (ascending); nil selects DefTimeBuckets.
 // Bucket bounds are fixed at first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	return r.lookup(name, help, typeHistogram, normBuckets(buckets), nil).childFor(nil).h
 }
 
 // HistogramVec returns the histogram family with the given label names.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
 	return &HistogramVec{fam: r.lookup(name, help, typeHistogram, normBuckets(buckets), labels)}
 }
 

@@ -79,6 +79,16 @@ func TestNilSafety(t *testing.T) {
 	if s := h.Snapshot(); s.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram snapshot must quantile to 0")
 	}
+	var r *Registry
+	r.Counter("x_total", "").Inc()
+	r.CounterVec("x_total", "", "k").With("a").Inc()
+	r.Gauge("x", "").Set(1)
+	r.GaugeVec("x", "", "k").With("a").Set(1)
+	r.Histogram("x_seconds", "", nil).Observe(1)
+	r.HistogramVec("x_seconds", "", nil, "k").With("a").Observe(1)
+	if r.Counter("x_total", "") != nil || r.HistogramVec("x_seconds", "", nil, "k").Snapshots() != nil {
+		t.Fatal("a nil registry must hand out nil instruments")
+	}
 	sw := StartStopwatch(nil)
 	sw.Stage("a") // must not panic
 	if d := StartSpan(nil).Stop(); d < 0 {

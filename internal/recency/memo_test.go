@@ -1,12 +1,16 @@
 package recency
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"microlink/internal/kb"
+	"microlink/internal/obs"
 )
 
 // flipPostings is the burst-flip schedule over clusterKB's "jordan"
@@ -81,10 +85,12 @@ func argmax(v []float64) int {
 // of the dominant candidate, posting between steps, and scores every
 // step twice: each answer equals the oracle to the bit, the repeat is a
 // memo hit for every bursting cluster, and a call whose s0 moved is not.
+// MemoHits and Propagations equal their /metrics lines throughout.
 func TestMemoAcrossBurstFlip(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100})
+	reg := obs.NewRegistry()
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100}, reg)
 	o := oracle{s}
 	model := &memoModel{s: s, last: map[int32][]float64{}}
 	cands := []kb.EntityID{0, 3}
@@ -93,11 +99,14 @@ func TestMemoAcrossBurstFlip(t *testing.T) {
 		linkFlip(c, now, 0)
 		for rep := 0; rep < 2; rep++ {
 			wantHits, bursting := model.call(now, cands)
-			before := s.MemoHits()
+			before, runs := s.MemoHits(), s.Propagations()
 			got := s.Scores(now, cands)
 			sameBits(t, fmt.Sprintf("now=%d rep=%d", now, rep), got, o.scores(now, cands))
 			if d := s.MemoHits() - before; d != int64(wantHits) {
 				t.Fatalf("now=%d rep=%d: MemoHits advanced %d, want %d", now, rep, d, wantHits)
+			}
+			if d := s.Propagations() - runs; d != int64(bursting-wantHits) {
+				t.Fatalf("now=%d rep=%d: Propagations advanced %d, want %d", now, rep, d, bursting-wantHits)
 			}
 			if rep == 1 && wantHits != bursting {
 				t.Fatalf("now=%d: repeat hit %d of %d bursting clusters", now, wantHits, bursting)
@@ -116,6 +125,30 @@ func TestMemoAcrossBurstFlip(t *testing.T) {
 	if flips < 2 || misses == 0 {
 		t.Fatalf("schedule exercised %d lead changes and %d s0 changes, want a flip and a miss", flips, misses)
 	}
+	if hit, miss := exposed(t, reg, `microlink_recency_propagations_total{memo="hit"}`),
+		exposed(t, reg, `microlink_recency_propagations_total{memo="miss"}`); int64(hit) != s.MemoHits() || int64(miss) != s.Propagations() {
+		t.Fatalf("exposition reads %d hits, %d misses; MemoHits %d, Propagations %d", hit, miss, s.MemoHits(), s.Propagations())
+	}
+}
+
+// exposed returns the value of one series of reg's Prometheus exposition.
+func exposed(t *testing.T, reg *obs.Registry, series string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not exposed", series)
+	return 0
 }
 
 // TestMemoAcrossBurstFlipConcurrent is the race-lane variant: 8
@@ -130,7 +163,7 @@ func TestMemoAcrossBurstFlipConcurrent(t *testing.T) {
 	for at := int64(0); at < horizon; at++ {
 		linkFlip(c, at, 0)
 	}
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100}, obs.NewRegistry())
 	o := oracle{s}
 	cands := []kb.EntityID{0, 3}
 	want := make([][]float64, horizon)

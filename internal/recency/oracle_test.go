@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microlink/internal/kb"
+	"microlink/internal/obs"
 	"microlink/internal/synth"
 )
 
@@ -113,9 +114,9 @@ func (c oracleCase) scorer() *Scorer {
 	if c.single {
 		o := c.opts
 		o.NoPropagation = true
-		return NewScorer(c.ckb, nil, o)
+		return NewScorer(c.ckb, nil, o, obs.NewRegistry())
 	}
-	return NewScorer(c.ckb, c.net, c.opts)
+	return NewScorer(c.ckb, c.net, c.opts, obs.NewRegistry())
 }
 
 // seededClusterKB is clusterKB with random postings: mostly bursts of
@@ -278,8 +279,8 @@ func FuzzScoresMatchOracle(f *testing.F) {
 			cands[i] = kb.EntityID(b % 10)
 		}
 		scorers := []*Scorer{
-			NewScorer(c, net, Options{Theta1: 5, Tau: 100}),
-			NewScorer(c, net, Options{Theta1: 5, Tau: 100, NoPropagation: true}),
+			NewScorer(c, net, Options{Theta1: 5, Tau: 100}, nil),
+			NewScorer(c, net, Options{Theta1: 5, Tau: 100, NoPropagation: true}, nil),
 		}
 		check := func(what string) {
 			for _, s := range scorers {

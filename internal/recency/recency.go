@@ -242,17 +242,11 @@ type Scorer struct {
 	// memo holds one slot per cluster, nil until the cluster first
 	// propagates a burst. A published entry is never written again.
 	memo []atomic.Pointer[propMemo]
-	// memoHits and runs count bursting cluster propagations: answered
-	// from the memo, or by an Eq. 11 run.
-	memoHits, runs atomic.Int64
-	// met is the exported mirror of the two counts, published by
-	// Instrument; nil until then, read through metrics().
-	met atomic.Pointer[scorerMetrics]
+	// hits and runs are microlink_recency_propagations_total{memo}:
+	// bursting cluster propagations answered from the memo, or by an
+	// Eq. 11 run. Registered by NewScorer, nil (no-op) without a registry.
+	hits, runs *obs.Counter
 }
-
-// scorerMetrics is microlink_recency_propagations_total, one child per
-// memo outcome.
-type scorerMetrics struct{ hit, miss *obs.Counter }
 
 // propMemo is one cluster's last propagation: the gated window vector it
 // started from and the Eq. 11 result, both aligned with the members.
@@ -260,39 +254,23 @@ type propMemo struct {
 	s0, vec []float64
 }
 
-// NewScorer returns a Scorer. net may be nil only when opts.NoPropagation
-// is set.
-func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options) *Scorer {
+// NewScorer returns a Scorer counting its propagations into
+// microlink_recency_propagations_total{memo} of reg (memo="hit" is
+// MemoHits, memo="miss" Propagations); a nil reg counts nothing. net may
+// be nil only when opts.NoPropagation is set.
+func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options, reg *obs.Registry) *Scorer {
 	opts.fill()
 	if net == nil && !opts.NoPropagation {
 		panic("recency: propagation enabled but no propagation network given")
 	}
-	s := &Scorer{ckb: ckb, net: net, opts: opts}
+	v := reg.CounterVec("microlink_recency_propagations_total",
+		"Bursting recency-cluster propagations (Eq. 11), by whether the per-cluster memo answered them.", "memo")
+	s := &Scorer{ckb: ckb, net: net, opts: opts, hits: v.With("hit"), runs: v.With("miss")}
 	if net != nil {
 		s.memo = make([]atomic.Pointer[propMemo], len(net.clusters))
 	}
 	return s
 }
-
-// Instrument registers microlink_recency_propagations_total{memo} in reg
-// and starts counting into it: memo="hit" mirrors MemoHits, memo="miss"
-// Propagations, from the call on.
-func (s *Scorer) Instrument(reg *obs.Registry) {
-	v := reg.CounterVec("microlink_recency_propagations_total",
-		"Bursting recency-cluster propagations (Eq. 11), by whether the per-cluster memo answered them.", "memo")
-	s.met.Store(&scorerMetrics{hit: v.With("hit"), miss: v.With("miss")})
-}
-
-// metrics returns the published counters, or a shared zero value of
-// nil-safe ones before Instrument runs.
-func (s *Scorer) metrics() *scorerMetrics {
-	if m := s.met.Load(); m != nil {
-		return m
-	}
-	return &zeroScorerMetrics
-}
-
-var zeroScorerMetrics scorerMetrics
 
 // Options returns the effective (defaults-filled) options.
 func (s *Scorer) Options() Options { return s.opts }
@@ -307,12 +285,14 @@ func (s *Scorer) Clusters(e kb.EntityID) []kb.EntityID {
 }
 
 // MemoHits reports how many propagation runs the per-cluster memo saved:
-// calls whose cluster window vector equalled the stored one.
-func (s *Scorer) MemoHits() int64 { return s.memoHits.Load() }
+// calls whose cluster window vector equalled the stored one. It reads
+// microlink_recency_propagations_total{memo="hit"}: 0 without a registry.
+func (s *Scorer) MemoHits() int64 { return int64(s.hits.Value()) }
 
 // Propagations reports how many times Eq. 11 ran: bursting cluster
-// propagations the memo could not answer.
-func (s *Scorer) Propagations() int64 { return s.runs.Load() }
+// propagations the memo could not answer. It reads
+// microlink_recency_propagations_total{memo="miss"}: 0 without a registry.
+func (s *Scorer) Propagations() int64 { return int64(s.runs.Value()) }
 
 // raw returns the gated burst signal of Eq. 9's numerator: |D_e^τ| when it
 // reaches θ₁, else 0.
@@ -465,12 +445,10 @@ func (s *Scorer) propagateCluster(id int32, now int64, sc *propScratch) []float6
 	}
 	slot := &s.memo[id]
 	if m := slot.Load(); m != nil && slices.Equal(m.s0, s0) {
-		s.memoHits.Add(1)
-		s.metrics().hit.Inc()
+		s.hits.Inc()
 		return m.vec
 	}
-	s.runs.Add(1)
-	s.metrics().miss.Inc()
+	s.runs.Inc()
 	vec := c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
 	buf := make([]float64, 2*n)
 	copy(buf, s0)

@@ -79,7 +79,7 @@ func linkBurst(c *kb.Complemented, e kb.EntityID, n int, at int64) {
 func TestBurstGateTheta1(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 10, Tau: 100})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 10, Tau: 100}, nil)
 	linkBurst(c, 5, 9, 1000) // below threshold
 	if got := s.Propagated(5, 1000); got != 0 {
 		t.Fatalf("sub-threshold burst scored %f", got)
@@ -97,7 +97,7 @@ func TestBurstGateTheta1(t *testing.T) {
 func TestPropagationReinforcesNeighbours(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Lambda: 0.5})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Lambda: 0.5}, nil)
 	// Burst on NBA (2) only; MJ (0) has no postings at all.
 	linkBurst(c, 2, 20, 500)
 	mj := s.Propagated(0, 500)
@@ -109,7 +109,7 @@ func TestPropagationReinforcesNeighbours(t *testing.T) {
 		t.Fatalf("source of the burst (%f) should outscore the neighbour (%f)", nba, mj)
 	}
 	// Without propagation MJ stays at zero (Fig. 4(d) ablation).
-	noProp := NewScorer(c, nil, Options{Theta1: 5, Tau: 100, NoPropagation: true})
+	noProp := NewScorer(c, nil, Options{Theta1: 5, Tau: 100, NoPropagation: true}, nil)
 	if got := noProp.Propagated(0, 500); got != 0 {
 		t.Fatalf("no-propagation MJ = %f", got)
 	}
@@ -118,7 +118,7 @@ func TestPropagationReinforcesNeighbours(t *testing.T) {
 func TestPropagationStaysInsideCluster(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100}, nil)
 	linkBurst(c, 2, 20, 500)
 	// Entity 5 is isolated: no reinforcement can reach it.
 	if got := s.Propagated(5, 500); got != 0 {
@@ -129,7 +129,7 @@ func TestPropagationStaysInsideCluster(t *testing.T) {
 func TestScoresNormalisedOverCandidates(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100}, nil)
 	linkBurst(c, 0, 20, 500)
 	linkBurst(c, 3, 10, 500)
 	scores := s.Scores(500, []kb.EntityID{0, 3, 5})
@@ -154,7 +154,7 @@ func TestLambdaExtreme(t *testing.T) {
 	c := kb.Complement(k)
 	linkBurst(c, 2, 20, 500)
 	// λ→1: propagation contributes nothing; propagated == raw.
-	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Lambda: 0.999999})
+	s := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Lambda: 0.999999}, nil)
 	if got := s.Propagated(0, 500); got > 1e-3 {
 		t.Fatalf("λ≈1 should suppress propagation, got %f", got)
 	}
@@ -170,12 +170,12 @@ func TestScorerPanicsWithoutNet(t *testing.T) {
 		}
 	}()
 	k := clusterKB()
-	NewScorer(kb.Complement(k), nil, Options{})
+	NewScorer(kb.Complement(k), nil, Options{}, nil)
 }
 
 func TestDefaultsFilled(t *testing.T) {
 	k := clusterKB()
-	s := NewScorer(kb.Complement(k), BuildPropNet(k, 0.6), Options{})
+	s := NewScorer(kb.Complement(k), BuildPropNet(k, 0.6), Options{}, nil)
 	o := s.Options()
 	if o.Tau != 3*24*3600 || o.Theta1 != 10 || o.Theta2 != 0.6 || o.Lambda != 0.5 || o.Iterations != 10 {
 		t.Fatalf("defaults = %+v", o)
@@ -187,8 +187,8 @@ func TestPropagationConverges(t *testing.T) {
 	k := clusterKB()
 	c := kb.Complement(k)
 	linkBurst(c, 2, 20, 500)
-	a := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Iterations: 30}).Propagated(0, 500)
-	b := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Iterations: 60}).Propagated(0, 500)
+	a := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Iterations: 30}, nil).Propagated(0, 500)
+	b := NewScorer(c, BuildPropNet(k, 0.4), Options{Theta1: 5, Tau: 100, Iterations: 60}, nil).Propagated(0, 500)
 	if math.Abs(a-b) > 1e-6 {
 		t.Fatalf("not converged: %f vs %f", a, b)
 	}

@@ -155,7 +155,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	defer s.mu.Unlock()
 	s.met = newMetrics(reg)
 	if s.wal != nil {
-		s.met.setWALBytes(s.wal.bytes)
+		s.met.walBytes.Set(float64(s.wal.bytes))
 	}
 }
 
@@ -185,7 +185,7 @@ func (s *Store) Resume() error {
 		return err
 	}
 	s.wal, s.walSeq, s.idle = w, s.idle, 0
-	s.met.setWALBytes(w.bytes)
+	s.met.walBytes.Set(float64(w.bytes))
 	return nil
 }
 
@@ -203,7 +203,7 @@ func (s *Store) rotateLocked() error {
 	}
 	s.wal = w
 	s.walSeq = next
-	s.met.setWALBytes(w.bytes)
+	s.met.walBytes.Set(float64(w.bytes))
 	return nil
 }
 
@@ -243,8 +243,8 @@ func (s *Store) Append(recs []Record) error {
 	if err := s.wal.append(recs); err != nil {
 		return err
 	}
-	s.met.setWALBytes(s.wal.bytes)
-	s.met.addWALRecords(len(recs))
+	s.met.walBytes.Set(float64(s.wal.bytes))
+	s.met.walRecords.Add(uint64(len(recs)))
 	return nil
 }
 
@@ -388,7 +388,7 @@ func (s *Store) Commit(snap Snapshot) (uint64, error) {
 	s.mu.Lock()
 	s.man = man
 	s.lastMan = time.Now()
-	s.met.observeSnapshot(time.Since(start))
+	s.met.snapshotSeconds.ObserveSince(start)
 	s.mu.Unlock()
 	return seq, s.prune(man)
 }
@@ -548,56 +548,29 @@ func (s *Store) Replay(fn func(*Record) error) (ReplayStats, error) {
 	if idle == last {
 		s.idle = idle
 	}
-	s.met.observeReplay(time.Since(start))
+	s.met.replaySeconds.ObserveSince(start)
 	s.mu.Unlock()
 	return stats, nil
 }
 
-// metrics is the microlink_store_* family, exported like the PR 6 ingest
-// family: all fields nil (every update a no-op) until Instrument.
+// metrics is the microlink_store_* family: all fields nil (every update
+// a no-op) until Instrument.
 type metrics struct {
 	walBytes        *obs.Gauge
-	walRecordsTotal *obs.Counter
+	walRecords      *obs.Counter
 	snapshotSeconds *obs.Histogram
 	replaySeconds   *obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry) metrics {
-	if reg == nil {
-		return metrics{}
-	}
 	return metrics{
 		walBytes: reg.Gauge("microlink_store_wal_bytes",
 			"Size of the open write-ahead-log file (resets on snapshot rotation)."),
-		walRecordsTotal: reg.Counter("microlink_store_wal_records_total",
+		walRecords: reg.Counter("microlink_store_wal_records_total",
 			"Mutation records appended to the write-ahead log."),
 		snapshotSeconds: reg.Histogram("microlink_store_snapshot_seconds",
 			"Duration of snapshot segment writes and manifest commits.", nil),
 		replaySeconds: reg.Histogram("microlink_store_replay_seconds",
 			"Duration of WAL replay at warm open.", nil),
-	}
-}
-
-func (m *metrics) setWALBytes(b int64) {
-	if m.walBytes != nil {
-		m.walBytes.Set(float64(b))
-	}
-}
-
-func (m *metrics) addWALRecords(n int) {
-	if m.walRecordsTotal != nil {
-		m.walRecordsTotal.Add(uint64(n))
-	}
-}
-
-func (m *metrics) observeSnapshot(d time.Duration) {
-	if m.snapshotSeconds != nil {
-		m.snapshotSeconds.Observe(d.Seconds())
-	}
-}
-
-func (m *metrics) observeReplay(d time.Duration) {
-	if m.replaySeconds != nil {
-		m.replaySeconds.Observe(d.Seconds())
 	}
 }

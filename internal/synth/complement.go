@@ -31,7 +31,7 @@ func (d *Dataset) ComplementTruth(sub *tweets.Store) *kb.Complemented {
 // introduce exactly the quality/coverage trade-off behind the D70→D50 dip
 // of Fig. 4(b).
 func (d *Dataset) ComplementCollective(sub *tweets.Store, cand *candidate.Index) *kb.Complemented {
-	coll := baseline.NewCollective(d.KB, cand, sub, baseline.CollectiveOptions{})
+	coll := baseline.NewCollective(d.KB, cand, sub)
 	c := kb.Complement(d.KB)
 	users := sub.Users()
 

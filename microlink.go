@@ -288,11 +288,8 @@ func build(w *World, opts Options, pre *kb.Complemented) *System {
 		}
 		net = recency.BuildPropNet(w.KB, theta2)
 	}
-	rec := recency.NewScorer(ckb, net, opts.Recency)
-	rec.Instrument(reg)
-
-	linker := core.New(ckb, cand, rx, inf, rec, opts.Linker)
-	linker.Instrument(reg)
+	rec := recency.NewScorer(ckb, net, opts.Recency, reg)
+	linker := core.New(ckb, cand, rx, inf, rec, opts.Linker, reg)
 
 	return &System{
 		World:      w,
@@ -396,7 +393,7 @@ func (s *System) OnTheFly() *OnTheFlyBaseline {
 // Collective returns the batch baseline [2] whose user histories come from
 // store (typically the test set, matching the paper's protocol).
 func (s *System) Collective(store *TweetStore) *CollectiveBaseline {
-	return baseline.NewCollective(s.World.KB, s.Candidates, store, baseline.CollectiveOptions{})
+	return baseline.NewCollective(s.World.KB, s.Candidates, store)
 }
 
 // Evaluate scores a linker against ground truth on ts.
@@ -409,7 +406,13 @@ type SearchResult struct {
 	Entity  EntityID
 	Score   float64 // the entity's Eq. 1 score for the querying user
 	Posting kb.Posting
-	Text    string // tweet text when resolvable from the world's store or the live corpus
+	// Text is the tweet's text when the system stored the tweet: in the
+	// world's store, or in the live corpus (ingested, fed back, or
+	// restored from a snapshot). A confirmed link to a tweet the system
+	// never stored (linked read-only, e.g. /v1/tweet without feedback)
+	// is searchable with empty Text; post the tweet with feedback for
+	// searchable text.
+	Text string
 }
 
 // Search implements personalized microblog search: mentions are extracted

@@ -315,6 +315,7 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	opts.PrebuiltReach = stream
 
 	sys := build(w, opts, ckb)
+	st.Instrument(sys.Metrics)
 	for i := range live {
 		sys.Live.Append(live[i])
 	}
@@ -334,7 +335,6 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	if err := st.Resume(); err != nil {
 		return nil, nil, err
 	}
-	st.Instrument(sys.Metrics)
 	sys.persistMu.Lock()
 	sys.persist, sys.persisted = st, stream.Frozen()
 	sys.persistMu.Unlock()
