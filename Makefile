@@ -91,7 +91,7 @@ bench-vet:
 # single-CPU box; the wait gate fails the run if merge+barrier ever grows
 # back past 25% of the parallel build.
 bench-index:
-	$(GO) test -run=NONE -bench='BuildTwoHop|TwoHopQuery' -benchmem ./internal/reach
+	$(GO) test -run=NONE -bench='BuildTwoHop|TwoHopQuery|ReadTwoHop' -benchmem ./internal/reach
 	$(GO) run ./cmd/linkbench -out BENCH_reach.json -workers-sweep auto -max-wait-frac 0.25 index
 
 # CI's quick pass over the same index benchmark, writing no artefact:

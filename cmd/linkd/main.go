@@ -92,9 +92,9 @@ func main() {
 		switch {
 		case err == nil:
 			sys = s
-			log.Printf("linkd: warm restart from %s: snapshot seq %d, segment load %v (world segment %v of it, read in parallel) + WAL replay %v (%d records, torn tail: %v)",
+			log.Printf("linkd: warm restart from %s: snapshot seq %d, segment load %v (world leg %v beside arena leg %v) + WAL replay %v (%d records, torn tail: %v)",
 				*dataDir, rep.Seq, rep.Load.Round(time.Millisecond), rep.World.Round(time.Millisecond),
-				rep.Replay.Round(time.Millisecond), rep.WALRecords, rep.TornTail)
+				rep.Reach.Round(time.Millisecond), rep.Replay.Round(time.Millisecond), rep.WALRecords, rep.TornTail)
 		case errors.Is(err, microlink.ErrNoSnapshot):
 			log.Printf("linkd: %s holds no snapshot; cold start", *dataDir)
 		default:

@@ -3,13 +3,15 @@ package reach
 import (
 	"bytes"
 	"errors"
-	"hash/crc64"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"microlink/internal/checksum"
 	"microlink/internal/graph"
 )
 
@@ -34,6 +36,9 @@ func TestTwoHopRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameArenas(t, th, got)
+	if arenaDigest(got) != arenaDigest(th) {
+		t.Fatal("re-read arena digest differs from the built arena's")
+	}
 	if !slicesEq(th.order, got.order) || !slicesEq(th.rank, got.rank) || got.h != th.h {
 		t.Fatal("landmark order, ranks or hop bound differ")
 	}
@@ -139,13 +144,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// reseal recomputes an image's payload CRC after a deliberate edit, so
-// the reader gets past the checksum to the checks behind it.
+// reseal recomputes an image's payload checksum after a deliberate edit,
+// so the reader gets past the checksum to the checks behind it.
 func reseal(b []byte) {
 	if len(b) < headerLen+trailerLen {
 		return
 	}
-	le.PutUint64(b[len(b)-trailerLen:], crc64.Checksum(b[headerLen:len(b)-trailerLen], crcTable))
+	le.PutUint64(b[len(b)-trailerLen:], checksum.Of(b[headerLen:len(b)-trailerLen]))
 }
 
 func TestTwoHopReadFromFile(t *testing.T) {
@@ -167,40 +172,61 @@ func TestTwoHopReadFromFile(t *testing.T) {
 	requireSameArenas(t, th, got)
 }
 
+// TestTwoHopReadUnsized: a reader that reports no size (neither Len nor
+// Stat) is read whole first, then decoded like any other.
+func TestTwoHopReadUnsized(t *testing.T) {
+	g := roundTripGraph()
+	th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4})
+	got, err := ReadTwoHop(iotest.OneByteReader(bytes.NewReader(serialize(t, th))), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameArenas(t, th, got)
+}
+
+// TestLoadTwoHopVersion1Rejected: every image version but the current
+// one — 1 and 2 were earlier layouts — is an ErrFormat that names the
+// version and says to re-snapshot, never a misread cover.
 func TestLoadTwoHopVersion1Rejected(t *testing.T) {
 	g := roundTripGraph()
-	data := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4}))
-	le.PutUint16(data[4:], 1)
-	_, err := ReadTwoHop(bytes.NewReader(data), g)
-	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("err = %v, want a version-1 format error", err)
+	clean := serialize(t, BuildTwoHop(g, TwoHopOptions{MaxHops: 4}))
+	for _, v := range []uint16{0, 1, 2, 4, 0xFFFF} {
+		data := bytes.Clone(clean)
+		le.PutUint16(data[4:], v)
+		_, err := ReadTwoHop(bytes.NewReader(data), g)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) ||
+			!strings.Contains(err.Error(), "re-snapshot") {
+			t.Errorf("version %d: err = %v, want a format error naming the version and the re-snapshot", v, err)
+		}
 	}
 }
 
-// twoHopImage locates the fields of a version-2 2-hop image.
+// twoHopImage locates the fields of a version-3 2-hop image.
 type twoHopImage struct {
 	n, nOut, nIn                        int
-	order, outOff, inOff, outLab, inLab int // byte offsets
-	poolLen, pool                       int
+	poolLen, pool                       int // byte offsets
+	order, outOff, inOff, outLab, inLab int
 }
 
 func locateTwoHop(th *TwoHop) twoHopImage {
 	n := len(th.order)
 	m := twoHopImage{n: n, nOut: len(th.outLab), nIn: len(th.inLab)}
-	m.order = headerLen + 4
+	m.poolLen = headerLen + 4
+	m.pool = m.poolLen + 4
+	m.order = m.pool + 4*len(th.folPool)
 	m.outOff = m.order + 4*n
 	m.inOff = m.outOff + 4*(n+1)
 	m.outLab = m.inOff + 4*(n+1)
 	m.inLab = m.outLab + labelLen*m.nOut
-	m.poolLen = m.inLab + labelLen*m.nIn
-	m.pool = m.poolLen + 4
 	return m
 }
 
 // TestLoadTwoHopStructuralDamage edits one field of a valid image at a
 // time and re-seals the checksum: every invariant the query path indexes
 // by must be caught as a typed error, counts included (0xFFFFFFFF in a
-// count field once killed the process with a fatal out-of-memory).
+// count field once killed the process with a fatal out-of-memory). The
+// error must come from the structural check itself: a case that fails
+// only on the checksum has not reached the check it names.
 func TestLoadTwoHopStructuralDamage(t *testing.T) {
 	g := roundTripGraph()
 	th := BuildTwoHop(g, TwoHopOptions{MaxHops: 4})
@@ -227,28 +253,32 @@ func TestLoadTwoHopStructuralDamage(t *testing.T) {
 	label := func(i int) int { return m.outLab + labelLen*i }
 	u32 := func(off int, v uint32) func([]byte) { return func(b []byte) { le.PutUint32(b[off:], v) } }
 
+	// Each case names the check it must reach by a piece of its message.
 	cases := []struct {
-		name string
-		edit func([]byte)
-		want error
+		name  string
+		edit  func([]byte)
+		want  error
+		check string
 	}{
-		{"node count", u32(headerLen, uint32(m.n+1)), ErrGraphMismatch},
-		{"order repeats a node", func(b []byte) { copy(b[m.order+4:], b[m.order:m.order+4]) }, ErrFormat},
-		{"order out of range", u32(m.order, uint32(m.n)), ErrFormat},
-		{"offsets start past 0", u32(m.outOff, 1), ErrFormat},
-		{"offset decreases", u32(m.outOff+4, uint32(m.nOut)), ErrFormat},
-		{"out-label count 0xFFFFFFFF", u32(m.outOff+4*m.n, 0xFFFFFFFF), ErrFormat},
-		{"in-label count past the payload", u32(m.inOff+4*m.n, 0x7FFFFFFF), ErrFormat},
-		{"pool count 0xFFFFFFFF", u32(m.poolLen, 0xFFFFFFFF), ErrFormat},
-		{"hub out of range", u32(label(0), uint32(m.n)), ErrFormat},
-		{"hubs not ascending", func(b []byte) { copy(b[label(multi+1):], b[label(multi):label(multi)+4]) }, ErrFormat},
-		{"followee run past the pool", u32(label(wide)+4, uint32(len(th.folPool))), ErrFormat},
-		{"followee run at a negative offset", u32(label(wide)+4, 0xFFFFFFFF), ErrFormat},
-		{"pooled id out of range", u32(m.pool, uint32(m.n)), ErrFormat},
+		{"node count", u32(headerLen, uint32(m.n+1)), ErrGraphMismatch, "does not match"},
+		{"order repeats a node", func(b []byte) { copy(b[m.order+4:], b[m.order:m.order+4]) }, ErrFormat, "not a permutation"},
+		{"order out of range", u32(m.order, uint32(m.n)), ErrFormat, "not a permutation"},
+		{"offsets start past 0", u32(m.outOff, 1), ErrFormat, "offsets start at 1"},
+		{"offset decreases", u32(m.outOff+4, uint32(m.nOut)), ErrFormat, "decreases"},
+		{"out-label count 0xFFFFFFFF", u32(m.outOff+4*m.n, 0xFFFFFFFF), ErrFormat, "decreases"},
+		{"in-label count past the payload", u32(m.inOff+4*m.n, 0x7FFFFFFF), ErrFormat, "count 2147483647 of 11-byte elements"},
+		{"pool count 0xFFFFFFFF", u32(m.poolLen, 0xFFFFFFFF), ErrFormat, "count 4294967295 of 4-byte elements"},
+		{"hub out of range", u32(label(0), uint32(m.n)), ErrFormat, "out of range or order"},
+		{"hubs not ascending", func(b []byte) { copy(b[label(multi+1):], b[label(multi):label(multi)+4]) }, ErrFormat, "out of range or order"},
+		{"followee run past the pool", u32(label(wide)+4, uint32(len(th.folPool))), ErrFormat, "outside a pool"},
+		{"followee run one past the pool", u32(label(wide)+4, uint32(len(th.folPool)-int(th.outLab[wide].folLen)+1)), ErrFormat, "outside a pool"},
+		{"followee run at a negative offset", u32(label(wide)+4, 0xFFFFFFFF), ErrFormat, "outside a pool"},
+		// The last pooled id: above every other, it breaks no run's ascent.
+		{"pooled id out of range", u32(m.order-4, uint32(m.n)), ErrFormat, "pooled followee"},
 		{"followee run not ascending", func(b []byte) {
 			at := m.pool + 4*int(th.outLab[wide].folOff)
 			copy(b[at+4:], b[at:at+4])
-		}, ErrFormat},
+		}, ErrFormat, "not strictly ascending"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -258,27 +288,33 @@ func TestLoadTwoHopStructuralDamage(t *testing.T) {
 				t.Fatal("edit changed nothing")
 			}
 			reseal(data)
-			_, err := ReadTwoHop(bytes.NewReader(data), g)
-			if !errors.Is(err, c.want) {
-				t.Fatalf("err = %v, want %v", err, c.want)
-			}
+			requireStructural(t, data, g, c.want, c.check)
 		})
 	}
 
 	t.Run("trailing payload bytes", func(t *testing.T) {
 		data := append(bytes.Clone(clean[:len(clean)-trailerLen]), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 		reseal(data)
-		if _, err := ReadTwoHop(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
-			t.Fatalf("err = %v, want format error", err)
-		}
+		requireStructural(t, data, g, ErrFormat, "trailing payload bytes")
 	})
 	t.Run("count without reseal", func(t *testing.T) {
 		data := bytes.Clone(clean)
 		le.PutUint32(data[m.poolLen:], 0xFFFFFFFF)
-		if _, err := ReadTwoHop(bytes.NewReader(data), g); !errors.Is(err, ErrFormat) {
-			t.Fatalf("err = %v, want format error", err)
+		_, err := ReadTwoHop(bytes.NewReader(data), g)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("err = %v, want a checksum mismatch", err)
 		}
 	})
+}
+
+// requireStructural asserts a resealed image fails with want from the
+// structural check whose message contains check, not on the checksum.
+func requireStructural(t *testing.T, data []byte, g *graph.Graph, want error, check string) {
+	t.Helper()
+	_, err := ReadTwoHop(bytes.NewReader(data), g)
+	if !errors.Is(err, want) || !strings.Contains(err.Error(), check) {
+		t.Fatalf("err = %v, want %v from the %q check", err, want, check)
+	}
 }
 
 // FuzzReadTwoHop feeds mutated 2-hop images to ReadTwoHop with the
@@ -315,4 +351,41 @@ func FuzzReadTwoHop(f *testing.F) {
 			th.Query(u, v)
 		}
 	})
+}
+
+// TestDescentsAscendsMatchesScan checks the bitset run test against a
+// direct scan of the pool, for runs of every length up to 150 at every
+// offset: short runs inside one window, runs across a word boundary and
+// runs longer than one window.
+func TestDescentsAscendsMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 8; trial++ {
+		pool := make([]int32, 100+r.Intn(200))
+		for i := range pool {
+			switch {
+			case i == 0:
+			case r.Intn(60) == 0:
+				pool[i] = pool[i-1] - int32(r.Intn(3)) // a descent, or a repeat
+			default:
+				pool[i] = pool[i-1] + 1 + int32(r.Intn(3))
+			}
+		}
+		ds := make(descents, len(pool)>>6+2)
+		for i := 1; i < len(pool); i++ {
+			if pool[i] <= pool[i-1] {
+				ds[i>>6] |= 1 << (i & 63)
+			}
+		}
+		for off := 0; off <= len(pool); off++ {
+			for n := 0; n <= 150 && off+n <= len(pool); n++ {
+				want := true
+				for i := off + 1; i < off+n; i++ {
+					want = want && pool[i] > pool[i-1]
+				}
+				if got := ds.ascends(off, n); got != want {
+					t.Fatalf("pool of %d: ascends(%d, %d) = %v, scan says %v", len(pool), off, n, got, want)
+				}
+			}
+		}
+	}
 }

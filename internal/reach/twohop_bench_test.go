@@ -3,6 +3,8 @@ package reach
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"microlink/internal/graph"
@@ -85,4 +87,41 @@ func BenchmarkTwoHopQuery(b *testing.B) {
 			_ = res
 		}
 	})
+}
+
+// readSink keeps BenchmarkReadTwoHop's result alive.
+var readSink *TwoHop
+
+// BenchmarkReadTwoHop is the warm restart's arena read: a benchGraph()
+// cover reloaded from a file. MB/s is image bytes read per second;
+// bytes/op is about the arena's own size, the image never being held
+// whole.
+func BenchmarkReadTwoHop(b *testing.B) {
+	g := benchGraph()
+	path := filepath.Join(b.TempDir(), "reach.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size, err := BuildTwoHop(g, TwoHopOptions{MaxHops: 4}).WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		readSink, err = ReadTwoHop(f, g)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

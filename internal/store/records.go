@@ -204,41 +204,34 @@ func (d *decoder) u64() (uint64, error) {
 }
 
 // tweetArena carves decoded tweets' strings out of one backing and their
-// mention lists out of one array. A nil arena allocates per field (WAL
-// records, one tweet each); a sizing arena allocates nothing and only
-// tallies what a carving pass over the same bytes needs.
+// mention lists out of one array, both sized from a tweets payload's
+// totals. A nil arena allocates per field (WAL records, one tweet each).
 type tweetArena struct {
-	sizing    bool
-	strBytes  int // sizing: text and surface bytes seen
-	nMentions int // sizing: mentions seen
-	text      strings.Builder
-	mentions  []tweets.Mention
+	text     strings.Builder
+	mentions []tweets.Mention
 }
 
-// str returns b as a string: a fresh one, nothing (sizing), or a slice of
-// the shared backing. Bytes already written to a strings.Builder never
-// change, so earlier slices stay valid as it grows.
+// str returns b as a string: a fresh one, or a slice of the shared
+// backing. Bytes already written to a strings.Builder never change, so
+// earlier slices stay valid even if more bytes arrive than the total
+// promised and it grows (the payload decoder then rejects the totals).
 func (a *tweetArena) str(b []byte) string {
-	switch {
-	case a == nil:
+	if a == nil {
 		return string(b)
-	case a.sizing:
-		a.strBytes += len(b)
-		return ""
 	}
 	start := a.text.Len()
 	a.text.Write(b)
 	return a.text.String()[start:]
 }
 
-// mentionList returns room for n mentions, nil when sizing. Carved lists
-// are capped so an append to one never writes into the next.
+// mentionList returns room for n mentions, or nil when the arena has
+// fewer left. Carved lists are capped so an append to one never writes
+// into the next.
 func (a *tweetArena) mentionList(n int) []tweets.Mention {
-	switch {
-	case a == nil:
+	if a == nil {
 		return make([]tweets.Mention, n)
-	case a.sizing:
-		a.nMentions += n
+	}
+	if n > len(a.mentions) {
 		return nil
 	}
 	ms := a.mentions[:n:n]
@@ -284,7 +277,9 @@ func decodeTweet(d *decoder, a *tweetArena) (tweets.Tweet, error) {
 	tw.Time = int64(ts)
 	tw.Text = a.str(text)
 	if nm > 0 {
-		tw.Mentions = a.mentionList(nm)
+		if tw.Mentions = a.mentionList(nm); tw.Mentions == nil {
+			return tw, fmt.Errorf("%w: more mentions than the payload's total", d.class)
+		}
 	}
 	for i := 0; i < nm; i++ {
 		sl, err := d.u16()
@@ -311,15 +306,12 @@ func decodeTweet(d *decoder, a *tweetArena) (tweets.Tweet, error) {
 		if err != nil {
 			return tw, err
 		}
-		m := tweets.Mention{
+		tw.Mentions[i] = tweets.Mention{
 			Surface: a.str(surf),
 			Start:   int(int32(start)),
 			End:     int(int32(end)),
 			Truth:   kb.EntityID(int32(truth)),
 			Kind:    tweets.MentionKind(kind),
-		}
-		if tw.Mentions != nil {
-			tw.Mentions[i] = m
 		}
 	}
 	return tw, nil

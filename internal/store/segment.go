@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"microlink/internal/checksum"
 	"microlink/internal/graph"
 	"microlink/internal/kb"
 	"microlink/internal/tweets"
@@ -19,7 +19,12 @@ import (
 //
 //	header:  magic "MLSG" | version u16 | kind u8
 //	payload: kind-specific, self-delimiting
-//	trailer: crc64(payload) u64
+//	trailer: checksum(payload) u64
+//
+// The checksum is package checksum's CRC-32C/CRC-32 pair, the one every
+// store file carries. Version 1 segments (a CRC-64 trailer, and a tweets
+// payload without its mention and string-byte totals) are refused with
+// ErrSegmentVersion: re-snapshot from a cold Build.
 //
 // Segments are immutable: written once under a fresh sequence-numbered
 // name, made visible by the manifest commit, deleted when a newer
@@ -32,7 +37,7 @@ import (
 
 const (
 	segMagic   = "MLSG"
-	segVersion = 1
+	segVersion = 2
 
 	segKindGraph   = 1
 	segKindCKB     = 2
@@ -41,7 +46,7 @@ const (
 	segKindWorld   = 5
 
 	segHeaderSize  = 7 // magic + version + kind
-	segTrailerSize = 8 // crc64
+	segTrailerSize = checksum.Size
 
 	// maxNodes bounds the graph segment's node count, the one count no
 	// byte length bounds (isolated nodes take no payload): the CSR a
@@ -178,13 +183,13 @@ func decodeSegment(b []byte, kind uint8, decode func(d *decoder) error) error {
 		return fmt.Errorf("%w: bad magic %q", ErrSegment, b[:4])
 	}
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersion {
-		return fmt.Errorf("%w: version %d, want %d", ErrSegmentVersion, v, segVersion)
+		return fmt.Errorf("%w: version %d, want %d: re-snapshot from a cold Build", ErrSegmentVersion, v, segVersion)
 	}
 	if b[6] != kind {
 		return fmt.Errorf("%w: kind %d, want %d", ErrSegment, b[6], kind)
 	}
 	payload := b[segHeaderSize : len(b)-segTrailerSize]
-	if crc64.Checksum(payload, walCRCTable) != binary.LittleEndian.Uint64(b[len(b)-segTrailerSize:]) {
+	if checksum.Of(payload) != binary.LittleEndian.Uint64(b[len(b)-segTrailerSize:]) {
 		return fmt.Errorf("%w: checksum mismatch", ErrSegment)
 	}
 	d := &decoder{b: payload, class: ErrSegment}
@@ -197,13 +202,14 @@ func decodeSegment(b []byte, kind uint8, decode func(d *decoder) error) error {
 	return nil
 }
 
+// crcWriter checksums the payload bytes it passes on to w.
 type crcWriter struct {
 	w   io.Writer
 	crc uint64
 }
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc64.Update(cw.crc, walCRCTable, p)
+	cw.crc = checksum.Update(cw.crc, p)
 	return cw.w.Write(p)
 }
 
@@ -350,20 +356,32 @@ func readPostingsPayload(d *decoder) ([][]kb.Posting, error) {
 	return out, nil
 }
 
-// Live-tweet payload: count u32 | byteLen u64 | byteLen bytes of packed
-// tweet bodies (the WAL tweet encoding), in arrival order.
+// Tweets payload: count u32 | mentions u32 | strBytes u64 | byteLen u64
+// | byteLen bytes of packed tweet bodies (the WAL tweet encoding), in
+// stored order. mentions and strBytes are the bodies' mention total and
+// text-plus-surface byte total, the sizes of the two shared allocations
+// the decoder carves every tweet out of in one pass. The live-tweet
+// segment and the world's corpus both use it.
 
 func writeTweetsPayload(w io.Writer, ts []tweets.Tweet) error {
 	body := make([]byte, 0, 64*len(ts))
+	var nMentions, strBytes int
 	for i := range ts {
 		var err error
 		if body, err = appendTweet(body, &ts[i]); err != nil {
 			return err
 		}
+		nMentions += len(ts[i].Mentions)
+		strBytes += len(ts[i].Text)
+		for _, m := range ts[i].Mentions {
+			strBytes += len(m.Surface)
+		}
 	}
-	var buf [12]byte
+	var buf [24]byte
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(ts)))
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(len(body)))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(nMentions))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(strBytes))
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(body)))
 	if _, err := w.Write(buf[:]); err != nil {
 		return err
 	}
@@ -376,48 +394,43 @@ func readTweetsPayload(d *decoder) ([]tweets.Tweet, error) {
 	if err != nil {
 		return nil, err
 	}
+	nMentions, err := d.u32()
+	if err != nil {
+		return nil, err
+	}
+	strBytes, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
 	byteLen, err := d.count(1, "tweet body bytes")
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(byteLen/minTweetSize) {
-		return nil, fmt.Errorf("%w: %d tweets cannot fit in %d bytes", ErrSegment, n, byteLen)
+	if uint64(n) > uint64(byteLen/minTweetSize) || uint64(nMentions) > uint64(byteLen/minMentionSize) || strBytes > uint64(byteLen) {
+		return nil, fmt.Errorf("%w: %d tweets, %d mentions and %d string bytes cannot fit in %d bytes",
+			ErrSegment, n, nMentions, strBytes, byteLen)
 	}
 	body, err := d.need(byteLen)
 	if err != nil {
 		return nil, err
 	}
-	// Two passes over the body: the first validates every tweet and sizes
-	// the shared allocations, the second carves the tweets out of them —
-	// one string backing for every text and surface, one mention array.
-	sizing := &tweetArena{sizing: true}
-	if err := decodeTweets(body, int(n), sizing, nil); err != nil {
-		return nil, err
-	}
-	a := &tweetArena{mentions: make([]tweets.Mention, sizing.nMentions)}
-	a.text.Grow(sizing.strBytes)
+	// One pass carves every tweet out of two exact-size allocations: one
+	// string backing for every text and surface, one mention array.
+	a := &tweetArena{mentions: make([]tweets.Mention, nMentions)}
+	a.text.Grow(int(strBytes))
 	out := make([]tweets.Tweet, n)
-	if err := decodeTweets(body, int(n), a, out); err != nil {
-		return nil, err
+	bd := &decoder{b: body, class: ErrSegment}
+	for i := range out {
+		if out[i], err = decodeTweet(bd, a); err != nil {
+			return nil, fmt.Errorf("tweet %d: %w", i, err)
+		}
+	}
+	if len(bd.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d tweets", ErrSegment, len(bd.b), n)
+	}
+	if len(a.mentions) != 0 || a.text.Len() != int(strBytes) {
+		return nil, fmt.Errorf("%w: tweets hold %d mentions and %d string bytes, totals say %d and %d",
+			ErrSegment, int(nMentions)-len(a.mentions), a.text.Len(), nMentions, strBytes)
 	}
 	return out, nil
-}
-
-// decodeTweets decodes the n tweets that must fill body exactly through
-// a, storing them in out unless it is nil (the sizing pass).
-func decodeTweets(body []byte, n int, a *tweetArena, out []tweets.Tweet) error {
-	d := &decoder{b: body, class: ErrSegment}
-	for i := 0; i < n; i++ {
-		tw, err := decodeTweet(d, a)
-		if err != nil {
-			return fmt.Errorf("tweet %d: %w", i, err)
-		}
-		if out != nil {
-			out[i] = tw
-		}
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after %d tweets", ErrSegment, len(d.b), n)
-	}
-	return nil
 }

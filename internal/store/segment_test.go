@@ -5,13 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"microlink/internal/checksum"
 	"microlink/internal/graph"
 	"microlink/internal/kb"
 	"microlink/internal/tweets"
@@ -44,13 +45,15 @@ func reseal(t *testing.T, path string, off, width int, v uint64) {
 // sealSegment rewrites the checksum trailer of a framed segment image.
 func sealSegment(b []byte) {
 	payload := b[segHeaderSize : len(b)-segTrailerSize]
-	binary.LittleEndian.PutUint64(b[len(b)-segTrailerSize:], crc64.Checksum(payload, walCRCTable))
+	binary.LittleEndian.PutUint64(b[len(b)-segTrailerSize:], checksum.Of(payload))
 }
 
 // TestSegmentCorruptCount damages one count field per segment kind and
-// reseals the checksum. Each must load as ErrSegment; sized by the
-// unverified count, the tweets and ckb allocations used to exhaust
-// memory instead.
+// reseals the checksum. Each must load as ErrSegment from the decoder's
+// own check, not the checksum; sized by the unverified count, the tweets
+// and ckb allocations used to exhaust memory instead. The tweets totals
+// are damaged both ways: too large for the body, and too small for the
+// tweets the body holds.
 func TestSegmentCorruptCount(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -65,7 +68,11 @@ func TestSegmentCorruptCount(t *testing.T) {
 		{"ckb entities", segCKBName, 0, 4, 1<<24 - 1, func(s *Store) error { _, err := s.LoadPostings(); return err }},
 		{"ckb entity 0 postings", segCKBName, 4, 4, 1<<31 - 1, func(s *Store) error { _, err := s.LoadPostings(); return err }},
 		{"tweets count", segTweetsName, 0, 4, 1<<28 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
-		{"tweets body bytes", segTweetsName, 4, 8, 1<<36 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"tweets mention total", segTweetsName, 4, 4, 1<<31 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"tweets mention total short", segTweetsName, 4, 4, 3, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"tweets string bytes", segTweetsName, 8, 8, 1<<40 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"tweets string bytes short", segTweetsName, 8, 8, 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
+		{"tweets body bytes", segTweetsName, 16, 8, 1<<36 - 1, func(s *Store) error { _, err := s.LoadTweets(); return err }},
 		{"world params bytes", segWorldName, 0, 4, 1<<31 - 1, func(s *Store) error { _, err := s.LoadWorld(); return err }},
 	}
 	for _, c := range cases {
@@ -76,8 +83,8 @@ func TestSegmentCorruptCount(t *testing.T) {
 			}
 			commitSample(t, s)
 			reseal(t, segmentPath(t, s, c.seg), c.off, c.width, c.v)
-			if err := c.load(s); !errors.Is(err, ErrSegment) {
-				t.Fatalf("load after resealed count damage: got %v, want ErrSegment", err)
+			if err := c.load(s); !errors.Is(err, ErrSegment) || strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("load after resealed count damage: got %v, want ErrSegment from the decoder", err)
 			}
 		})
 	}

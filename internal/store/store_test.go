@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"microlink/internal/graph"
@@ -497,6 +499,37 @@ func segmentPath(t *testing.T, s *Store, kind string) string {
 	return p
 }
 
+// TestWALVersion1Refused: a WAL file from before the checksum pair
+// (version 1, CRC-64 frames) is ErrWAL naming the version and the
+// re-snapshot, not a checksum failure on its first record.
+func TestWALVersion1Refused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	commitSample(t, s)
+	if err := s.Append(sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := walPath(t, dir)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = mustOpen(t, dir).Replay(func(*Record) error { return nil })
+	if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "version 1,") || !strings.Contains(err.Error(), "re-snapshot") {
+		t.Fatalf("Replay of a version-1 WAL: got %v, want ErrWAL naming version 1 and the re-snapshot", err)
+	}
+}
+
 // segmentLoads maps a store segment to its loader, for the damage tests.
 var segmentLoads = map[string]func(*Store) error{
 	segGraphName:  func(s *Store) error { _, err := s.LoadGraph(); return err },
@@ -532,6 +565,22 @@ func TestSegmentVersionSkew(t *testing.T) {
 		})
 		if err := segmentLoads[seg](s); !errors.Is(err, ErrSegmentVersion) {
 			t.Errorf("load %s with version skew: got %v, want ErrSegmentVersion", seg, err)
+		}
+	}
+}
+
+// TestSegmentVersion1Refused: a segment from before the checksum pair
+// (version 1, CRC-64 trailer) is ErrSegmentVersion naming the version and
+// the re-snapshot, whatever its kind.
+func TestSegmentVersion1Refused(t *testing.T) {
+	for seg := range segmentLoads {
+		s := damageSegment(t, seg, func(path string, b []byte) error {
+			binary.LittleEndian.PutUint16(b[4:], 1)
+			return os.WriteFile(path, b, 0o644)
+		})
+		err := segmentLoads[seg](s)
+		if !errors.Is(err, ErrSegmentVersion) || !strings.Contains(err.Error(), "version 1,") || !strings.Contains(err.Error(), "re-snapshot") {
+			t.Errorf("load %s at version 1: got %v, want ErrSegmentVersion naming version 1 and the re-snapshot", seg, err)
 		}
 	}
 }
@@ -748,7 +797,7 @@ func TestResumeReusesIdleWAL(t *testing.T) {
 		}
 	}
 	torn := filepath.Join(dir, walName(s.Manifest().WALSeq))
-	if err := os.WriteFile(torn, []byte(walMagic+"\x01\x00\x02\x09"), 0o644); err != nil {
+	if err := os.WriteFile(torn, append(bytes.Clone(walHeader), 2, 9), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s = mustOpen(t, dir)

@@ -5,34 +5,35 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+
+	"microlink/internal/checksum"
 )
 
 // WAL file format (little endian):
 //
 //	header: magic "MLWL" | version u16
-//	record: kind u8 | payloadLen u32 | payload | crc64(kind…payload) u64
+//	record: kind u8 | payloadLen u32 | payload | checksum(kind…payload) u64
 //
-// The checksum covers the kind byte, the length field and the payload,
-// so a flipped bit anywhere in the frame is detected. Records are
+// The checksum (package checksum's CRC-32C/CRC-32 pair) covers the kind
+// byte, the length field and the payload, so a flipped bit anywhere in
+// the frame is detected. A version-1 file (CRC-64 frames) is refused
+// with ErrWAL: re-snapshot from a cold Build. Records are
 // appended with buffered writes flushed per batch: a crash can tear at
 // most the final record, which replay truncates away; anything else that
 // fails the checksum is ErrWALCorrupt.
 
 const (
 	walMagic   = "MLWL"
-	walVersion = 1
+	walVersion = 2
 
-	walHeaderSize    = 6         // magic + version
-	walFrameOverhead = 1 + 4 + 8 // kind + length + crc
-	maxRecordPayload = 1 << 24   // sanity bound for decode-time allocation
+	walHeaderSize    = 6                     // magic + version
+	walFrameOverhead = 1 + 4 + checksum.Size // kind + length + checksum
+	maxRecordPayload = 1 << 24               // sanity bound for decode-time allocation
 )
-
-var walCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // walName formats the file name of WAL sequence seq.
 func walName(seq uint64) string { return fmt.Sprintf("wal-%06d.log", seq) }
@@ -137,8 +138,7 @@ func appendWALFrame(b []byte, r *Record) ([]byte, error) {
 		return nil, fmt.Errorf("store: record payload %d exceeds %d bytes", payloadLen, maxRecordPayload)
 	}
 	binary.LittleEndian.PutUint32(b[start+1:], uint32(payloadLen))
-	crc := crc64.Checksum(b[start:], walCRCTable)
-	return binary.LittleEndian.AppendUint64(b, crc), nil
+	return binary.LittleEndian.AppendUint64(b, checksum.Of(b[start:])), nil
 }
 
 // close flushes, syncs and closes the file.
@@ -184,7 +184,7 @@ func replayWALFile(path string, tail bool, fn func(*Record) error) (records, byt
 		return 0, 0, false, fmt.Errorf("%w: %s: bad magic %q", ErrWAL, path, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != walVersion {
-		return 0, 0, false, fmt.Errorf("%w: %s: version %d, want %d", ErrWAL, path, v, walVersion)
+		return 0, 0, false, fmt.Errorf("%w: %s: version %d, want %d: re-snapshot from a cold Build", ErrWAL, path, v, walVersion)
 	}
 
 	offset := int64(walHeaderSize) // end of the last good record
@@ -211,9 +211,9 @@ func replayWALFile(path string, tail bool, fn func(*Record) error) (records, byt
 		if _, err := io.ReadFull(br, frame[5:]); err != nil {
 			break // tore inside the payload or checksum
 		}
-		body := frame[:frameLen-8]
-		want := binary.LittleEndian.Uint64(frame[frameLen-8:])
-		if crc64.Checksum(body, walCRCTable) != want {
+		body := frame[:frameLen-checksum.Size]
+		want := binary.LittleEndian.Uint64(frame[frameLen-checksum.Size:])
+		if checksum.Of(body) != want {
 			return records, bytes, false, fmt.Errorf("%w: %s: checksum mismatch at offset %d",
 				ErrWALCorrupt, path, offset)
 		}

@@ -42,10 +42,13 @@ type SnapshotInfo struct {
 // linkd logs at boot. Load and replay are separate on
 // purpose: the acceptance story is cold-start dominated by segment load,
 // with replay proportional to the WAL suffix, and no arena rebuild.
+// Segment load runs as two overlapped legs, World and Reach; the longer
+// one bounds Load.
 type RestartReport struct {
 	Seq        uint64        // snapshot generation restored
-	World      time.Duration // world segment read and decode, overlapped with Load's other reads
-	Load       time.Duration // all segment reads (world included) and wiring the stack over them
+	World      time.Duration // world leg: world, postings and live-tweet segments, complement restore
+	Reach      time.Duration // arena leg: graph segment, arena read and validation, pending follows
+	Load       time.Duration // both legs and wiring the stack over them
 	Replay     time.Duration // WAL replay into the live stores
 	WALFiles   int           // WAL files visited
 	WALRecords int64         // records replayed
@@ -259,19 +262,17 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	}
 	rep := &RestartReport{Seq: man.Seq}
 
-	// The world segment decodes beside the reads that do not need it —
-	// above all the reach arena's, the longest — on its own goroutine.
-	// The buffered channel lets it finish even when Open fails first.
-	type worldLoad struct {
-		w    *World
-		took time.Duration
-		err  error
-	}
+	// Two legs overlap. The world leg — the world segment, then the
+	// postings, their complement restore and the live tweets, which need
+	// only the world — runs on its own goroutine beside the arena leg on
+	// this one. The buffered channel lets it finish even when Open fails
+	// first.
 	loadStart := time.Now()
-	worldc := make(chan worldLoad, 1)
+	worldc := make(chan worldLeg, 1)
 	go func() {
-		w, err := st.LoadWorld()
-		worldc <- worldLoad{w, time.Since(loadStart), err}
+		leg := loadWorldLeg(st)
+		leg.took = time.Since(loadStart)
+		worldc <- leg
 	}()
 
 	g, err := st.LoadGraph()
@@ -289,35 +290,23 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	rep.Reach = time.Since(loadStart)
 	wl := <-worldc
 	if wl.err != nil {
 		return nil, nil, wl.err
 	}
-	w := wl.w
 	rep.World = wl.took
-	if g.NumNodes() != w.Graph.NumNodes() {
+	if g.NumNodes() != wl.w.Graph.NumNodes() {
 		return nil, nil, fmt.Errorf("%w: graph segment has %d nodes, world segment %d",
-			store.ErrSegment, g.NumNodes(), w.Graph.NumNodes())
-	}
-	postings, err := st.LoadPostings()
-	if err != nil {
-		return nil, nil, err
-	}
-	ckb, err := kb.ComplementRestore(w.KB, postings)
-	if err != nil {
-		return nil, nil, err
-	}
-	live, err := st.LoadTweets()
-	if err != nil {
-		return nil, nil, err
+			store.ErrSegment, g.NumNodes(), wl.w.Graph.NumNodes())
 	}
 	opts.MaxHops = man.MaxHops
 	opts.PrebuiltReach = stream
 
-	sys := build(w, opts, ckb)
+	sys := build(wl.w, opts, wl.ckb)
 	st.Instrument(sys.Metrics)
-	for i := range live {
-		sys.Live.Append(live[i])
+	for i := range wl.live {
+		sys.Live.Append(wl.live[i])
 	}
 	rep.Load = time.Since(loadStart)
 
@@ -339,6 +328,35 @@ func Open(dir string, opts Options) (*System, *RestartReport, error) {
 	sys.persist, sys.persisted = st, stream.Frozen()
 	sys.persistMu.Unlock()
 	return sys, rep, nil
+}
+
+// worldLeg is what Open's world leg loads: the world, the complemented
+// KB restored over it, the live tweets, and how long that took.
+type worldLeg struct {
+	w    *World
+	ckb  *kb.Complemented
+	live []Tweet
+	took time.Duration
+	err  error
+}
+
+// loadWorldLeg reads the world segment, then the segments that need only
+// the world: the postings, complemented over the world's KB, and the live
+// tweets.
+func loadWorldLeg(st *store.Store) (leg worldLeg) {
+	if leg.w, leg.err = st.LoadWorld(); leg.err != nil {
+		return leg
+	}
+	postings, err := st.LoadPostings()
+	if err != nil {
+		leg.err = err
+		return leg
+	}
+	if leg.ckb, leg.err = kb.ComplementRestore(leg.w.KB, postings); leg.err != nil {
+		return leg
+	}
+	leg.live, leg.err = st.LoadTweets()
+	return leg
 }
 
 // openStreaming restores a streaming substrate: the arena read from rc

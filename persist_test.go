@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"maps"
 	"os"
 	"os/exec"
@@ -21,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"microlink/internal/checksum"
 	"microlink/internal/graph"
 	"microlink/internal/kb"
 	"microlink/internal/reach"
@@ -157,6 +157,10 @@ func TestSnapshotOpenRoundTrip(t *testing.T) {
 	}
 	if rep.WALRecords != rep.Tweets+rep.Follows+rep.Feedback {
 		t.Fatalf("record accounting: %+v", rep)
+	}
+	// Both overlapped load legs are timed, and each lies inside the load.
+	if rep.World <= 0 || rep.Reach <= 0 || rep.World > rep.Load || rep.Reach > rep.Load {
+		t.Fatalf("load legs: world %v, reach %v, load %v", rep.World, rep.Reach, rep.Load)
 	}
 	if _, ok := unwrapReach(sys2.Reach).(*reach.Streaming); !ok {
 		t.Fatalf("restored substrate %T, want *reach.Streaming", unwrapReach(sys2.Reach))
@@ -409,18 +413,18 @@ func TestOpenRejectsPendingEdgeInGraph(t *testing.T) {
 	for w.Graph.OutDegree(u) == 0 {
 		u++
 	}
-	// A sealed segment: "MLSG" | version 1 | kind 4 | count | (u, v) | crc64.
-	seg := append([]byte("MLSG"), 1, 0, 4)
+	// A sealed segment: "MLSG" | version 2 | kind 4 | count | (u, v) | checksum.
+	seg := append([]byte("MLSG"), 2, 0, 4)
 	payload := binary.LittleEndian.AppendUint64(nil, 1)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(u))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(w.Graph.Out(u)[0]))
 	seg = append(seg, payload...)
-	seg = binary.LittleEndian.AppendUint64(seg, crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
+	seg = binary.LittleEndian.AppendUint64(seg, checksum.Of(payload))
 	if err := os.WriteFile(filepath.Join(dir, "seg-000001-pending.bin"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrSegment) {
-		t.Fatalf("open with a pending edge already in the graph: %v, want ErrSegment", err)
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, store.ErrSegment) || !strings.Contains(err.Error(), "already in the graph") {
+		t.Fatalf("open with a pending edge already in the graph: %v, want the pending-edge ErrSegment", err)
 	}
 }
 
@@ -1134,8 +1138,8 @@ func TestCrashRecovery(t *testing.T) {
 	if rep.WALRecords == 0 {
 		t.Fatal("kill landed before any WAL append; nothing recovered")
 	}
-	t.Logf("recovered seq %d: %d records (%d tweets, %d follows, %d feedback), torn=%v, world=%v load=%v replay=%v; %d acknowledged writes",
-		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.Feedback, rep.TornTail, rep.World, rep.Load, rep.Replay, len(acks))
+	t.Logf("recovered seq %d: %d records (%d tweets, %d follows, %d feedback), torn=%v, world=%v reach=%v load=%v replay=%v; %d acknowledged writes",
+		rep.Seq, rep.WALRecords, rep.Tweets, rep.Follows, rep.Feedback, rep.TornTail, rep.World, rep.Reach, rep.Load, rep.Replay, len(acks))
 	if len(acks) == 0 {
 		t.Fatal("the child acknowledged no synchronous write before the kill")
 	}
