@@ -102,20 +102,24 @@ index-smoke:
 
 # A few seconds of coverage-guided fuzzing per target. Targets are named
 # individually: -fuzz accepts only one match per package. This is the one
-# list of fuzz targets; CI's "Fuzz smoke" step runs this target.
+# list of fuzz targets; CI's "Fuzz smoke" step runs this target. Each run
+# is bounded by an execution count (-fuzztime=Nx), not a duration: with a
+# duration the coordinator's exec count can stop rising after its first
+# report while the clock runs out. N is sized to about 5 s per target on a
+# 2-vCPU host.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=5s ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzNormalizePhrase -fuzztime=5s ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzWithinEditDistance -fuzztime=5s ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzDecodeLinkRequest -fuzztime=5s ./internal/httpapi
-	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=5s ./internal/lint
-	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=5s ./internal/lint
-	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=5s ./internal/recency
-	$(GO) test -run=NONE -fuzz=FuzzRFromMatchesR -fuzztime=5s ./internal/reach
-	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=5s ./internal/reach
-	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=5s ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=5s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=40000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzNormalizePhrase -fuzztime=150000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzWithinEditDistance -fuzztime=150000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzDecodeLinkRequest -fuzztime=35000x ./internal/httpapi
+	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10000x ./internal/lint
+	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=50000x ./internal/lint
+	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=30000x ./internal/recency
+	$(GO) test -run=NONE -fuzz=FuzzRFromMatchesR -fuzztime=5000x ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=50000x ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=50000x ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=40000x ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=30000x ./internal/store
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

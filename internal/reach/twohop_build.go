@@ -35,6 +35,14 @@ import (
 // its partition, and the freeze stitches the followee pool in a fixed
 // serial order, the output is bit-for-bit deterministic for a fixed batch
 // size, independent of worker count, partition count, and scheduling.
+//
+// The build-form label lists hold no pointer per label: each node's list
+// is one thList (a packed hub<<8|dist key array the prune kernels scan,
+// plus the followee sets laid end to end in one id array), and a hub's
+// delta draws its followee sets from one slab reused across batches, so
+// emitting a label allocates nothing and the GC never walks the lists.
+// The prune tests on a node's first visit return at the first label pair
+// that decides them (see backwardVisit and forwardCovered).
 
 // DefaultTwoHopBatch is the hub batch size used when TwoHopOptions.BatchSize
 // is unset, whatever the worker count.
@@ -65,18 +73,45 @@ func partitionScheme(n int) (shift uint, parts int) {
 	return shift, parts
 }
 
-// thLabel is one 2-hop label entry in build form (per-node Go slices, fol
-// in discovery order). freeze() converts these into the flat arenas the
-// query path reads.
+// thList is one node's label list in build form, sorted by hub rank and
+// free of pointers per label: key[i] is label i's hub<<8 | dist (the only
+// array the prune kernels scan), and its followee set, in discovery order,
+// is ids[end[i-1]:end[i]] (end[-1] taken as 0). The delta merge appends
+// to all three; freeze() sorts each set in place and converts the lists
+// into the flat arenas the query path reads.
 //
-// microlint:owned — build-time state reached only through the worker's
-// own thBuilder/thDelta; the query path reads the frozen arenas, never
-// these.
-type thLabel struct {
-	hub  int32 // rank of the landmark
-	dist uint8
-	fol  []graph.NodeID
+// microlint:owned — build-time state reached only through the build's own
+// thWork; the query path reads the frozen arenas, never these.
+type thList struct {
+	key []uint32
+	end []int32
+	ids []graph.NodeID
 }
+
+// thKey packs a label's hub rank and distance into a thList key.
+func thKey(hub int32, dist uint8) uint32 { return uint32(hub)<<8 | uint32(dist) }
+
+// fol is label i's followee set, a window of ids.
+//
+// microlint:noalloc
+func (l *thList) fol(i int) []graph.NodeID {
+	lo := int32(0)
+	if i > 0 {
+		lo = l.end[i-1]
+	}
+	return l.ids[lo:l.end[i]]
+}
+
+// push appends one label (the merge's only write to a list).
+func (l *thList) push(key uint32, fol []graph.NodeID) {
+	l.key = append(l.key, key)
+	l.ids = append(l.ids, fol...)
+	l.end = append(l.end, int32(len(l.ids)))
+}
+
+// maxTwoHopNodes caps the graphs BuildTwoHop accepts: a thList key keeps
+// the hub rank in its upper 24 bits.
+const maxTwoHopNodes = 1 << 24
 
 // thWork is the mutable label state during construction.
 type thWork struct {
@@ -84,21 +119,24 @@ type thWork struct {
 	h      int
 	rank   []int32
 	order  []graph.NodeID
-	out    [][]thLabel // Lout, per node, sorted by hub rank
-	in     [][]thLabel // Lin, per node, sorted by hub rank
-	pshift uint        // node → partition is node >> pshift
-	nparts int         // number of node-range partitions
+	out    []thList // Lout, per node, sorted by hub rank
+	in     []thList // Lin, per node, sorted by hub rank
+	pshift uint     // node → partition is node >> pshift
+	nparts int      // number of node-range partitions
 }
 
 func newThWork(g *graph.Graph, h int, randomOrder bool) *thWork {
 	n := g.NumNodes()
+	if n > maxTwoHopNodes {
+		panic("reach: BuildTwoHop supports at most 1<<24 nodes")
+	}
 	w := &thWork{
 		g:     g,
 		h:     h,
 		rank:  make([]int32, n),
 		order: make([]graph.NodeID, n),
-		out:   make([][]thLabel, n),
-		in:    make([][]thLabel, n),
+		out:   make([]thList, n),
+		in:    make([]thList, n),
 	}
 	w.pshift, w.nparts = partitionScheme(n)
 	for i := 0; i < n; i++ {
@@ -119,7 +157,8 @@ func newThWork(g *graph.Graph, h int, randomOrder bool) *thWork {
 	return w
 }
 
-// BuildTwoHop runs Algorithm 2 over g.
+// BuildTwoHop runs Algorithm 2 over g, which may have at most 1<<24
+// nodes (maxTwoHopNodes).
 func BuildTwoHop(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 	h := min(opts.MaxHops, maxTwoHopHops)
 	if h <= 0 {
@@ -191,6 +230,15 @@ func stragglerIdle(finish []time.Duration) time.Duration {
 	return idle / time.Duration(len(finish))
 }
 
+// thDeltaLab is one buffered label: its thList key and its followee set,
+// a cap-limited window of the owning delta's slab (so a same-level
+// revisit that grows the set copies it out instead of overwriting the
+// next label's window).
+type thDeltaLab struct {
+	key uint32
+	fol []graph.NodeID
+}
+
 // thDeltaRun is one partition bucket of a delta: the bucket's labeled
 // nodes in BFS discovery order plus their label entries, index-aligned.
 //
@@ -198,7 +246,7 @@ func stragglerIdle(finish []time.Duration) time.Duration {
 // slices.
 type thDeltaRun struct {
 	nodes []graph.NodeID
-	labs  []thLabel
+	labs  []thDeltaLab
 }
 
 // thDelta buffers one hub's label additions until the batch epoch, in
@@ -210,8 +258,9 @@ type thDeltaRun struct {
 // phase, and after the epoch fence each bucket is read by exactly one
 // merge worker (partitions are claimed off an atomic counter).
 type thDelta struct {
-	out []thDeltaRun // one bucket per node-range partition
-	in  []thDeltaRun
+	out  []thDeltaRun // one bucket per node-range partition
+	in   []thDeltaRun
+	slab []graph.NodeID // every label's followee set, reused across batches
 }
 
 func (d *thDelta) init(nparts int) {
@@ -228,12 +277,22 @@ func (d *thDelta) reset() {
 		d.in[i].nodes = d.in[i].nodes[:0]
 		d.in[i].labs = d.in[i].labs[:0]
 	}
+	d.slab = d.slab[:0]
+}
+
+// set copies fol into the slab and returns its cap-limited window there.
+func (d *thDelta) set(fol ...graph.NodeID) []graph.NodeID {
+	lo := len(d.slab)
+	d.slab = append(d.slab, fol...)
+	return d.slab[lo:len(d.slab):len(d.slab)]
 }
 
 // thBuilder is one worker's BFS scratch: O(n) distance marks (shared
 // graph.DistMap), the per-node position of this hub's buffered label,
 // forward-BFS first-hop sets, and the BFS root's scattered label list.
-// Builders are reused across batches through thBuildPool.
+// Builders are reused across batches through thBuildPool; the labels a
+// BFS emits go to its hub's thDelta, whose buckets and followee slab are
+// reused across batches too.
 //
 // microlint:owned — per-worker scratch by contract: thBuildPool.acquire
 // hands each builder to at most one worker at a time.
@@ -253,7 +312,7 @@ type thBuilder struct {
 	// sdist.
 	sdist []uint8
 	sidx  []int32
-	sroot []thLabel
+	sroot thList
 	sk    int32 // the root's own rank, the virtual self entry
 }
 
@@ -300,18 +359,22 @@ func (b *thBuilder) runHub(vk graph.NodeID, k int32, d *thDelta) {
 	b.forward(vk, k, d)
 }
 
-func (b *thBuilder) emitOut(d *thDelta, s graph.NodeID, lab thLabel) {
+// emitOut buffers s's hub-k out-label at distance dist with followee set
+// {u}.
+func (b *thBuilder) emitOut(d *thDelta, s graph.NodeID, k int32, dist int32, u graph.NodeID) {
 	r := &d.out[uint32(s)>>b.w.pshift]
 	b.pos[s] = int32(len(r.labs))
 	r.nodes = append(r.nodes, s)
-	r.labs = append(r.labs, lab)
+	r.labs = append(r.labs, thDeltaLab{key: thKey(k, uint8(dist)), fol: d.set(u)})
 }
 
-func (b *thBuilder) emitIn(d *thDelta, t graph.NodeID, lab thLabel) {
+// emitIn buffers t's hub-k in-label at distance dist with followee set
+// firstHop (copied).
+func (b *thBuilder) emitIn(d *thDelta, t graph.NodeID, k int32, dist int32, firstHop []graph.NodeID) {
 	r := &d.in[uint32(t)>>b.w.pshift]
 	b.pos[t] = int32(len(r.labs))
 	r.nodes = append(r.nodes, t)
-	r.labs = append(r.labs, lab)
+	r.labs = append(r.labs, thDeltaLab{key: thKey(k, uint8(dist)), fol: d.set(firstHop...)})
 }
 
 // microlint:noalloc
@@ -326,81 +389,125 @@ func containsNode(s []graph.NodeID, v graph.NodeID) bool {
 
 // Eq. 5 prune kernels. Every pair hub k's BFS tests shares the endpoint
 // vk, so the BFS scatters vk's label list once into sdist/sidx and each
-// test scans only the other endpoint's labels (the "temporary array" of
+// test scans only the other endpoint's keys (the "temporary array" of
 // pruned landmark labeling, Akiba et al., SIGMOD 2013). The kernels
 // evaluate Eq. 5 over the label lists exactly as a two-list sorted merge
-// would — the minimum pair-sum ≤ H, and for the backward test the union
-// of the followee sets achieving it — so the cover is unchanged. During
-// a batch's BFS phase no label list is written (deltas merge after the
+// would, but the first-visit tests return at the first pair that decides
+// them: what a BFS does with a node depends only on how the minimum
+// pair-sum compares with the node's level L, and, at a tie, on whether u
+// is in the followee union at L — never on the minimum itself. During a
+// batch's BFS phase no label list is written (deltas merge after the
 // epoch fence), so the scattered copy stays current for the whole BFS.
 
-// scatter loads the BFS root's label list labs into sdist/sidx, plus the
+// scatter loads the BFS root's label list l into sdist/sidx, plus the
 // virtual self entry sdist[k] = 0 for the root's own rank k: the pair
 // whose hub is the root itself then scores as the ordinary sum 0 + dist.
 //
 // microlint:noalloc
-func (b *thBuilder) scatter(labs []thLabel, k int32) {
-	for i := range labs {
-		b.sdist[labs[i].hub] = labs[i].dist
-		b.sidx[labs[i].hub] = int32(i)
+func (b *thBuilder) scatter(l thList, k int32) {
+	for i, key := range l.key {
+		b.sdist[key>>8] = uint8(key)
+		b.sidx[key>>8] = int32(i)
 	}
 	b.sdist[k] = 0
-	b.sroot, b.sk = labs, k
+	b.sroot, b.sk = l, k
 }
 
 // unscatter clears every sdist entry scatter set.
 //
 // microlint:noalloc
 func (b *thBuilder) unscatter() {
-	for i := range b.sroot {
-		b.sdist[b.sroot[i].hub] = thUnset
+	for _, key := range b.sroot.key {
+		b.sdist[key>>8] = thUnset
 	}
 	b.sdist[b.sk] = thUnset
-	b.sroot = nil
+	b.sroot = thList{}
 }
 
-// forwardPrune is Eq. 5's distance from the scattered root vk to t: the
-// minimum over t's hub-t entry in Lout(vk) and every Lin(t) label's
-// pair-sum, or infHops when none is within H.
+// forwardCovered is the forward first-visit test: whether some pair from
+// the scattered root vk to t — t's hub-t entry in Lout(vk) or a Lin(t)
+// label — sums to at most level. It returns at the first such pair.
 //
 // microlint:noalloc
-func (b *thBuilder) forwardPrune(t graph.NodeID) int {
-	w := b.w
-	best := int(b.sdist[w.rank[t]]) // hub is t: d_vk,t + 0
-	lt := w.in[t]
-	for i := range lt {
-		if d := int(b.sdist[lt[i].hub]) + int(lt[i].dist); d < best {
-			best = d
+func (b *thBuilder) forwardCovered(t graph.NodeID, level int) bool {
+	if int(b.sdist[b.w.rank[t]]) <= level { // hub is t: d_vk,t + 0
+		return true
+	}
+	for _, key := range b.w.in[t].key {
+		if int(b.sdist[key>>8])+int(key&0xff) <= level {
+			return true
 		}
 	}
-	if best > w.h {
-		return infHops
-	}
-	return best
+	return false
 }
 
-// backwardPrune is Eq. 5 from s to the scattered root vk: the distance
-// (infHops when none is within H) and whether followee u is in the
-// followee union of the labels achieving it. A common hub contributes
-// the out-label's set, the hub-s entry of Lin(vk) its own; an equal
-// distance ORs membership in, a smaller one replaces it.
+// thVisit is what a backward first visit at level L does with a node.
+type thVisit uint8
+
+const (
+	thExpand thVisit = iota // no pair within L: label it and expand it
+	thTie                   // minimum is L, u not in its followee union: label only
+	thPruned                // a pair below L, or one at L whose set holds u: neither
+)
+
+// backwardVisit is the backward first-visit test from s to the scattered
+// root vk at level L, reached via followee u. It returns thPruned at the
+// first pair below L, and at the first pair at L whose followee set holds
+// u: then either a shorter pair exists or u is in the union at L, and
+// Algorithm 2 neither labels nor expands s in both cases. A common hub
+// contributes the out-label's set, the hub-s entry of Lin(vk) its own.
+//
+// microlint:noalloc
+func (b *thBuilder) backwardVisit(s, u graph.NodeID, level int) thVisit {
+	w := b.w
+	tie := false
+	if rs := w.rank[s]; int(b.sdist[rs]) <= level { // hub is s: 0 + d_s,vk
+		if int(b.sdist[rs]) < level || containsNode(b.sroot.fol(int(b.sidx[rs])), u) {
+			return thPruned
+		}
+		tie = true
+	}
+	ls := &w.out[s]
+	for i, key := range ls.key {
+		switch d := int(b.sdist[key>>8]) + int(key&0xff); {
+		case d > level:
+		case d < level:
+			return thPruned
+		case containsNode(ls.fol(i), u):
+			return thPruned
+		default:
+			tie = true
+		}
+	}
+	if tie {
+		return thTie
+	}
+	return thExpand
+}
+
+// backwardPrune is Eq. 5 from s to the scattered root vk, scanned in
+// full: the distance (infHops when none is within H) and whether
+// followee u is in the followee union of the labels achieving it. An
+// equal distance ORs membership in, a smaller one replaces it. The
+// same-level revisit needs the whole answer: a shorter pair turns its
+// "u is covered" into "u is not".
 //
 // microlint:noalloc
 func (b *thBuilder) backwardPrune(s, u graph.NodeID) (int, bool) {
 	w := b.w
 	best, inF := infHops, false
 	if rs := w.rank[s]; int(b.sdist[rs]) <= w.h { // hub is s: 0 + d_s,vk
-		best, inF = int(b.sdist[rs]), containsNode(b.sroot[b.sidx[rs]].fol, u)
+		best, inF = int(b.sdist[rs]), containsNode(b.sroot.fol(int(b.sidx[rs])), u)
 	}
-	ls := w.out[s]
-	for i := range ls {
-		d := int(b.sdist[ls[i].hub]) + int(ls[i].dist)
+	ls := &w.out[s]
+	for i, key := range ls.key {
+		d := int(b.sdist[key>>8]) + int(key&0xff)
 		switch {
 		case d > w.h || d > best:
 		case d < best:
-			best, inF = d, containsNode(ls[i].fol, u)
+			best, inF = d, containsNode(ls.fol(i), u)
 		case !inF:
-			inF = containsNode(ls[i].fol, u)
+			inF = containsNode(ls.fol(i), u)
 		}
 	}
 	return best, inF
@@ -432,30 +539,25 @@ func (b *thBuilder) backward(vk graph.NodeID, k int32, d *thDelta) {
 					// Same-level revisit via a different followee u: a new
 					// shortest path (lines 20–27).
 					if p := b.pos[s]; p >= 0 {
-						if ent := &d.out[uint32(s)>>w.pshift].labs[p]; ent.dist == uint8(length) && !containsNode(ent.fol, u) {
+						if ent := &d.out[uint32(s)>>w.pshift].labs[p]; uint8(ent.key) == uint8(length) && !containsNode(ent.fol, u) {
 							ent.fol = append(ent.fol, u)
 						}
 					} else {
 						// Covered by earlier hubs at this distance; record u
 						// only if those hubs do not already encode it.
 						if _, inF := b.backwardPrune(s, u); !inF {
-							b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
+							b.emitOut(d, s, k, length, u)
 						}
 					}
 				default: // first visit this round
-					dPrev, inF := b.backwardPrune(s, u)
-					switch {
-					case int(length) < dPrev: // lines 11–19: shorter path found
-						b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
-						b.marks.Set(s, length)
+					b.marks.Set(s, length)
+					switch b.backwardVisit(s, u, int(length)) {
+					case thExpand: // lines 11–19: shorter path found
+						b.emitOut(d, s, k, length, u)
 						next = append(next, s)
-					case int(length) == dPrev: // lines 20–27: equal path via u
-						if !inF {
-							b.emitOut(d, s, thLabel{hub: k, dist: uint8(length), fol: []graph.NodeID{u}})
-						}
-						b.marks.Set(s, length) // visited, not expanded
-					default: // pruned: earlier hubs already cover it strictly better
-						b.marks.Set(s, length)
+					case thTie: // lines 20–27: equal path via u, not expanded
+						b.emitOut(d, s, k, length, u)
+					case thPruned: // earlier hubs already cover it
 					}
 				}
 			}
@@ -507,7 +609,7 @@ func (b *thBuilder) forward(vk graph.NodeID, k int32, d *thDelta) {
 					}
 					if merged {
 						if p := b.pos[t]; p >= 0 {
-							if ent := &d.in[uint32(t)>>w.pshift].labs[p]; ent.dist == uint8(length) {
+							if ent := &d.in[uint32(t)>>w.pshift].labs[p]; uint8(ent.key) == uint8(length) {
 								for _, f := range firstHop {
 									if !containsNode(ent.fol, f) {
 										ent.fol = append(ent.fol, f)
@@ -517,16 +619,12 @@ func (b *thBuilder) forward(vk graph.NodeID, k int32, d *thDelta) {
 						}
 					}
 				default: // first visit
-					if int(length) < b.forwardPrune(t) {
-						fol := append([]graph.NodeID(nil), firstHop...)
-						b.emitIn(d, t, thLabel{hub: k, dist: uint8(length), fol: fol})
-						b.marks.Set(t, length)
-						b.fpath[t] = append(b.fpath[t][:0], firstHop...)
+					b.marks.Set(t, length)
+					b.fpath[t] = append(b.fpath[t][:0], firstHop...)
+					// Line 30 labels and expands only on improvement.
+					if !b.forwardCovered(t, int(length)) {
+						b.emitIn(d, t, k, length, firstHop)
 						next = append(next, t)
-					} else {
-						// Covered (line 30 updates only on improvement).
-						b.marks.Set(t, length)
-						b.fpath[t] = append(b.fpath[t][:0], firstHop...)
 					}
 				}
 			}
@@ -564,18 +662,19 @@ func (p *thBuildPool) release(b *thBuilder) {
 
 // mergeDeltaPartition folds every delta's partition-p bucket into the
 // per-node label lists, deltas in batch-slot (= hub rank) order, so each
-// node's list stays sorted by hub rank. Partitions are disjoint node
-// ranges, so concurrent calls for different p touch disjoint entries of
-// out and in: the merge needs no locks, only the batch epoch around it.
-func mergeDeltaPartition(out, in [][]thLabel, ds []thDelta, p int) {
+// node's list stays sorted by hub rank; each followee set is copied out
+// of its delta's slab. Partitions are disjoint node ranges, so concurrent
+// calls for different p touch disjoint entries of out and in: the merge
+// needs no locks, only the batch epoch around it.
+func mergeDeltaPartition(out, in []thList, ds []thDelta, p int) {
 	for i := range ds {
 		r := &ds[i].out[p]
 		for j, s := range r.nodes {
-			out[s] = append(out[s], r.labs[j])
+			out[s].push(r.labs[j].key, r.labs[j].fol)
 		}
 		r = &ds[i].in[p]
 		for j, t := range r.nodes {
-			in[t] = append(in[t], r.labs[j])
+			in[t].push(r.labs[j].key, r.labs[j].fol)
 		}
 	}
 }
@@ -736,27 +835,32 @@ func lookupIntern(cands []internCand, pool, fol []graph.NodeID) (int32, bool) {
 	return 0, false
 }
 
+// frozenFol is label i's followee set as the arena stores it: truncated
+// to the format's length cap (prepFreeze sorts it in place).
+func (l *thList) frozenFol(i int) []graph.NodeID {
+	f := l.fol(i)
+	return f[:min(len(f), maxFolLen)]
+}
+
 // prepFreeze is the parallel half of the arena conversion for nodes
-// [lo, hi): it truncates and sorts every label's followee set in place,
-// fills the hub/distance halves of the flat entries, and records each
-// sorted set's content hash so the interning stitch never rebuilds keys.
-// Returns the range's followee-reference count (the pre-intern FolRefs
-// contribution). Safe to run concurrently for disjoint node ranges:
-// every write lands in the range's own slice entries.
-func prepFreeze(src [][]thLabel, dst []thLabelFlat, off []int32, hash []uint64, lo, hi int) int64 {
+// [lo, hi): it truncates and sorts every label's followee set in place
+// inside its list's ids, fills the hub/distance halves of the flat
+// entries, and records each sorted set's content hash so the interning
+// stitch never rebuilds keys. Returns the range's followee-reference
+// count (the pre-intern FolRefs contribution). Safe to run concurrently
+// for disjoint node ranges: every write lands in the range's own slice
+// entries.
+func prepFreeze(src []thList, dst []thLabelFlat, off []int32, hash []uint64, lo, hi int) int64 {
 	var refs int64
 	for u := lo; u < hi; u++ {
-		labs := src[u]
+		l := &src[u]
 		base := int(off[u])
-		for i := range labs {
-			l := &labs[i]
-			if len(l.fol) > maxFolLen {
-				l.fol = l.fol[:maxFolLen]
-			}
-			sortNodeIDs(l.fol)
-			refs += int64(len(l.fol))
-			dst[base+i] = thLabelFlat{hub: l.hub, dist: l.dist}
-			hash[base+i] = hashNodeIDs(l.fol)
+		for i, key := range l.key {
+			fol := l.frozenFol(i)
+			sortNodeIDs(fol)
+			refs += int64(len(fol))
+			dst[base+i] = thLabelFlat{hub: int32(key >> 8), dist: uint8(key)}
+			hash[base+i] = hashNodeIDs(fol)
 		}
 	}
 	return refs
@@ -789,8 +893,8 @@ func (w *thWork) freeze(workers int) *TwoHop {
 	for u := 0; u < n; u++ {
 		th.outOff[u] = nOut
 		th.inOff[u] = nIn
-		nOut += int32(len(w.out[u]))
-		nIn += int32(len(w.in[u]))
+		nOut += int32(len(w.out[u].key))
+		nIn += int32(len(w.in[u].key))
 	}
 	th.outOff[n], th.inOff[n] = nOut, nIn
 	th.outLab = make([]thLabelFlat, nOut)
@@ -837,13 +941,12 @@ func (w *thWork) freeze(workers int) *TwoHop {
 
 	// Stage 2: serial interning stitch in the canonical label order.
 	intern := make(map[uint64][]internCand)
-	stitch := func(src [][]thLabel, off []int32, dst []thLabelFlat, hash []uint64) {
+	stitch := func(src []thList, off []int32, dst []thLabelFlat, hash []uint64) {
 		for u := 0; u < n; u++ {
-			labs := src[u]
+			l := &src[u]
 			base := int(off[u])
-			for i := range labs {
-				l := &labs[i]
-				fol := l.fol
+			for i := range l.key {
+				fol := l.frozenFol(i)
 				if len(fol) == 0 {
 					continue // prep already wrote the hub/dist-only entry
 				}
@@ -863,9 +966,9 @@ func (w *thWork) freeze(workers int) *TwoHop {
 						intern[h] = append(intern[h], internCand{off: folOff, n: folLen})
 					}
 				}
-				dst[base+i] = thLabelFlat{hub: l.hub, dist: l.dist, folOff: folOff, folLen: folLen}
+				dst[base+i].folOff, dst[base+i].folLen = folOff, folLen
 			}
-			src[u] = nil // release build storage as we go
+			src[u] = thList{} // release build storage as we go
 		}
 	}
 	stitch(w.out, th.outOff, th.outLab, outHash)

@@ -22,7 +22,7 @@ func (w *thWork) refQueryRank(s, t graph.NodeID, buf []graph.NodeID) (int, []gra
 	if s == t {
 		return 0, nil, buf
 	}
-	ls, lt := w.out[s], w.in[t]
+	ls, lt := &w.out[s], &w.in[t]
 	rs, rt := w.rank[s], w.rank[t]
 	best := infHops
 	fol := buf
@@ -45,27 +45,27 @@ func (w *thWork) refQueryRank(s, t graph.NodeID, buf []graph.NodeID) (int, []gra
 	// Virtual self entries: hub = t (t ∈ Lout(s) directly) and hub = s
 	// (s ∈ Lin(t); followee info comes from the in-label).
 	i, j := 0, 0
-	for i < len(ls) || j < len(lt) {
+	for i < len(ls.key) || j < len(lt.key) {
 		hi, hj := rankInf, rankInf
-		if i < len(ls) {
-			hi = ls[i].hub
+		if i < len(ls.key) {
+			hi = int32(ls.key[i] >> 8)
 		}
-		if j < len(lt) {
-			hj = lt[j].hub
+		if j < len(lt.key) {
+			hj = int32(lt.key[j] >> 8)
 		}
 		switch {
 		case hi < hj:
 			if hi == rt { // hub is t itself: d = d_s,t + 0
-				consider(int(ls[i].dist), ls[i].fol)
+				consider(int(uint8(ls.key[i])), ls.fol(i))
 			}
 			i++
 		case hj < hi:
 			if hj == rs { // hub is s itself: d = 0 + d_s,t, F from in-label
-				consider(int(lt[j].dist), lt[j].fol)
+				consider(int(uint8(lt.key[j])), lt.fol(j))
 			}
 			j++
 		default:
-			consider(int(ls[i].dist)+int(lt[j].dist), ls[i].fol)
+			consider(int(uint8(ls.key[i]))+int(uint8(lt.key[j])), ls.fol(i))
 			i++
 			j++
 		}
@@ -90,14 +90,18 @@ func unfrozenLabels(g *graph.Graph, h, batch int) *thWork {
 // finished list's prefix of hubs ranked below cut.
 func labelsBefore(w *thWork, cut int32) *thWork {
 	c := *w
-	prefix := func(lists [][]thLabel) [][]thLabel {
-		p := make([][]thLabel, len(lists))
+	prefix := func(lists []thList) []thList {
+		p := make([]thList, len(lists))
 		for u, l := range lists {
 			j := 0
-			for j < len(l) && l[j].hub < cut {
+			for j < len(l.key) && int32(l.key[j]>>8) < cut {
 				j++
 			}
-			p[u] = l[:j:j]
+			nids := int32(0)
+			if j > 0 {
+				nids = l.end[j-1]
+			}
+			p[u] = thList{key: l.key[:j:j], end: l.end[:j:j], ids: l.ids[:nids:nids]}
 		}
 		return p
 	}
@@ -107,9 +111,13 @@ func labelsBefore(w *thWork, cut int32) *thWork {
 
 // TestPruneKernelsMatchMergeWalk pins the scattered prune kernels to the
 // merge walk they replaced, under ==: for every root and every other
-// node, forwardPrune's distance equals refQueryRank(root, t)'s, and
-// backwardPrune's (distance, u ∈ F) equals refQueryRank(s, root)'s for
-// every followee u of s and for one node that is not a followee. The
+// node, backwardPrune's (distance, u ∈ F) equals refQueryRank(s, root)'s
+// for every followee u of s and for one node that is not a followee, and
+// at every level L in 1..H the early-exit first-visit tests agree with
+// the class the merge walk implies: forwardCovered(t, L) is
+// refQueryRank(root, t) ≤ L, and backwardVisit(s, u, L) is thExpand when
+// L is below the walk's distance, thTie when L equals it and u is not in
+// its followee union, and thPruned otherwise. The
 // label states are the ones the kernels meet mid-build (batch boundaries
 // a quarter and half way through, and the finished build); on a finished
 // build alone the hub = s and hub = t entries never decide a test. Graph
@@ -231,8 +239,10 @@ func checkPruneKernels(t *testing.T, w *thWork, cut int32) {
 			}
 			var want int
 			want, _, buf = w.refQueryRank(root, v, buf)
-			if got := b.forwardPrune(v); got != want {
-				t.Fatalf("forwardPrune(%d → %d) = %d, merge walk %d", root, v, got, want)
+			for level := 1; level <= w.h; level++ {
+				if got := b.forwardCovered(v, level); got != (want <= level) {
+					t.Fatalf("forwardCovered(%d → %d, L=%d) = %v, merge walk distance %d", root, v, level, got, want)
+				}
 			}
 		}
 		b.unscatter()
@@ -256,9 +266,23 @@ func checkPruneKernels(t *testing.T, w *thWork, cut int32) {
 			}
 			for _, u := range probe {
 				got, gotIn := b.backwardPrune(s, u)
-				if wantIn := containsNode(fol, u); got != want || gotIn != wantIn {
+				wantIn := containsNode(fol, u)
+				if got != want || gotIn != wantIn {
 					t.Fatalf("backwardPrune(%d → %d, u=%d) = (%d, %v), merge walk (%d, %v)",
 						s, root, u, got, gotIn, want, wantIn)
+				}
+				for level := 1; level <= w.h; level++ {
+					wantVisit := thPruned
+					switch {
+					case level < want:
+						wantVisit = thExpand
+					case level == want && !wantIn:
+						wantVisit = thTie
+					}
+					if got := b.backwardVisit(s, u, level); got != wantVisit {
+						t.Fatalf("backwardVisit(%d → %d, u=%d, L=%d) = %d, merge walk (%d, %v) implies %d",
+							s, root, u, level, got, want, wantIn, wantVisit)
+					}
 				}
 			}
 		}
@@ -280,7 +304,8 @@ func requireUnscattered(t *testing.T, b *thBuilder) {
 
 // TestPruneKernelsZeroAlloc is the runtime ground truth behind the
 // kernels' microlint:noalloc annotations: scattering a root, running
-// both prune tests against it and clearing it allocates nothing.
+// every prune test against it (each reads label followee sets through
+// thList.fol) and clearing it allocates nothing.
 func TestPruneKernelsZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	g := randomGraph(r, 200, 1200)
@@ -298,10 +323,15 @@ func TestPruneKernelsZeroAlloc(t *testing.T) {
 		b.scatter(w.in[root], k)
 		for _, u := range g.Out(v) {
 			b.backwardPrune(v, u)
+			for level := 1; level <= w.h; level++ {
+				b.backwardVisit(v, u, level)
+			}
 		}
 		b.unscatter()
 		b.scatter(w.out[root], k)
-		b.forwardPrune(v)
+		for level := 1; level <= w.h; level++ {
+			b.forwardCovered(v, level)
+		}
 		b.unscatter()
 	}); avg != 0 {
 		t.Fatalf("prune kernels allocate %.2f per run, want 0", avg)
