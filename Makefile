@@ -54,13 +54,15 @@ test-race:
 # under the race detector. -count=2 defeats test caching and gives racy
 # interleavings a second roll; the reach suite runs once more with
 # GOMAXPROCS=4 so its parallel build meets real cross-core
-# interleavings. The bench quick smoke drives all four BENCHMARK.json
-# workloads — links over real HTTP, the ingest firehose across
-# copy-on-swap rebuilds, snapshot + warm restart — under the race
-# detector.
+# interleavings, and so do the recency and kb suites, so the recency
+# memo's lock-free window hits meet Link's generation bumps across
+# cores. The bench quick smoke drives all four BENCHMARK.json workloads
+# — links over real HTTP, the ingest firehose across copy-on-swap
+# rebuilds, snapshot + warm restart — under the race detector.
 race:
 	$(GO) test -race -count=2 ./...
 	GOMAXPROCS=4 $(GO) test -race ./internal/reach/...
+	GOMAXPROCS=4 $(GO) test -race ./internal/recency/... ./internal/kb/...
 	cd bench && $(GO) test -race -run TestQuickSmoke ./...
 
 cover:

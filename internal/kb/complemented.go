@@ -2,8 +2,10 @@ package kb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Posting links one tweet to one entity inside the complemented
@@ -26,6 +28,11 @@ type Complemented struct {
 	postings [][]Posting        // microlint:guarded-by mu — per entity, sorted by Time
 	perUser  []map[UserID]int32 // microlint:guarded-by mu — per entity: |D_e^u|
 	total    int64              // microlint:guarded-by mu — total postings across all entities
+
+	// gen is the posting generation: Link bumps it under mu, so a reader
+	// that sees the generation it read counts at knows no posting has
+	// been linked since, without taking the lock.
+	gen atomic.Uint64
 }
 
 // Complement wraps a base KB into an (initially empty) complemented KB.
@@ -63,7 +70,12 @@ func (c *Complemented) Link(e EntityID, p Posting) {
 	}
 	m[p.User]++
 	c.total++
+	c.gen.Add(1)
 }
+
+// Generation returns the posting generation: the number of Link calls so
+// far. Lock-free; RecentCounts reports the generation its counts hold at.
+func (c *Complemented) Generation() uint64 { return c.gen.Load() }
 
 // Count returns |D_e|: the number of postings linked to entity e — the
 // numerator material of the popularity score (Eq. 2).
@@ -86,13 +98,54 @@ func (c *Complemented) TotalCount() int64 {
 // corpora: a linker replaying time "now" must not see postings from its
 // future.
 func (c *Complemented) RecentCount(e EntityID, now, tau int64) int {
+	var n [1]int
+	c.RecentCounts([]EntityID{e}, now, tau, n[:])
+	return n[0]
+}
+
+// RecentCounts writes RecentCount(es[i], now, tau) into counts[i] for
+// every entity of es under one read lock, and returns the posting
+// generation those counts hold at together with a range [from, until]
+// around now in which no posting of any of the entities enters or leaves
+// its window: at every instant of the range each count is the same, for
+// as long as the generation is. The range comes from the same two binary
+// searches per entity (the postings either side of both window edges);
+// when now−tau wraps or tau < 0 it is [now, now].
+func (c *Complemented) RecentCounts(es []EntityID, now, tau int64, counts []int) (gen uint64, from, until int64) {
+	cutoff := now - tau
+	exact := tau >= 0 && cutoff <= now // else the window is empty or now−tau wrapped
+	from, until = now, now
+	if exact {
+		from, until = math.MinInt64+tau, math.MaxInt64
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ps := c.postings[e]
-	cutoff := now - tau
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].Time >= cutoff })
-	hi := sort.Search(len(ps), func(i int) bool { return ps[i].Time > now })
-	return hi - lo
+	for i, e := range es {
+		ps := c.postings[e]
+		lo := sort.Search(len(ps), func(i int) bool { return ps[i].Time >= cutoff })
+		hi := sort.Search(len(ps), func(i int) bool { return ps[i].Time > now })
+		counts[i] = hi - lo
+		if !exact {
+			continue
+		}
+		// ps[lo:hi] stays the window while ps[hi-1] has arrived and
+		// ps[hi] has not, and ps[lo] is still inside while ps[lo-1] has
+		// left. ps[lo-1].Time < now−tau, so its +tau+1 cannot overflow;
+		// ps[lo].Time+tau can, and then ps[lo] never leaves.
+		if hi > 0 {
+			from = max(from, ps[hi-1].Time)
+		}
+		if hi < len(ps) {
+			until = min(until, ps[hi].Time-1)
+		}
+		if lo > 0 {
+			from = max(from, ps[lo-1].Time+tau+1)
+		}
+		if lo < len(ps) && ps[lo].Time <= math.MaxInt64-tau {
+			until = min(until, ps[lo].Time+tau)
+		}
+	}
+	return c.gen.Load(), from, until
 }
 
 // UserCount returns |D_e^u|: postings by user u linked to entity e.

@@ -208,6 +208,85 @@ func TestRecentCountWindow(t *testing.T) {
 	}
 }
 
+// TestRecentCountsWindow checks RecentCounts against RecentCount and its
+// range against brute force: every count is the same at every instant of
+// [from, until], and one step outside either end some posting of some
+// entity enters or leaves its window. Link bumps the generation.
+func TestRecentCountsWindow(t *testing.T) {
+	c := Complement(tinyKB())
+	es := []EntityID{0, 1, 2, 5}
+	for i, ts := range []int64{100, 100, 200, 230, 300, 400, 500, 650} {
+		c.Link(es[i%3], Posting{Tweet: int64(i), User: 1, Time: ts})
+	}
+	if g := c.Generation(); g != 8 {
+		t.Fatalf("generation after 8 links = %d", g)
+	}
+	const tau = 150
+	// inWindow is the set of postings inside some window at t, as
+	// (entity, time) pairs in posting order.
+	inWindow := func(t int64) [][2]int64 {
+		var out [][2]int64
+		for _, e := range es {
+			for _, p := range c.Postings(e) {
+				if t-tau <= p.Time && p.Time <= t {
+					out = append(out, [2]int64{int64(e), p.Time})
+				}
+			}
+		}
+		return out
+	}
+	same := func(a, b [][2]int64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	counts := make([]int, len(es))
+	for now := int64(0); now < 1000; now++ {
+		gen, from, until := c.RecentCounts(es, now, tau, counts)
+		if gen != c.Generation() {
+			t.Fatalf("now=%d: generation %d, want %d", now, gen, c.Generation())
+		}
+		for i, e := range es {
+			if counts[i] != c.RecentCount(e, now, tau) {
+				t.Fatalf("now=%d: count[%d] = %d, RecentCount %d", now, e, counts[i], c.RecentCount(e, now, tau))
+			}
+		}
+		if from > now || until < now {
+			t.Fatalf("now=%d outside its range [%d, %d]", now, from, until)
+		}
+		want := inWindow(now)
+		for at := max(from, -10); at <= min(until, 1100); at++ {
+			if !same(inWindow(at), want) {
+				t.Fatalf("now=%d: range [%d, %d] holds %d, whose window differs", now, from, until, at)
+			}
+		}
+		if from > -10 && same(inWindow(from-1), want) {
+			t.Fatalf("now=%d: range [%d, %d] stops short of %d", now, from, until, from-1)
+		}
+		if until < 1100 && same(inWindow(until+1), want) {
+			t.Fatalf("now=%d: range [%d, %d] stops short of %d", now, from, until, until+1)
+		}
+	}
+	// Near the ends of int64 the range stays inside the instants whose
+	// window does not wrap, and a wrapped window is its instant alone.
+	if _, from, _ := c.RecentCounts(es, math.MinInt64+tau+5, tau, counts); from != math.MinInt64+tau {
+		t.Fatalf("range starts at %d, want the first unwrapped instant", from)
+	}
+	if _, from, until := c.RecentCounts(es, math.MinInt64+5, tau, counts); from != math.MinInt64+5 || until != from {
+		t.Fatalf("wrapped window: range [%d, %d]", from, until)
+	}
+	c.Link(0, Posting{Tweet: 99, User: 1, Time: math.MaxInt64 - 10})
+	if _, _, until := c.RecentCounts(es, math.MaxInt64-5, tau, counts); until != math.MaxInt64 || counts[0] != 1 {
+		t.Fatalf("a posting that never leaves: range ends at %d, count %d", until, counts[0])
+	}
+}
+
 func TestOutOfOrderInsertKeepsSorted(t *testing.T) {
 	c := Complement(tinyKB())
 	for _, ts := range []int64{300, 100, 200, 50} {

@@ -1,6 +1,8 @@
 package recency
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -265,31 +267,45 @@ func TestScoresConcurrentMatchOracle(t *testing.T) {
 }
 
 // FuzzScoresMatchOracle drives Scores with arbitrary postings (from seed),
-// query time and candidate list over clusterKB. Each input is scored
-// twice (a propagation, then a memo hit), then once more after one
-// posting at now on entity post, which may move the window vector.
+// two query instants (now and now+dt) and a candidate list over
+// clusterKB. Both instants are scored twice (a propagation or window
+// entry, then a memo hit), then once more after each of a run of postings
+// on entity post and its successors: before now's window, at now−τ−1,
+// now−τ, now and now+1, in the future, and at now+off. Each Link bumps
+// the posting generation and may move a window vector; every call is
+// checked against the oracle to the bit.
 func FuzzScoresMatchOracle(f *testing.F) {
-	f.Add(int64(0), int64(500), []byte{0, 3, 5}, uint8(0))
-	f.Add(int64(7), int64(900), []byte{0, 1, 2, 0, 9}, uint8(1))
-	f.Add(int64(-3), int64(-1), []byte{}, uint8(9))
-	f.Fuzz(func(t *testing.T, seed, now int64, raw []byte, post uint8) {
+	f.Add(int64(0), int64(500), []byte{0, 3, 5}, uint8(0), int64(1), int64(0))
+	f.Add(int64(7), int64(900), []byte{0, 1, 2, 0, 9}, uint8(1), int64(-100), int64(-101))
+	f.Add(int64(-3), int64(-1), []byte{}, uint8(9), int64(0), int64(0))
+	f.Add(int64(2), int64(300), []byte{0, 3}, uint8(0), int64(101), int64(1))
+	f.Add(int64(5), int64(math.MinInt64+50), []byte{0, 1, 3}, uint8(3), int64(-1), int64(math.MaxInt64))
+	f.Add(int64(11), int64(math.MaxInt64), []byte{1, 4}, uint8(4), int64(-101), int64(-100))
+	f.Fuzz(func(t *testing.T, seed, now int64, raw []byte, post uint8, dt, off int64) {
 		c, net := seededClusterKB(seed)
 		cands := make([]kb.EntityID, len(raw))
 		for i, b := range raw {
 			cands[i] = kb.EntityID(b % 10)
 		}
+		const tau = 100
 		scorers := []*Scorer{
-			NewScorer(c, net, Options{Theta1: 5, Tau: 100}, nil),
-			NewScorer(c, net, Options{Theta1: 5, Tau: 100, NoPropagation: true}, nil),
+			NewScorer(c, net, Options{Theta1: 5, Tau: tau}, nil),
+			NewScorer(c, net, Options{Theta1: 5, Tau: tau, NoPropagation: true}, nil),
 		}
+		instants := []int64{now, now + dt}
 		check := func(what string) {
 			for _, s := range scorers {
-				sameBits(t, what, s.Scores(now, cands), oracle{s}.scores(now, cands))
+				for _, at := range instants {
+					sameBits(t, fmt.Sprintf("%s at %d", what, at), s.Scores(at, cands), oracle{s}.scores(at, cands))
+				}
 			}
 		}
 		check("first")
 		check("repeat")
-		c.Link(kb.EntityID(post%10), kb.Posting{Tweet: -1, User: 1, Time: now})
-		check("after Link")
+		for i, d := range []int64{-tau - 50, -tau - 1, -tau, 0, 1, tau + 50, off} {
+			e := kb.EntityID((int(post) + i) % 10)
+			c.Link(e, kb.Posting{Tweet: -1 - int64(i), User: 1, Time: now + d})
+			check(fmt.Sprintf("after Link(%d, now%+d)", e, d))
+		}
 	})
 }

@@ -19,6 +19,7 @@
 package recency
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -227,31 +228,48 @@ func (n *PropNet) NumEdges() int {
 // Scorer computes recency scores S_r(e) (Eq. 9 + Eq. 11) over a
 // complemented knowledgebase, once per distinct cluster among the
 // candidates. Eq. 11's result is a pure function of the cluster's gated
-// window vector s0 (the network, λ and the iteration count are fixed), so
-// each cluster keeps a one-entry memo of its last propagation keyed on
-// s0: a call whose s0 equals the stored one reuses the stored vector, any
-// other propagates and replaces the entry. A posting or a window expiry
-// that moves a member across θ₁ or changes its count changes s0 and so
-// misses by construction: there is no clock bucket and no invalidation.
-// Safe for concurrent use.
+// window vector s0 (the network, λ and the iteration count are fixed), and
+// s0 cannot change while no posting is linked and no posting of a member
+// enters or leaves its window. So each cluster keeps memoWays entries,
+// each a propagation stamped with the posting generation and the range of
+// instants over which its s0 holds: a call inside an entry's range at the
+// entry's generation returns its vector without reading a count or taking
+// a lock. Any other call reads the members' counts under one read lock; an
+// entry with an equal s0 is re-stamped with the new range, and only an s0
+// no entry holds runs Eq. 11. Safe for concurrent use.
 type Scorer struct {
 	ckb  *kb.Complemented
 	net  *PropNet
 	opts Options
 
-	// memo holds one slot per cluster, nil until the cluster first
-	// propagates a burst. A published entry is never written again.
+	// memo holds memoWays slots per cluster (cluster id's are
+	// memo[id*memoWays:][:memoWays]), nil until used. A published entry
+	// is never written again.
 	memo []atomic.Pointer[propMemo]
+	// published numbers memo entries in publication order; a full
+	// cluster replaces its entry published first.
+	published atomic.Uint64
 	// hits and runs are microlink_recency_propagations_total{memo}:
 	// bursting cluster propagations answered from the memo, or by an
 	// Eq. 11 run. Registered by NewScorer, nil (no-op) without a registry.
 	hits, runs *obs.Counter
 }
 
-// propMemo is one cluster's last propagation: the gated window vector it
-// started from and the Eq. 11 result, both aligned with the members.
+// memoWays is how many window entries each cluster keeps (DESIGN §5.2,
+// "Recency memo"): enough for two clients whose clocks sit in different
+// s0 windows to keep one each, plus windows a trailing clock walks into
+// after a leading one published them.
+const memoWays = 4
+
+// propMemo is one cluster propagation: the gated window vector it started
+// from and the Eq. 11 result, both aligned with the members (both nil for
+// a window where no member bursts), valid for every now in [from, until]
+// while the posting generation is gen. seq is its publication number.
 type propMemo struct {
-	s0, vec []float64
+	s0, vec     []float64
+	gen         uint64
+	from, until int64
+	seq         uint64
 }
 
 // NewScorer returns a Scorer counting its propagations into
@@ -267,7 +285,7 @@ func NewScorer(ckb *kb.Complemented, net *PropNet, opts Options, reg *obs.Regist
 		"Bursting recency-cluster propagations (Eq. 11), by whether the per-cluster memo answered them.", "memo")
 	s := &Scorer{ckb: ckb, net: net, opts: opts, hits: v.With("hit"), runs: v.With("miss")}
 	if net != nil {
-		s.memo = make([]atomic.Pointer[propMemo], len(net.clusters))
+		s.memo = make([]atomic.Pointer[propMemo], memoWays*len(net.clusters))
 	}
 	return s
 }
@@ -285,7 +303,8 @@ func (s *Scorer) Clusters(e kb.EntityID) []kb.EntityID {
 }
 
 // MemoHits reports how many propagation runs the per-cluster memo saved:
-// calls whose cluster window vector equalled the stored one. It reads
+// bursting cluster lookups answered by an entry, inside its window or
+// with an equal window vector. It reads
 // microlink_recency_propagations_total{memo="hit"}: 0 without a registry.
 func (s *Scorer) MemoHits() int64 { return int64(s.hits.Value()) }
 
@@ -297,7 +316,11 @@ func (s *Scorer) Propagations() int64 { return int64(s.runs.Value()) }
 // raw returns the gated burst signal of Eq. 9's numerator: |D_e^τ| when it
 // reaches θ₁, else 0.
 func (s *Scorer) raw(e kb.EntityID, now int64) float64 {
-	n := s.ckb.RecentCount(e, now, s.opts.Tau)
+	return s.gate(s.ckb.RecentCount(e, now, s.opts.Tau))
+}
+
+// gate is θ₁'s cut of one window count.
+func (s *Scorer) gate(n int) float64 {
 	if n < s.opts.Theta1 {
 		return 0
 	}
@@ -364,9 +387,12 @@ func (s *Scorer) scores(now int64, cands []kb.EntityID, v *View) []float64 {
 	return out
 }
 
-// propScratch holds the vectors of one propagation run, pooled so that
-// Scores allocates only its result.
-type propScratch struct{ s0, cur, nxt []float64 }
+// propScratch holds the window counts and vectors of one propagation run,
+// pooled so that Scores allocates only its result.
+type propScratch struct {
+	counts       []int
+	s0, cur, nxt []float64
+}
 
 var propPool = sync.Pool{New: func() any { return new(propScratch) }}
 
@@ -374,8 +400,6 @@ var propPool = sync.Pool{New: func() any { return new(propScratch) }}
 // arrives zeroed. A cluster is looked up once, at its first candidate,
 // for all of them: through v when it is non-nil, else propagated afresh.
 func (s *Scorer) propagated(now int64, cands []kb.EntityID, out []float64, v *View) {
-	sc := propPool.Get().(*propScratch)
-	defer propPool.Put(sc)
 next:
 	for i, e := range cands {
 		if s.opts.NoPropagation || s.net.clusterOf[e] < 0 {
@@ -390,7 +414,7 @@ next:
 		}
 		vec, ok := v.lookup(id)
 		if !ok {
-			vec = s.propagateCluster(id, now, sc)
+			vec = s.propagateCluster(id, now)
 			v.keep(id, vec)
 		}
 		if vec == nil {
@@ -424,37 +448,65 @@ func (v *View) keep(id int32, vec []float64) {
 	}
 }
 
-// propagateCluster runs Eq. 11 over cluster id and returns the recency
-// vector aligned with its members, or nil when no member bursts. A
-// returned vector is a published memo entry's, never written again: an s0
-// equal to the memo's returns the memoised vector, any other propagates
-// and publishes a fresh entry.
-func (s *Scorer) propagateCluster(id int32, now int64, sc *propScratch) []float64 {
+// propagateCluster returns cluster id's Eq. 11 vector at now, aligned
+// with its members, or nil when no member bursts. A returned vector is a
+// published memo entry's, never written again: an entry whose window
+// holds now at the current generation answers outright; otherwise the
+// counts are read, an entry with an equal s0 is re-published under the
+// new window, and only a new s0 propagates into a fresh entry.
+func (s *Scorer) propagateCluster(id int32, now int64) []float64 {
+	slots := s.memo[int(id)*memoWays:][:memoWays]
+	gen := s.ckb.Generation()
+	for i := range slots {
+		if m := slots[i].Load(); m != nil && m.gen == gen && m.from <= now && now <= m.until {
+			if m.vec != nil {
+				s.hits.Inc()
+			}
+			return m.vec
+		}
+	}
+	sc := propPool.Get().(*propScratch)
+	defer propPool.Put(sc)
 	c := &s.net.clusters[id]
 	n := len(c.members)
 	if cap(sc.s0) < n {
+		sc.counts = make([]int, n)
 		sc.s0, sc.cur, sc.nxt = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
+	gen, from, until := s.ckb.RecentCounts(c.members, now, s.opts.Tau, sc.counts[:n])
 	s0, burst := sc.s0[:n], false
-	for i, m := range c.members {
-		s0[i] = s.raw(m, now)
+	for i, k := range sc.counts[:n] {
+		s0[i] = s.gate(k)
 		burst = burst || s0[i] > 0
 	}
-	if !burst {
-		return nil
+	victim, oldest := 0, uint64(math.MaxUint64)
+	for i := range slots {
+		m := slots[i].Load()
+		if m == nil {
+			victim, oldest = i, 0
+			continue
+		}
+		if burst == (m.vec != nil) && (!burst || slices.Equal(m.s0, s0)) {
+			if burst {
+				s.hits.Inc()
+			}
+			slots[i].Store(&propMemo{s0: m.s0, vec: m.vec, gen: gen, from: from, until: until, seq: s.published.Add(1)})
+			return m.vec
+		}
+		if m.seq < oldest {
+			victim, oldest = i, m.seq
+		}
 	}
-	slot := &s.memo[id]
-	if m := slot.Load(); m != nil && slices.Equal(m.s0, s0) {
-		s.hits.Inc()
-		return m.vec
+	m := &propMemo{gen: gen, from: from, until: until, seq: s.published.Add(1)}
+	if burst {
+		s.runs.Inc()
+		vec := c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
+		buf := make([]float64, 2*n)
+		copy(buf, s0)
+		copy(buf[n:], vec)
+		m.s0, m.vec = buf[:n:n], buf[n:]
 	}
-	s.runs.Inc()
-	vec := c.iterate(s0, sc.cur[:n], sc.nxt[:n], s.opts.Lambda, s.opts.Iterations)
-	buf := make([]float64, 2*n)
-	copy(buf, s0)
-	copy(buf[n:], vec)
-	m := &propMemo{s0: buf[:n:n], vec: buf[n:]}
-	slot.Store(m)
+	slots[victim].Store(m)
 	return m.vec
 }
 
