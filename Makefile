@@ -108,20 +108,23 @@ index-smoke:
 # is bounded by an execution count (-fuzztime=Nx), not a duration: with a
 # duration the coordinator's exec count can stop rising after its first
 # report while the clock runs out. N is sized to about 5 s per target on a
-# 2-vCPU host.
+# 2-vCPU host. The exec count does not cover minimisation of each new
+# interesting input (60 s by default, during which the count stands
+# still), so every target also bounds that by an exec count
+# (-fuzzminimizetime=Nx), and a fresh fuzz cache stays near the budget.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=40000x ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzNormalizePhrase -fuzztime=150000x ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzWithinEditDistance -fuzztime=150000x ./internal/textutil
-	$(GO) test -run=NONE -fuzz=FuzzDecodeLinkRequest -fuzztime=35000x ./internal/httpapi
-	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10000x ./internal/lint
-	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=50000x ./internal/lint
-	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=30000x ./internal/recency
-	$(GO) test -run=NONE -fuzz=FuzzRFromMatchesR -fuzztime=5000x ./internal/reach
-	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=50000x ./internal/reach
-	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=50000x ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=40000x ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=30000x ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=40000x -fuzzminimizetime=1000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzNormalizePhrase -fuzztime=150000x -fuzzminimizetime=1000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzWithinEditDistance -fuzztime=150000x -fuzzminimizetime=1000x ./internal/textutil
+	$(GO) test -run=NONE -fuzz=FuzzDecodeLinkRequest -fuzztime=35000x -fuzzminimizetime=1000x ./internal/httpapi
+	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10000x -fuzzminimizetime=1000x ./internal/lint
+	$(GO) test -run=NONE -fuzz=FuzzLocksetTransfer -fuzztime=50000x -fuzzminimizetime=1000x ./internal/lint
+	$(GO) test -run=NONE -fuzz=FuzzScoresMatchOracle -fuzztime=30000x -fuzzminimizetime=1000x ./internal/recency
+	$(GO) test -run=NONE -fuzz=FuzzRFromMatchesR -fuzztime=5000x -fuzzminimizetime=1000x ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadTwoHop -fuzztime=75000x -fuzzminimizetime=1000x ./internal/reach
+	$(GO) test -run=NONE -fuzz=FuzzReadSegment -fuzztime=50000x -fuzzminimizetime=1000x ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=40000x -fuzzminimizetime=1000x ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=30000x -fuzzminimizetime=1000x ./internal/store
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

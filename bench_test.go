@@ -8,8 +8,12 @@ package microlink_test
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"microlink"
 	"microlink/internal/eval"
@@ -555,4 +559,71 @@ func BenchmarkNERExtract(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.NER.Extract(texts[i%len(texts)])
 	}
+}
+
+// --- Warm restart -----------------------------------------------------------
+
+// openFiles holds a data directory snapshotted once per process from
+// the bench world (the world the BENCHMARK.json workloads serve, built
+// with the streaming substrate a data directory restores): file name →
+// contents, so every BenchmarkOpen run writes it into its own TempDir.
+var (
+	openOnce  sync.Once
+	openFiles map[string][]byte
+)
+
+// BenchmarkOpen is the warm restart without the harness around it: each
+// iteration opens the bench world's data directory and closes it again.
+// Beside ns/op, B/op and allocs/op it reports the reach segment's bytes
+// and the mean of the two overlapped load legs (RestartReport.World and
+// .Reach); the longer leg bounds the load.
+func BenchmarkOpen(b *testing.B) {
+	openOnce.Do(func() {
+		w := microlink.Generate(microlink.WorldParams{Seed: 42, Users: 2000, Topics: 12, EntitiesPerTopic: 20, Days: 60})
+		sys := microlink.Build(w, microlink.Options{Reach: microlink.ReachStreaming, TruthComplement: true})
+		dir := b.TempDir()
+		if _, err := sys.Snapshot(dir); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.ClosePersist(); err != nil {
+			b.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		openFiles = make(map[string][]byte, len(ents))
+		for _, e := range ents {
+			if openFiles[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	dir := b.TempDir()
+	var reachBytes int
+	for name, data := range openFiles {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if strings.HasSuffix(name, "-reach.bin") {
+			reachBytes += len(data)
+		}
+	}
+	var world, arena time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, rep, err := microlink.Open(dir, microlink.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		world += rep.World
+		arena += rep.Reach
+		if err := sys.ClosePersist(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(reachBytes), "reach-bytes")
+	b.ReportMetric(float64(world.Microseconds())/1e3/float64(b.N), "world-ms")
+	b.ReportMetric(float64(arena.Microseconds())/1e3/float64(b.N), "reach-ms")
 }

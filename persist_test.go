@@ -884,6 +884,53 @@ func TestOpenCorruptSegment(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsVersion3Arena: a data directory whose reach segment is
+// a version-3 image (the padded per-label record the label columns
+// replaced) fails Open with reach.ErrFormat naming the version, and Open
+// leaves every file of the directory as it found it; the directory is
+// re-snapshotted from a cold Build.
+func TestOpenRejectsVersion3Arena(t *testing.T) {
+	dir, man := snapshotDir(t, 1)
+	path := filepath.Join(dir, man.Segments["reach"])
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b[:4]) != "MLRI" || binary.LittleEndian.Uint16(b[4:]) != 4 {
+		t.Fatalf("reach segment header %q version %d, want MLRI version 4", b[:4], binary.LittleEndian.Uint16(b[4:]))
+	}
+	binary.LittleEndian.PutUint16(b[4:], 3)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	_, _, err = Open(dir, Options{})
+	if !errors.Is(err, reach.ErrFormat) || !strings.Contains(err.Error(), "version 3, want 4") {
+		t.Fatalf("open with a version-3 arena: %v, want a reach.ErrFormat naming version 3", err)
+	}
+	if after := dirContents(t, dir); !maps.Equal(before, after) {
+		t.Fatalf("a refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// dirContents maps each file name in dir to its contents.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
 // TestOpenManifestDamage requires a damaged manifest to surface
 // ErrManifest through the facade.
 func TestOpenManifestDamage(t *testing.T) {
